@@ -42,7 +42,6 @@ from .pyramid import (
     DensityMap,
     PointAnnotations,
     Pyramid,
-    ResidualMap,
     ResolutionSet,
     build_pyramid,
     downsample_avg,

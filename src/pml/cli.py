@@ -16,9 +16,9 @@ import numpy as np
 
 from . import dmapio
 from .likelihood import verify_theorem
-from .loss import loss_gradient, pml_loss, total_loss
-from .metrics import BenchmarkConfig, ablation_run, evaluate, run_benchmark_cell
-from .pyramid import DensityMap, build_pyramid, maps_from_batch, rasterize
+from .loss import fd_loss_gradient, loss_gradient, pml_loss, total_loss
+from .metrics import BenchmarkConfig, ablation_run, compare_pml_vs_l2, evaluate, run_benchmark_cell
+from .pyramid import build_pyramid, maps_from_batch, rasterize
 from .rng import SplitMix64
 
 
@@ -36,11 +36,14 @@ def _echo(name: str, args: argparse.Namespace) -> None:
     print(f"# pml {name} " + " ".join(f"{k}={v}" for k, v in pairs))
 
 
-def _levels_list(text: str) -> list[int]:
+def _int_list(text: str) -> list[int]:
     try:
-        return [int(p) for p in text.split(",") if p != ""]
+        values = [int(p) for p in text.split(",") if p != ""]
     except ValueError:
+        values = []
+    if not values:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
+    return values
 
 
 def _cmd_rasterize(args) -> int:
@@ -82,31 +85,6 @@ def _cmd_loss(args) -> int:
     return 0
 
 
-def _fd_gradient(preds, gts, n, eps, step):
-    grads = []
-    for b, p in enumerate(preds):
-        data = p.data.copy()
-        g = np.zeros_like(data)
-        scale = max(1.0, float(np.max(np.abs(data))))
-        h = step * scale
-        for idx in np.ndindex(data.shape):
-            orig = data[idx]
-            data[idx] = orig + h
-            hi = total_loss(_swap(preds, b, data), gts, n, eps).total
-            data[idx] = orig - h
-            lo = total_loss(_swap(preds, b, data), gts, n, eps).total
-            data[idx] = orig
-            g[idx] = (hi - lo) / (2.0 * h)
-        grads.append(g)
-    return grads
-
-
-def _swap(preds, b, data):
-    out = list(preds)
-    out[b] = DensityMap(preds[b].level, data)
-    return out
-
-
 def _cmd_grad_check(args) -> int:
     _echo("grad-check", args)
     side = 1 << args.level
@@ -115,7 +93,7 @@ def _cmd_grad_check(args) -> int:
     preds = maps_from_batch(rng.uniform_block(batch * side * side).reshape(batch, side, side), args.level)
     gts = maps_from_batch(rng.uniform_block(batch * side * side).reshape(batch, side, side), args.level)
     analytic = loss_gradient(preds, gts, args.n, args.eps)
-    numeric = _fd_gradient(preds, gts, args.n, args.eps, step=1e-6)
+    numeric = fd_loss_gradient(lambda ps: total_loss(ps, gts, args.n, args.eps).total, preds)
     num_scale = max(float(np.max(np.abs(g))) for g in numeric)
     err = max(float(np.max(np.abs(a.data - g))) for a, g in zip(analytic, numeric)) / num_scale
     print(f"max relative error: {err:.6e} (tolerance {args.tol:g})")
@@ -164,6 +142,24 @@ def _cmd_ablate(args) -> int:
     return 0
 
 
+def _cmd_compare(args) -> int:
+    _echo("compare", args)
+    cfg = BenchmarkConfig(steps=args.steps, n=args.n)
+    rows = compare_pml_vs_l2(args.seeds, cfg)
+    cols = ("mae_pml", "mse_pml", "mae_l2", "mse_l2")
+    print(f"{'seed':>8} " + " ".join(f"{c:>10}" for c in cols))
+    for r in rows:
+        print(f"{r['seed']:>8} " + " ".join(f"{r[c]:>10.3f}" for c in cols))
+    print(f"{'mean':>8} " + " ".join(f"{np.mean([r[c] for r in rows]):>10.3f}" for c in cols))
+    if args.out:
+        with open(args.out, "w") as fh:
+            fh.write("seed," + ",".join(cols) + "\n")
+            for r in rows:
+                fh.write(f"{r['seed']}," + ",".join(f"{r[c]:.17g}" for c in cols) + "\n")
+        print(f"wrote {args.out}")
+    return 0
+
+
 def _cmd_eval(args) -> int:
     _echo("eval", args)
     preds = dmapio.read_dmap_batch(args.pred_dir)
@@ -177,8 +173,6 @@ def _cmd_eval(args) -> int:
 
 def _build_parser() -> _Parser:
     parser = _Parser(prog="pml", description=__doc__)
-    parser.add_argument("--threads", type=int, default=1,
-                        help="cap on worker parallelism (runs are currently single-threaded)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("rasterize", help="count a point CSV into a density map")
@@ -190,7 +184,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("pyramid", help="write sum-downsamples of a map at given levels")
     p.add_argument("--map", required=True)
-    p.add_argument("--levels", type=_levels_list, required=True)
+    p.add_argument("--levels", type=_int_list, required=True)
     p.add_argument("--out-dir", required=True)
     p.set_defaults(func=_cmd_pyramid)
 
@@ -231,11 +225,18 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("ablate", help="sweep n and the regularizer flag")
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--n-values", type=_levels_list, default=[0, 1, 2, 3, 4, 5])
+    p.add_argument("--n-values", type=_int_list, default=[0, 1, 2, 3, 4, 5])
     p.add_argument("--repeats", type=int, default=1)
     p.add_argument("--steps", type=int, default=2000)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_ablate)
+
+    p = sub.add_parser("compare", help="per-seed test MAE/MSE of the pml loss vs plain L2")
+    p.add_argument("--seeds", type=_int_list, default=[101, 202, 303])
+    p.add_argument("--steps", type=int, default=2000)
+    p.add_argument("--n", type=int, default=4)
+    p.add_argument("--out", default=None, help="write the per-seed CSV here")
+    p.set_defaults(func=_cmd_compare)
 
     p = sub.add_parser("eval", help="counting MAE/MSE between two map directories")
     p.add_argument("--pred-dir", required=True)
@@ -256,7 +257,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (dmapio.ParseError, FileNotFoundError, ValueError, KeyError) as exc:
+    except (dmapio.ParseError, OSError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -2,8 +2,9 @@
 
 The .dmap format is line 1 ``<rows> <cols>`` followed by ``rows`` lines of
 ``cols`` space-separated decimal floats; rows and cols must be equal and a
-power of two. Floats are written with 17 significant digits so a write/read
-round trip reproduces every float64 bit-for-bit.
+power of two, and only blank lines may follow the last row. Floats are
+written with 17 significant digits so a write/read round trip reproduces
+every float64 bit-for-bit.
 
 A scene bundle is a directory holding ``points.csv``, ``observation.dmap``,
 ``gt.dmap`` and a one-line ``manifest.txt`` recording the generating config.
@@ -77,6 +78,9 @@ def read_dmap(path) -> DensityMap:
             data[r] = [float(p) for p in parts]
         except ValueError as exc:
             raise ParseError(path, 2 + r, f"bad float: {exc}") from None
+    for k in range(1 + rows, len(lines)):
+        if lines[k].strip():
+            raise ParseError(path, k + 1, f"unexpected data after the {rows} declared rows")
     level = rows.bit_length() - 1
     try:
         return DensityMap(level, data)

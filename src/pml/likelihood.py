@@ -36,7 +36,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from .loss import DEFAULT_EPSILON, l2_level, l_diff_pair
+from .loss import DEFAULT_EPSILON, _sigma_from_terms, _stack, _terms, l2_level, l_diff_pair
 from .pyramid import DensityMap, ResolutionSet, maps_from_batch
 from .rng import SplitMix64
 
@@ -70,18 +70,20 @@ def log_likelihood(
     """Variance-profiled relative log-likelihood for an arbitrary resolution set."""
     levels = ResolutionSet.of(levels)
     subs = _require_sub_levels(levels)
-    if levels.prediction_level > preds[0].level:
+    pred_arr, gt_arr, level = _stack(preds, gts)
+    if levels.prediction_level > level:
         raise ValueError(
-            f"resolution set reaches level {levels.prediction_level}, maps are level {preds[0].level}"
+            f"resolution set reaches level {levels.prediction_level}, maps are level {level}"
         )
+    _, l2, ldiff = _terms(pred_arr, gt_arr, level, subs)
     n_k = subs[-1]
     constant = -0.5 * (2.0 * math.pi - 1.0) * 4.0 ** n_k
     terms: dict[tuple[int, int], float] = {}
     for a, b in zip(subs, subs[1:]):
         delta = 4.0 ** b - 4.0 ** a
-        arg = 4.0 ** b * l_diff_pair(preds, gts, a, b) / delta
+        arg = 4.0 ** b * ldiff[(a, b)] / delta
         terms[(a, b)] = -0.5 * delta * math.log(arg + epsilon)
-    base = -0.5 * 4.0 ** subs[0] * math.log(l2_level(preds, gts, subs[0]) + epsilon)
+    base = -0.5 * 4.0 ** subs[0] * math.log(l2[subs[0]] + epsilon)
     total = constant + base
     for a, b in zip(subs, subs[1:]):
         total += terms[(a, b)]
@@ -103,15 +105,16 @@ def special_case_likelihood(
     """Collapsed form for the dense set {0..n} plus the prediction level."""
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
-    level = preds[0].level
+    pred_arr, gt_arr, level = _stack(preds, gts)
     levels = ResolutionSet.dense(n, level)
+    _, l2, ldiff = _terms(pred_arr, gt_arr, level, levels.sub_levels)
     constant = -0.5 * (2.0 * math.pi - 1.0) * 4.0 ** n
     terms: dict[tuple[int, int], float] = {}
     for j in range(1, n + 1):
         delta = 4.0 ** j - 4.0 ** (j - 1)
-        arg = (4.0 / 3.0) * l_diff_pair(preds, gts, j - 1, j)
+        arg = (4.0 / 3.0) * ldiff[(j - 1, j)]
         terms[(j - 1, j)] = -0.5 * delta * math.log(arg + epsilon)
-    base = -0.5 * math.log(l2_level(preds, gts, 0) + epsilon)
+    base = -0.5 * math.log(l2[0] + epsilon)
     total = constant + base
     for j in range(1, n + 1):
         total += terms[(j - 1, j)]
@@ -133,7 +136,9 @@ def likelihood_with_variances(
     """Variance-dependent relative log-likelihood, before profiling out sigma.
 
     ``sigma_sq`` maps pair index j = 1..k and base index 0 to variances.
-    Used to check that the closed-form variances are actually stationary.
+    Used to check that the closed-form variances are actually stationary, so
+    it evaluates its terms through the public ``l2_level``/``l_diff_pair``
+    rather than the array core the profiled forms share.
     """
     levels = ResolutionSet.of(levels)
     subs = _require_sub_levels(levels)
@@ -164,15 +169,14 @@ def optimal_variances(
     levels: ResolutionSet | Iterable[int],
     epsilon: float = DEFAULT_EPSILON,
 ) -> dict[int, float]:
-    """Closed-form variance optimum for an arbitrary resolution set."""
+    """Closed-form variance optimum for an arbitrary resolution set.
+
+    Terms below ``epsilon`` fall back to ``epsilon``, as in ``optimal_sigma``.
+    """
     levels = ResolutionSet.of(levels)
     subs = _require_sub_levels(levels)
-    base = max(l2_level(preds, gts, subs[0]), epsilon)
-    sigma = {0: 4.0 ** (-subs[0]) * base}
-    for j in range(1, len(subs)):
-        a, b = subs[j - 1], subs[j]
-        sigma[j] = max(l_diff_pair(preds, gts, a, b), epsilon) / (4.0 ** b - 4.0 ** a)
-    return sigma
+    _, l2, ldiff = _terms(*_stack(preds, gts), subs)
+    return _sigma_from_terms(l2, ldiff, subs, epsilon)[0]
 
 
 @dataclass(frozen=True)

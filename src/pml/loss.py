@@ -26,6 +26,13 @@ breakdown. Batch means are computed before the log. All reductions run in
 batch-index order, so results are reproducible and permutation-stable to
 rounding.
 
+The public functions take ``DensityMap`` batches and validate and stack them
+once (``_stack``). Everything after that is one array core on stacked
+``(B, side, side)`` prediction and ground-truth arrays: ``_terms`` pools the
+residual to each requested level straight from full resolution and yields
+``l2``/``l_diff``; ``_evaluate`` adds the log terms, the variances and the
+gradient. Training calls the core directly on its arrays.
+
 The gradient with respect to each predicted cell chains every log term
 through sum pooling: the derivative of ``l2_level(i)`` is ``(2/B)`` times the
 coarse residual at level ``i`` replicated back to the prediction grid
@@ -49,7 +56,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .pyramid import DensityMap, ResolutionSet, _pool_sum, _replicate
+from .pyramid import DensityMap, ResolutionSet, _pool_sum, _replicate, maps_from_batch
 
 DEFAULT_EPSILON = 1e-12
 
@@ -110,24 +117,25 @@ class LossBreakdown:
         return out
 
 
-def _check_batches(preds: Sequence[DensityMap], gts: Sequence[DensityMap]) -> None:
+def _stack(preds: Sequence[DensityMap], gts: Sequence[DensityMap]):
+    """Validate a prediction/ground-truth batch and stack each side once.
+
+    This is the boundary between ``DensityMap`` batches and the array core:
+    both batches non-empty and of equal length, every map at one level.
+    Returns ``(pred_arr, gt_arr, level)`` with arrays of shape (B, side, side).
+    """
     if len(preds) == 0 or len(gts) == 0:
         raise ValueError("batches must be non-empty")
     if len(preds) != len(gts):
         raise ValueError(f"batch sizes differ: {len(preds)} predictions vs {len(gts)} ground truths")
-    for k, (p, g) in enumerate(zip(preds, gts)):
-        if p.level != g.level:
-            raise ValueError(f"pair {k}: prediction level {p.level} != ground truth level {g.level}")
-
-
-def _stacked(preds: Sequence[DensityMap], gts: Sequence[DensityMap]):
-    _check_batches(preds, gts)
     level = preds[0].level
-    if any(p.level != level for p in preds):
-        raise ValueError("batch mixes map levels; a single prediction level is required")
-    pred_arr = np.stack([p.data for p in preds])
-    gt_arr = np.stack([g.data for g in gts])
-    return pred_arr, gt_arr, level
+    for k, (p, g) in enumerate(zip(preds, gts)):
+        if p.level != level or g.level != level:
+            raise ValueError(
+                f"pair {k}: prediction level {p.level}, ground truth level {g.level}; "
+                f"a batch needs a single map level ({level})"
+            )
+    return np.stack([p.data for p in preds]), np.stack([g.data for g in gts]), level
 
 
 def _pooled_sq_err(pred_arr, gt_arr, level: int, i: int):
@@ -136,32 +144,34 @@ def _pooled_sq_err(pred_arr, gt_arr, level: int, i: int):
     return d, float(np.mean(np.sum(d * d, axis=(1, 2))))
 
 
+def _terms(pred_arr, gt_arr, level: int, levels: Sequence[int]):
+    """Pooled residual and l2 at each of the increasing ``levels``, plus the
+    clamped l_diff of each consecutive pair.
+
+    Every level is pooled straight from ``level``, never from the next finer
+    one, so a term is the same float whichever set of levels asks for it.
+    """
+    if levels[-1] > level:
+        raise ValueError(f"requested level {levels[-1]} exceeds the map level {level}")
+    pooled: dict[int, np.ndarray] = {}
+    l2: dict[int, float] = {}
+    for i in levels:
+        pooled[i], l2[i] = _pooled_sq_err(pred_arr, gt_arr, level, i)
+    # mathematically >= 0; the clamp removes float dust from the subtraction form
+    ldiff = {(a, b): max(l2[b] - 4.0 ** (a - b) * l2[a], 0.0) for a, b in zip(levels, levels[1:])}
+    return pooled, l2, ldiff
+
+
 def l2_level(preds: Sequence[DensityMap], gts: Sequence[DensityMap], i: int) -> float:
     """Batch-mean squared error between sum-downsamples at level ``i``."""
-    _check_batches(preds, gts)
-    if any(p.level < i for p in preds):
-        raise ValueError(f"requested level {i} exceeds a map level in the batch")
-    if all(p.level == preds[0].level for p in preds):
-        pred_arr, gt_arr, level = _stacked(preds, gts)
-        return _pooled_sq_err(pred_arr, gt_arr, level, i)[1]
-    # mixed per-pair levels: pool each pair from its own level
-    vals = []
-    for p, g in zip(preds, gts):
-        d = _pool_sum(p.data, p.level, i) - _pool_sum(g.data, g.level, i)
-        vals.append(np.sum(d * d))
-    return float(np.mean(vals))
-
-
-def _clamped_diff(l2_fine: float, l2_coarse: float, scale: float) -> float:
-    # mathematically >= 0; clamp float dust from the subtraction form
-    return max(l2_fine - scale * l2_coarse, 0.0)
+    return _terms(*_stack(preds, gts), (i,))[1][i]
 
 
 def l_diff_pair(preds: Sequence[DensityMap], gts: Sequence[DensityMap], j1: int, j2: int) -> float:
     """Difference loss for an arbitrary level pair j1 < j2."""
     if not 0 <= j1 < j2:
         raise ValueError(f"need 0 <= coarse < fine, got ({j1}, {j2})")
-    return _clamped_diff(l2_level(preds, gts, j2), l2_level(preds, gts, j1), 4.0 ** (j1 - j2))
+    return _terms(*_stack(preds, gts), (j1, j2))[2][(j1, j2)]
 
 
 def l_diff(preds: Sequence[DensityMap], gts: Sequence[DensityMap], j: int) -> float:
@@ -192,8 +202,12 @@ def _sigma_from_terms(
     return sigma, guarded
 
 
-def _evaluate(preds, gts, n, epsilon, include_regularizer, want_gradient):
-    pred_arr, gt_arr, level = _stacked(preds, gts)
+def _evaluate(pred_arr, gt_arr, level, n, epsilon, include_regularizer, want_gradient):
+    """The loss core on stacked (B, side, side) arrays at map level ``level``.
+
+    Returns the breakdown and, when ``want_gradient``, the gradient with
+    respect to ``pred_arr`` as one array of the same shape (else None).
+    """
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
     if epsilon <= 0.0:
@@ -201,13 +215,7 @@ def _evaluate(preds, gts, n, epsilon, include_regularizer, want_gradient):
     if n > level:
         raise ValueError(f"n = {n} exceeds prediction level {level}")
 
-    pooled: dict[int, np.ndarray] = {}
-    l2_vals: dict[int, float] = {}
-    for i in range(n + 1):
-        pooled[i], l2_vals[i] = _pooled_sq_err(pred_arr, gt_arr, level, i)
-    ldiff_vals = {
-        (j - 1, j): _clamped_diff(l2_vals[j], l2_vals[j - 1], 0.25) for j in range(1, n + 1)
-    }
+    pooled, l2_vals, ldiff_vals = _terms(pred_arr, gt_arr, level, tuple(range(n + 1)))
     pml = math.log(l2_vals[0] + epsilon)
     for j in range(1, n + 1):
         pml += math.log(ldiff_vals[(j - 1, j)] + epsilon)
@@ -248,9 +256,8 @@ def _evaluate(preds, gts, n, epsilon, include_regularizer, want_gradient):
         grad += coef[i] * _replicate(pooled[i], i, level)
     if include_regularizer:
         grad += pooled[level]  # pooling at the top level is the identity
-    grad *= 2.0 / len(preds)
-    grads = [DensityMap(level, grad[b]) for b in range(len(preds))]
-    return breakdown, grads
+    grad *= 2.0 / len(pred_arr)
+    return breakdown, grad
 
 
 def pml_loss(
@@ -260,7 +267,8 @@ def pml_loss(
     epsilon: float = DEFAULT_EPSILON,
 ) -> LossBreakdown:
     """Log-sum loss over levels 0..n, without the full-resolution regularizer."""
-    return _evaluate(preds, gts, n, epsilon, include_regularizer=False, want_gradient=False)[0]
+    return _evaluate(*_stack(preds, gts), n, epsilon,
+                     include_regularizer=False, want_gradient=False)[0]
 
 
 def total_loss(
@@ -270,7 +278,8 @@ def total_loss(
     epsilon: float = DEFAULT_EPSILON,
 ) -> LossBreakdown:
     """Log-sum loss over levels 0..n plus the plain full-resolution squared error."""
-    return _evaluate(preds, gts, n, epsilon, include_regularizer=True, want_gradient=False)[0]
+    return _evaluate(*_stack(preds, gts), n, epsilon,
+                     include_regularizer=True, want_gradient=False)[0]
 
 
 def loss_value_and_gradient(
@@ -280,9 +289,11 @@ def loss_value_and_gradient(
     epsilon: float = DEFAULT_EPSILON,
     include_regularizer: bool = True,
 ) -> tuple[LossBreakdown, list[DensityMap]]:
-    """Breakdown and per-cell gradient in one pass (training hot path)."""
-    breakdown, grads = _evaluate(preds, gts, n, epsilon, include_regularizer, want_gradient=True)
-    return breakdown, grads
+    """Breakdown and per-cell gradient in one pass."""
+    pred_arr, gt_arr, level = _stack(preds, gts)
+    breakdown, grad = _evaluate(pred_arr, gt_arr, level, n, epsilon, include_regularizer,
+                                want_gradient=True)
+    return breakdown, maps_from_batch(grad, level)
 
 
 def loss_gradient(
@@ -322,3 +333,32 @@ def optimal_sigma(breakdown: LossBreakdown, levels: ResolutionSet | Sequence[int
     except KeyError as exc:
         raise KeyError(f"breakdown lacks the loss term for {exc.args[0]}") from None
     return sigma
+
+
+def fd_loss_gradient(loss_of_preds, preds: Sequence[DensityMap], step_scale: float = 1e-6):
+    """Central finite differences of a scalar loss over every predicted cell.
+
+    ``loss_of_preds`` maps a prediction batch to a float. The step for map b
+    is ``step_scale * max(1, max |map b|)``. Returns one array per map.
+    """
+    grads = []
+    for b in range(len(preds)):
+        data = preds[b].data.copy()
+        g = np.zeros_like(data)
+        h = step_scale * max(1.0, float(np.max(np.abs(data))))
+        for idx in np.ndindex(data.shape):
+            orig = data[idx]
+            data[idx] = orig + h
+            hi = loss_of_preds(_with_map(preds, b, data))
+            data[idx] = orig - h
+            lo = loss_of_preds(_with_map(preds, b, data))
+            data[idx] = orig
+            g[idx] = (hi - lo) / (2.0 * h)
+        grads.append(g)
+    return grads
+
+
+def _with_map(preds, b, data):
+    out = list(preds)
+    out[b] = DensityMap(preds[b].level, data)
+    return out

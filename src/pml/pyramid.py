@@ -32,14 +32,6 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 
-def _as_locked_f64(data, shape_hint: str) -> np.ndarray:
-    arr = np.array(data, dtype=np.float64, copy=True)
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{shape_hint} contains non-finite entries")
-    arr.setflags(write=False)
-    return arr
-
-
 @dataclass(frozen=True)
 class DensityMap:
     """Square 2^level x 2^level grid of float64 densities.
@@ -107,26 +99,6 @@ class PointAnnotations:
 
     def __len__(self) -> int:
         return self.points.shape[0]
-
-
-@dataclass(frozen=True)
-class ResidualMap:
-    """Fine-level map minus a coarse map spread uniformly over its blocks."""
-
-    fine_level: int
-    coarse_level: int
-    data: np.ndarray
-
-    def __post_init__(self):
-        if not self.coarse_level < self.fine_level:
-            raise ValueError(
-                f"coarse level {self.coarse_level} must be < fine level {self.fine_level}"
-            )
-        side = 1 << self.fine_level
-        arr = _as_locked_f64(self.data, "residual map")
-        if arr.shape != (side, side):
-            raise ValueError(f"expected shape {(side, side)}, got {arr.shape}")
-        object.__setattr__(self, "data", arr)
 
 
 @dataclass(frozen=True)
@@ -259,12 +231,12 @@ def upsample_replicate(m: DensityMap, target_level: int) -> DensityMap:
     return DensityMap(target_level, _replicate(m.data, m.level, target_level))
 
 
-def residual(fine: DensityMap, coarse: DensityMap) -> ResidualMap:
-    """Fine map minus the coarse map spread uniformly over its blocks."""
+def residual(fine: DensityMap, coarse: DensityMap) -> DensityMap:
+    """Fine map minus the coarse map spread uniformly over its blocks, at the fine level."""
     if not coarse.level < fine.level:
         raise ValueError(f"coarse level {coarse.level} must be < fine level {fine.level}")
     spread = 4.0 ** (coarse.level - fine.level) * _replicate(coarse.data, coarse.level, fine.level)
-    return ResidualMap(fine.level, coarse.level, fine.data - spread)
+    return DensityMap(fine.level, fine.data - spread)
 
 
 def build_pyramid(m: DensityMap, levels: ResolutionSet | Iterable[int]) -> Pyramid:

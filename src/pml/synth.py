@@ -357,28 +357,25 @@ def train(
                 break
             step += 1
             group = [epoch_scenes[i] for i in order[start:start + batch]]
-            b = len(group)
-            gts = [s.gt_map for s in group]
+            gt_arr = np.stack([s.gt_map.data for s in group])
             obs_batch = np.stack([s.observation for s in group])
             pred_arr, cache = model._forward_cache(obs_batch)
             if not np.all(np.isfinite(pred_arr)):
                 raise TrainingDiverged(step, float("nan"), _snapshot(model, rows))
-            preds = [DensityMap(model.level, pred_arr[i]) for i in range(b)]
 
             if loss_kind == "pml":
-                bd, dpreds = loss_mod.loss_value_and_gradient(
-                    preds, gts, n, epsilon, include_regularizer=with_regularizer
+                bd, dpred = loss_mod._evaluate(
+                    pred_arr, gt_arr, model.level, n, epsilon, with_regularizer, want_gradient=True
                 )
                 loss_value = bd.total
-                dpred_arrs = [d.data for d in dpreds]
             else:
-                loss_value = loss_mod.l2_level(preds, gts, model.level)
-                dpred_arrs = [(2.0 / b) * (p.data - g.data) for p, g in zip(preds, gts)]
+                d, loss_value = loss_mod._pooled_sq_err(pred_arr, gt_arr, model.level, model.level)
+                dpred = (2.0 / len(group)) * d
 
             if not math.isfinite(loss_value):
                 raise TrainingDiverged(step, loss_value, _snapshot(model, rows))
 
-            grad = model._backward(cache, np.stack(dpred_arrs))
+            grad = model._backward(cache, dpred)
             grad, norm, clipped = clip_by_global_norm(grad, clip_norm)
             model.params = opt.step(model.params, grad)
 

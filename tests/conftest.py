@@ -1,7 +1,7 @@
-import numpy as np
 import pytest
 
-from pml.pyramid import DensityMap, maps_from_batch
+from pml.loss import fd_loss_gradient  # noqa: F401  (shared with the acceptance tests)
+from pml.pyramid import maps_from_batch
 from pml.rng import SplitMix64
 
 
@@ -12,31 +12,6 @@ def random_map_batch(seed: int, level: int, batch: int, low: float = 0.0, high: 
     preds = maps_from_batch(rng.uniform_block(batch * side * side, low, high).reshape(batch, side, side), level)
     gts = maps_from_batch(rng.uniform_block(batch * side * side, low, high).reshape(batch, side, side), level)
     return preds, gts
-
-
-def fd_loss_gradient(loss_of_preds, preds, step_scale=1e-6):
-    """Central finite differences of a scalar loss over every predicted cell."""
-    grads = []
-    for b in range(len(preds)):
-        data = preds[b].data.copy()
-        g = np.zeros_like(data)
-        h = step_scale * max(1.0, float(np.max(np.abs(data))))
-        for idx in np.ndindex(data.shape):
-            orig = data[idx]
-            data[idx] = orig + h
-            hi = loss_of_preds(_with(preds, b, data))
-            data[idx] = orig - h
-            lo = loss_of_preds(_with(preds, b, data))
-            data[idx] = orig
-            g[idx] = (hi - lo) / (2.0 * h)
-        grads.append(g)
-    return grads
-
-
-def _with(preds, b, data):
-    out = list(preds)
-    out[b] = DensityMap(preds[b].level, data)
-    return out
 
 
 @pytest.fixture

@@ -108,6 +108,14 @@ class TestRasterizeCommand:
         assert np.array_equal(read_dmap(out).data, direct.data)
         assert read_dmap(out).total() == 20.0
 
+    def test_output_path_is_a_directory(self, tmp_path, capsys):
+        csv = tmp_path / "pts.csv"
+        csv.write_text("0.5,0.5\n")
+        code = main(["rasterize", "--points", str(csv), "--scene-size", "1.0",
+                     "--level", "2", "--out", str(tmp_path)])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_parse_error_reports_line(self, tmp_path, capsys):
         csv = tmp_path / "pts.csv"
         csv.write_text("0.5,0.5\nbroken\n")
@@ -128,6 +136,14 @@ class TestPyramidCommand:
         src = read_dmap(tmp_path / "m.dmap")
         coarse = read_dmap(tmp_path / "pyr" / "level_0.dmap")
         assert coarse.total() == pytest.approx(src.total(), rel=1e-12)
+
+
+    def test_output_dir_is_a_file(self, tmp_path, capsys):
+        _write_map(tmp_path / "m.dmap", 2, 4)
+        code = main(["pyramid", "--map", str(tmp_path / "m.dmap"), "--levels", "0,1",
+                     "--out-dir", str(tmp_path / "m.dmap")])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: ")
 
 
 class TestTrainDemoCommand:
@@ -152,6 +168,18 @@ class TestAblateCommand:
         lines = out.read_text().strip().splitlines()
         assert lines[0] == "cell,repeat,mae,mse"
         assert len(lines) == 5  # 2 n-values x reg on/off
+
+
+class TestCompareCommand:
+    def test_writes_per_seed_table(self, tmp_path, capsys):
+        out = tmp_path / "compare.csv"
+        code = main(["compare", "--seeds", "3,4", "--steps", "4", "--n", "2", "--out", str(out)])
+        assert code == 0
+        lines = out.read_text().strip().splitlines()
+        assert lines[0] == "seed,mae_pml,mse_pml,mae_l2,mse_l2"
+        assert [ln.split(",")[0] for ln in lines[1:]] == ["3", "4"]
+        assert all(math.isfinite(float(v)) for ln in lines[1:] for v in ln.split(",")[1:])
+        assert "mean" in capsys.readouterr().out
 
 
 class TestEvalCommand:

@@ -69,6 +69,14 @@ class TestDmapParseErrors:
         with pytest.raises(ParseError, match="expected 2 data rows"):
             read_dmap(self._write(tmp_path, "2 2\n1 2\n"))
 
+    def test_extra_rows_name_first_extra_line(self, tmp_path):
+        with pytest.raises(ParseError, match=":5:.*after the 2 declared rows"):
+            read_dmap(self._write(tmp_path, "2 2\n1 2\n3 4\n\n5 6\n7 8\n"))
+
+    def test_trailing_blank_lines_allowed(self, tmp_path):
+        m = read_dmap(self._write(tmp_path, "2 2\n1 2\n3 4\n\n  \n"))
+        assert m.data.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+
     def test_wrong_column_count_names_line(self, tmp_path):
         with pytest.raises(ParseError, match=":2:"):
             read_dmap(self._write(tmp_path, "2 2\n1\n3 4\n"))

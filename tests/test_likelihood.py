@@ -90,6 +90,10 @@ class TestLogLikelihood:
         with pytest.raises(ValueError, match="level"):
             log_likelihood(preds, gts, ResolutionSet((0, 5)), EPS)
 
+    def test_empty_batch_rejected(self):
+        with pytest.raises(ValueError, match="non-empty"):
+            log_likelihood([], [], ResolutionSet((0, 3)), EPS)
+
 
 class TestSpecialCaseLikelihood:
     def test_n0_reduces_to_base_term(self):
@@ -118,6 +122,10 @@ class TestSpecialCaseLikelihood:
         preds, gts = random_map_batch(37, 3, 2)
         with pytest.raises(ValueError):
             special_case_likelihood(preds, gts, -1, EPS)
+
+    def test_empty_batch_rejected(self):
+        with pytest.raises(ValueError, match="non-empty"):
+            special_case_likelihood([], [], 1, EPS)
 
 
 class TestVerifyTheorem:
@@ -186,6 +194,11 @@ class TestVarianceStationarity:
         worse = dict(sigma)
         worse[1] *= 2.0
         assert likelihood_with_variances(preds, gts, levels, worse) < at_opt
+
+    def test_perfect_fit_falls_back_to_epsilon(self):
+        preds, _ = random_map_batch(42, 3, 2)
+        sigma = optimal_variances(preds, preds, ResolutionSet((1, 2, 3)), EPS)
+        assert sigma == {0: EPS / 4.0, 1: EPS / 12.0}
 
     def test_invalid_sigma_rejected(self):
         preds, gts = random_map_batch(40, 3, 2)

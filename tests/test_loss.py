@@ -51,11 +51,11 @@ class TestL2Level:
         with pytest.raises(ValueError, match="level"):
             l2_level([DensityMap(1, np.ones((2, 2)))], [DensityMap(0, [[4.0]])], 0)
 
-    def test_mixed_pair_levels_supported(self):
+    def test_mixed_batch_levels_rejected(self):
         a_pred, a_gt = DensityMap(1, [[4, 2], [3, 1]]), DensityMap(1, [[1, 2], [3, 1]])
         b_pred, b_gt = DensityMap(2, np.ones((4, 4))), DensityMap(2, np.zeros((4, 4)))
-        got = l2_level([a_pred, b_pred], [a_gt, b_gt], 0)
-        assert got == pytest.approx((9.0 + 256.0) / 2.0, rel=1e-12)
+        with pytest.raises(ValueError, match="single map level"):
+            l2_level([a_pred, b_pred], [a_gt, b_gt], 0)
 
     def test_permutation_invariance(self):
         preds, gts = random_map_batch(4, 4, 8)
