@@ -16,7 +16,7 @@ import numpy as np
 
 from . import dmapio
 from .likelihood import verify_theorem
-from .loss import fd_loss_gradient, loss_gradient, pml_loss, total_loss
+from .loss import DEFAULT_EPSILON, fd_loss_gradient, loss_gradient, pml_loss, total_loss
 from .metrics import BenchmarkConfig, ablation_run, compare_pml_vs_l2, evaluate, run_benchmark_cell
 from .pyramid import build_pyramid, maps_from_batch, rasterize
 from .rng import SplitMix64
@@ -172,6 +172,7 @@ def _cmd_eval(args) -> int:
 
 
 def _build_parser() -> _Parser:
+    defaults = BenchmarkConfig()
     parser = _Parser(prog="pml", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -193,7 +194,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--gt", required=True)
     p.add_argument("--n", type=int, default=4)
     p.add_argument("--no-reg", action="store_true", help="drop the full-resolution L2 term")
-    p.add_argument("--eps", type=float, default=1e-12)
+    p.add_argument("--eps", type=float, default=DEFAULT_EPSILON)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_loss)
 
@@ -202,7 +203,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--level", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--tol", type=float, default=1e-5)
-    p.add_argument("--eps", type=float, default=1e-12)
+    p.add_argument("--eps", type=float, default=DEFAULT_EPSILON)
     p.set_defaults(func=_cmd_grad_check)
 
     p = sub.add_parser("verify-theorem", help="randomized sparse-vs-dense likelihood comparison")
@@ -217,9 +218,9 @@ def _build_parser() -> _Parser:
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--steps", type=int, required=True)
     p.add_argument("--loss", choices=("pml", "l2"), required=True)
-    p.add_argument("--n", type=int, default=4)
-    p.add_argument("--lr", type=float, default=1e-4)
-    p.add_argument("--clip", type=float, default=10.0)
+    p.add_argument("--n", type=int, default=defaults.n)
+    p.add_argument("--lr", type=float, default=defaults.lr)
+    p.add_argument("--clip", type=float, default=defaults.clip_norm)
     p.add_argument("--out", required=True, help="metrics trace CSV")
     p.set_defaults(func=_cmd_train_demo)
 
@@ -227,14 +228,14 @@ def _build_parser() -> _Parser:
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--n-values", type=_int_list, default=[0, 1, 2, 3, 4, 5])
     p.add_argument("--repeats", type=int, default=1)
-    p.add_argument("--steps", type=int, default=2000)
+    p.add_argument("--steps", type=int, default=defaults.steps)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_ablate)
 
     p = sub.add_parser("compare", help="per-seed test MAE/MSE of the pml loss vs plain L2")
     p.add_argument("--seeds", type=_int_list, default=[101, 202, 303])
-    p.add_argument("--steps", type=int, default=2000)
-    p.add_argument("--n", type=int, default=4)
+    p.add_argument("--steps", type=int, default=defaults.steps)
+    p.add_argument("--n", type=int, default=defaults.n)
     p.add_argument("--out", default=None, help="write the per-seed CSV here")
     p.set_defaults(func=_cmd_compare)
 

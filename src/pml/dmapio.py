@@ -78,14 +78,13 @@ def read_dmap(path) -> DensityMap:
             data[r] = [float(p) for p in parts]
         except ValueError as exc:
             raise ParseError(path, 2 + r, f"bad float: {exc}") from None
+    bad_rows = np.flatnonzero(~np.isfinite(data).all(axis=1))
+    if bad_rows.size:
+        raise ParseError(path, 2 + int(bad_rows[0]), "non-finite value")
     for k in range(1 + rows, len(lines)):
         if lines[k].strip():
             raise ParseError(path, k + 1, f"unexpected data after the {rows} declared rows")
-    level = rows.bit_length() - 1
-    try:
-        return DensityMap(level, data)
-    except ValueError as exc:
-        raise ParseError(path, 2, str(exc)) from None
+    return DensityMap(rows.bit_length() - 1, data)
 
 
 def write_points_csv(path, ann: PointAnnotations) -> None:
@@ -108,14 +107,14 @@ def read_points_csv(path, scene_size: float) -> PointAnnotations:
             if len(parts) != 2:
                 raise ParseError(path, lineno, f"expected 'x,y', got {line!r}")
             try:
-                pts.append((float(parts[0]), float(parts[1])))
+                x, y = float(parts[0]), float(parts[1])
             except ValueError:
                 raise ParseError(path, lineno, f"bad coordinate in {line!r}") from None
+            if not (0.0 <= x < scene_size and 0.0 <= y < scene_size):
+                raise ParseError(path, lineno, f"point ({x}, {y}) lies outside [0, {scene_size})^2")
+            pts.append((x, y))
     points = np.array(pts, dtype=np.float64).reshape(-1, 2)
-    try:
-        return PointAnnotations(points=points, scene_size=scene_size)
-    except ValueError as exc:
-        raise ParseError(path, 1, str(exc)) from None
+    return PointAnnotations(points=points, scene_size=scene_size)
 
 
 def save_scene(directory, scene: "Scene") -> None:

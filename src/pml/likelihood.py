@@ -70,12 +70,12 @@ def log_likelihood(
     """Variance-profiled relative log-likelihood for an arbitrary resolution set."""
     levels = ResolutionSet.of(levels)
     subs = _require_sub_levels(levels)
-    pred_arr, gt_arr, level = _stack(preds, gts)
+    d, level = _stack(preds, gts)
     if levels.prediction_level > level:
         raise ValueError(
             f"resolution set reaches level {levels.prediction_level}, maps are level {level}"
         )
-    _, l2, ldiff = _terms(pred_arr, gt_arr, level, subs)
+    l2, ldiff = _terms(d, level, subs)[:2]
     n_k = subs[-1]
     constant = -0.5 * (2.0 * math.pi - 1.0) * 4.0 ** n_k
     terms: dict[tuple[int, int], float] = {}
@@ -105,9 +105,9 @@ def special_case_likelihood(
     """Collapsed form for the dense set {0..n} plus the prediction level."""
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
-    pred_arr, gt_arr, level = _stack(preds, gts)
+    d, level = _stack(preds, gts)
     levels = ResolutionSet.dense(n, level)
-    _, l2, ldiff = _terms(pred_arr, gt_arr, level, levels.sub_levels)
+    l2, ldiff = _terms(d, level, levels.sub_levels)[:2]
     constant = -0.5 * (2.0 * math.pi - 1.0) * 4.0 ** n
     terms: dict[tuple[int, int], float] = {}
     for j in range(1, n + 1):
@@ -175,7 +175,7 @@ def optimal_variances(
     """
     levels = ResolutionSet.of(levels)
     subs = _require_sub_levels(levels)
-    _, l2, ldiff = _terms(*_stack(preds, gts), subs)
+    l2, ldiff = _terms(*_stack(preds, gts), subs)[:2]
     return _sigma_from_terms(l2, ldiff, subs, epsilon)[0]
 
 

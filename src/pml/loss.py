@@ -1,42 +1,36 @@
 """Multi-resolution losses over density-map batches and their analytic gradients.
 
-The per-level squared error at level ``i`` is the batch mean of the squared
-L2 norm between sum-downsampled prediction and ground truth:
+Every term is a function of the residual ``d = pred - gt``. With ``S_i``
+summing blocks down to the 2^i grid and ``R`` replicating each cell into its
+descendants, the per-level error and the difference loss of levels a < b are
 
-    l2_level(i) = mean_b || S_i(pred_b) - S_i(gt_b) ||_2^2
+    l2_level(i)  = mean_b || S_i(d_b) ||^2
+    l_diff(a, b) = mean_b || r_(a,b) ||^2,   r_(a,b) = S_b(d) - 4^(a-b) R(S_a(d))
 
-where ``S_i`` sums blocks down to the 2^i grid and the norm sums over cells.
-The difference loss between consecutive levels,
+(norms sum over cells). ``l_diff`` is computed in this residual form, so it
+is never negative; the equal ``l2_level(b) - 4^(a-b) l2_level(a)`` would lose
+it to cancellation once a count error dominates. The progressive
+multi-resolution loss over levels 0..n is
 
-    l_diff(j) = l2_level(j) - (1/4) * l2_level(j-1),
-
-equals the batch-mean squared norm of the difference between the prediction
-residual and the ground-truth residual at the pair (j-1, j), so it is never
-negative. The progressive multi-resolution loss over levels 0..n is
-
-    pml = log(l2_level(0) + eps) + sum_{j=1..n} log(l_diff(j) + eps)
+    pml = log(l2_level(0) + eps) + sum_{j=1..n} log(l_diff(j-1, j) + eps)
 
 and the total training loss adds the full-resolution squared error as a
 plain (un-logged) regularizer: ``total = pml + l2_level(L)``. With n = 0 the
-total degenerates to ``log(l2_level(0) + eps) + l2_level(L)``, the
-single-resolution L2 setting.
+total degenerates to the single-resolution L2 setting. ``eps`` guards every
+logarithm against a perfect fit. Batch means are computed before the log, in
+batch-index order, so results are reproducible.
 
-``eps`` guards every logarithm against a perfect fit and is reported in the
-breakdown. Batch means are computed before the log. All reductions run in
-batch-index order, so results are reproducible and permutation-stable to
-rounding.
+The public functions take ``DensityMap`` batches; ``_stack`` validates them
+and forms ``d`` once. ``_terms`` pools ``d`` to each requested level, each
+from the next finer one, and reads ``l2`` and ``l_diff`` off that pyramid;
+``_evaluate`` adds the log terms, the variances and the gradient. Training
+calls this core directly on its arrays.
 
-The public functions take ``DensityMap`` batches and validate and stack them
-once (``_stack``). Everything after that is one array core on stacked
-``(B, side, side)`` prediction and ground-truth arrays: ``_terms`` pools the
-residual to each requested level straight from full resolution and yields
-``l2``/``l_diff``; ``_evaluate`` adds the log terms, the variances and the
-gradient. Training calls the core directly on its arrays.
+Replication is the adjoint of sum pooling, and the coarse part of ``r``
+pools to zero, so the gradient is the replicated residuals:
 
-The gradient with respect to each predicted cell chains every log term
-through sum pooling: the derivative of ``l2_level(i)`` is ``(2/B)`` times the
-coarse residual at level ``i`` replicated back to the prediction grid
-(replication is the adjoint of sum pooling).
+    (2/B) * [ R(S_0(d)) / (l2_level(0) + eps)
+              + sum_j R(r_(j-1,j)) / (l_diff(j-1, j) + eps) + d ]
 
 The per-pair variance estimates that maximize the underlying Gaussian
 likelihood come out in closed form:
@@ -118,11 +112,11 @@ class LossBreakdown:
 
 
 def _stack(preds: Sequence[DensityMap], gts: Sequence[DensityMap]):
-    """Validate a prediction/ground-truth batch and stack each side once.
+    """Validate a prediction/ground-truth batch and form its residual once.
 
     This is the boundary between ``DensityMap`` batches and the array core:
     both batches non-empty and of equal length, every map at one level.
-    Returns ``(pred_arr, gt_arr, level)`` with arrays of shape (B, side, side).
+    Returns ``(d, level)`` with ``d = pred - gt`` of shape (B, side, side).
     """
     if len(preds) == 0 or len(gts) == 0:
         raise ValueError("batches must be non-empty")
@@ -135,43 +129,48 @@ def _stack(preds: Sequence[DensityMap], gts: Sequence[DensityMap]):
                 f"pair {k}: prediction level {p.level}, ground truth level {g.level}; "
                 f"a batch needs a single map level ({level})"
             )
-    return np.stack([p.data for p in preds]), np.stack([g.data for g in gts]), level
+    d = np.stack([p.data for p in preds])
+    d -= np.stack([g.data for g in gts])
+    return d, level
 
 
-def _pooled_sq_err(pred_arr, gt_arr, level: int, i: int):
-    """Pooled per-sample residual at level ``i`` and its batch-mean squared norm."""
-    d = _pool_sum(pred_arr, level, i) - _pool_sum(gt_arr, level, i)
-    return d, float(np.mean(np.sum(d * d, axis=(1, 2))))
+def _sq_norm(x) -> float:
+    """Batch mean of the per-sample squared L2 norm of a (B, side, side) array."""
+    return float(np.mean(np.sum(x * x, axis=(1, 2))))
 
 
-def _terms(pred_arr, gt_arr, level: int, levels: Sequence[int]):
-    """Pooled residual and l2 at each of the increasing ``levels``, plus the
-    clamped l_diff of each consecutive pair.
+def _terms(d, level: int, levels: Sequence[int]):
+    """Residual pyramid of ``d`` at the increasing ``levels`` and its terms.
 
-    Every level is pooled straight from ``level``, never from the next finer
-    one, so a term is the same float whichever set of levels asks for it.
+    Each level is pooled from the next finer requested level. Returns
+    ``(l2, ldiff, pooled, diffs)``: per level the pooled residual and its l2,
+    and per consecutive pair (a, b) the residual difference
+    ``r = pooled[b] - 4^(a-b) * rep(pooled[a])`` and ``l_diff = ||r||^2``.
     """
-    if levels[-1] > level:
-        raise ValueError(f"requested level {levels[-1]} exceeds the map level {level}")
+    if levels[0] < 0 or levels[-1] > level:
+        raise ValueError(f"requested levels {tuple(levels)} must lie in [0, {level}], the map level")
     pooled: dict[int, np.ndarray] = {}
-    l2: dict[int, float] = {}
-    for i in levels:
-        pooled[i], l2[i] = _pooled_sq_err(pred_arr, gt_arr, level, i)
-    # mathematically >= 0; the clamp removes float dust from the subtraction form
-    ldiff = {(a, b): max(l2[b] - 4.0 ** (a - b) * l2[a], 0.0) for a, b in zip(levels, levels[1:])}
-    return pooled, l2, ldiff
+    finer, finer_level = d, level
+    for i in reversed(levels):
+        finer = pooled[i] = _pool_sum(finer, finer_level, i)
+        finer_level = i
+    diffs = {(a, b): pooled[b] - 4.0 ** (a - b) * _replicate(pooled[a], a, b)
+             for a, b in zip(levels, levels[1:])}
+    l2 = {i: _sq_norm(pooled[i]) for i in levels}
+    ldiff = {pair: _sq_norm(r) for pair, r in diffs.items()}
+    return l2, ldiff, pooled, diffs
 
 
 def l2_level(preds: Sequence[DensityMap], gts: Sequence[DensityMap], i: int) -> float:
     """Batch-mean squared error between sum-downsamples at level ``i``."""
-    return _terms(*_stack(preds, gts), (i,))[1][i]
+    return _terms(*_stack(preds, gts), (i,))[0][i]
 
 
 def l_diff_pair(preds: Sequence[DensityMap], gts: Sequence[DensityMap], j1: int, j2: int) -> float:
     """Difference loss for an arbitrary level pair j1 < j2."""
     if not 0 <= j1 < j2:
         raise ValueError(f"need 0 <= coarse < fine, got ({j1}, {j2})")
-    return _terms(*_stack(preds, gts), (j1, j2))[2][(j1, j2)]
+    return _terms(*_stack(preds, gts), (j1, j2))[1][(j1, j2)]
 
 
 def l_diff(preds: Sequence[DensityMap], gts: Sequence[DensityMap], j: int) -> float:
@@ -202,11 +201,11 @@ def _sigma_from_terms(
     return sigma, guarded
 
 
-def _evaluate(pred_arr, gt_arr, level, n, epsilon, include_regularizer, want_gradient):
-    """The loss core on stacked (B, side, side) arrays at map level ``level``.
+def _evaluate(d, level, n, epsilon, include_regularizer, want_gradient):
+    """The loss core on a stacked (B, side, side) residual at map level ``level``.
 
     Returns the breakdown and, when ``want_gradient``, the gradient with
-    respect to ``pred_arr`` as one array of the same shape (else None).
+    respect to the prediction as one array of the same shape (else None).
     """
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
@@ -215,16 +214,14 @@ def _evaluate(pred_arr, gt_arr, level, n, epsilon, include_regularizer, want_gra
     if n > level:
         raise ValueError(f"n = {n} exceeds prediction level {level}")
 
-    pooled, l2_vals, ldiff_vals = _terms(pred_arr, gt_arr, level, tuple(range(n + 1)))
+    l2_vals, ldiff_vals, pooled, diffs = _terms(d, level, tuple(range(n + 1)))
     pml = math.log(l2_vals[0] + epsilon)
     for j in range(1, n + 1):
         pml += math.log(ldiff_vals[(j - 1, j)] + epsilon)
 
     regularizer = 0.0
     if include_regularizer:
-        if level not in pooled:
-            pooled[level], l2_vals[level] = _pooled_sq_err(pred_arr, gt_arr, level, level)
-        regularizer = l2_vals[level]
+        regularizer = l2_vals[level] = _sq_norm(d)
 
     sigma, guarded = _sigma_from_terms(l2_vals, ldiff_vals, tuple(range(n + 1)), epsilon)
     breakdown = LossBreakdown(
@@ -240,23 +237,16 @@ def _evaluate(pred_arr, gt_arr, level, n, epsilon, include_regularizer, want_gra
     if not want_gradient:
         return breakdown, None
 
-    weights = {0: 1.0 / (l2_vals[0] + epsilon)}
+    # sum of rep(pooled_0)/(l2_0+eps) and rep(r_j)/(l_diff_j+eps), replicated
+    # up one level at a time so only the last step touches the full grid
+    grad = pooled[0] / (l2_vals[0] + epsilon)
     for j in range(1, n + 1):
-        weights[j] = 1.0 / (ldiff_vals[(j - 1, j)] + epsilon)
-    # one coefficient per level: w_j from log l_diff(j), minus a quarter of
-    # w_{j+1} from the subtracted coarser term inside l_diff(j+1)
-    coef = {i: 0.0 for i in range(n + 1)}
-    coef[0] += weights[0]
-    for j in range(1, n + 1):
-        coef[j] += weights[j]
-        coef[j - 1] -= 0.25 * weights[j]
-
-    grad = np.zeros_like(pred_arr)
-    for i in range(n + 1):
-        grad += coef[i] * _replicate(pooled[i], i, level)
+        grad = _replicate(grad, j - 1, j)
+        grad += diffs[(j - 1, j)] / (ldiff_vals[(j - 1, j)] + epsilon)
+    grad = _replicate(grad, n, level)
     if include_regularizer:
-        grad += pooled[level]  # pooling at the top level is the identity
-    grad *= 2.0 / len(pred_arr)
+        grad += d
+    grad *= 2.0 / len(d)
     return breakdown, grad
 
 
@@ -290,9 +280,8 @@ def loss_value_and_gradient(
     include_regularizer: bool = True,
 ) -> tuple[LossBreakdown, list[DensityMap]]:
     """Breakdown and per-cell gradient in one pass."""
-    pred_arr, gt_arr, level = _stack(preds, gts)
-    breakdown, grad = _evaluate(pred_arr, gt_arr, level, n, epsilon, include_regularizer,
-                                want_gradient=True)
+    d, level = _stack(preds, gts)
+    breakdown, grad = _evaluate(d, level, n, epsilon, include_regularizer, want_gradient=True)
     return breakdown, maps_from_batch(grad, level)
 
 
@@ -306,10 +295,10 @@ def loss_gradient(
     """Derivative of the (total) loss with respect to every predicted cell.
 
     Each log term contributes ``1 / (term + eps)`` times the gradient of its
-    inner quadratic; the quadratic's gradient is ``(2/B)`` times the coarse
-    residual replicated up to the prediction grid. The weights reuse exactly
-    the values the loss evaluation produces, so the gradient differentiates
-    the computed loss, clamps included.
+    inner quadratic: ``(2/B)`` times the pooled residual (for ``l2_level``)
+    or the residual difference (for ``l_diff``), replicated up to the
+    prediction grid. The weights reuse exactly the values the loss evaluation
+    produces.
     """
     return loss_value_and_gradient(preds, gts, n, epsilon, include_regularizer)[1]
 

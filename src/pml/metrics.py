@@ -21,6 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .loss import DEFAULT_EPSILON
 from .pyramid import DensityMap
 from .rng import derive_seed
 from .synth import Scene, SceneConfig, TinyModel, TrainResult, generate_scene, train
@@ -63,7 +64,7 @@ class BenchmarkConfig:
     lr: float = 1e-3
     clip_norm: float = 10.0
     batch: int = 2
-    epsilon: float = 1e-12
+    epsilon: float = DEFAULT_EPSILON
     output_bias: float = -4.26
     scenes_per_epoch: int = 32
     val_count: int = 32

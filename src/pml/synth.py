@@ -363,13 +363,14 @@ def train(
             if not np.all(np.isfinite(pred_arr)):
                 raise TrainingDiverged(step, float("nan"), _snapshot(model, rows))
 
+            d = pred_arr - gt_arr
             if loss_kind == "pml":
                 bd, dpred = loss_mod._evaluate(
-                    pred_arr, gt_arr, model.level, n, epsilon, with_regularizer, want_gradient=True
+                    d, model.level, n, epsilon, with_regularizer, want_gradient=True
                 )
                 loss_value = bd.total
             else:
-                d, loss_value = loss_mod._pooled_sq_err(pred_arr, gt_arr, model.level, model.level)
+                loss_value = loss_mod._sq_norm(d)
                 dpred = (2.0 / len(group)) * d
 
             if not math.isfinite(loss_value):

@@ -159,6 +159,13 @@ class TestTrainDemoCommand:
         assert len(lines) == 7
 
 
+    def test_defaults_come_from_the_benchmark_config(self, tmp_path, capsys):
+        assert main(["train-demo", "--seed", "1", "--steps", "1", "--loss", "l2",
+                     "--out", str(tmp_path / "t.csv")]) == 0
+        echo = capsys.readouterr().out.splitlines()[0].split()
+        assert "lr=0.001" in echo and "clip=10.0" in echo and "n=4" in echo
+
+
 class TestAblateCommand:
     def test_writes_table(self, tmp_path, capsys):
         out = tmp_path / "ablate.csv"

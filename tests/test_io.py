@@ -85,6 +85,11 @@ class TestDmapParseErrors:
         with pytest.raises(ParseError):
             read_dmap(self._write(tmp_path, "2 2\n1 inf\n3 4\n"))
 
+    def test_non_finite_names_its_line(self, tmp_path):
+        text = "4 4\n1 2 3 4\n1 2 3 4\n1 2 inf 4\n1 2 3 4\n"
+        with pytest.raises(ParseError, match=":4: non-finite"):
+            read_dmap(self._write(tmp_path, text))
+
 
 class TestPointsCsv:
     def test_round_trip(self, tmp_path):
@@ -113,6 +118,12 @@ class TestPointsCsv:
         p = tmp_path / "pts.csv"
         p.write_text("0.25,2.5\n")
         with pytest.raises(ParseError):
+            read_points_csv(p, 1.0)
+
+    def test_out_of_bounds_names_its_line(self, tmp_path):
+        p = tmp_path / "pts.csv"
+        p.write_text("x,y\n0.25,0.5\n0.75,0.125\n0.5,1.5\n")
+        with pytest.raises(ParseError, match=":4: point"):
             read_points_csv(p, 1.0)
 
 

@@ -18,7 +18,7 @@ from pml.loss import (
     pml_loss,
     total_loss,
 )
-from pml.pyramid import DensityMap, ResolutionSet, downsample_sum, residual
+from pml.pyramid import DensityMap, ResolutionSet, downsample_sum, maps_from_batch, residual
 from pml.rng import SplitMix64
 
 
@@ -46,6 +46,11 @@ class TestL2Level:
         preds, gts = random_map_batch(3, 2, 2)
         with pytest.raises(ValueError, match="differ"):
             l2_level(preds, gts[:1], 0)
+
+    def test_negative_level_rejected(self):
+        preds, gts = random_map_batch(3, 2, 2)
+        with pytest.raises(ValueError, match=r"must lie in \[0, 2\]"):
+            l2_level(preds, gts, -1)
 
     def test_pair_level_mismatch_rejected(self):
         with pytest.raises(ValueError, match="level"):
@@ -83,9 +88,13 @@ class TestLDiff:
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
     def test_subtraction_form_equals_residual_form(self, seed):
+        # on a residual with no dominating count error the subtraction form
+        # l2(j) - l2(j-1)/4 keeps its digits, so both forms agree
         preds, gts = random_map_batch(100 + seed, 4, 3)
         for j in (1, 2, 3, 4):
             got = l_diff(preds, gts, j)
+            subtraction = l2_level(preds, gts, j) - 0.25 * l2_level(preds, gts, j - 1)
+            assert got == pytest.approx(subtraction, rel=1e-10)
             oracle = _residual_form_oracle(preds, gts, j - 1, j)
             assert got == pytest.approx(oracle, rel=1e-10)
 
@@ -310,6 +319,50 @@ class TestOptimalSigma:
         bd = total_loss(preds, gts, 1, 1e-12)
         with pytest.raises(KeyError):
             optimal_sigma(bd, ResolutionSet((0, 2, 3)))
+
+
+class TestPointsTrainingReaches:
+    """Terms and gradient where training goes: a near-perfect residual fit
+    under a count error, and a pure count offset, at the benchmark level."""
+
+    LEVEL, N, OFFSET = 6, 4, 0.05
+
+    def _batch(self, batch, noise_scale):
+        side = 1 << self.LEVEL
+        rng = SplitMix64(31)
+        gt = rng.uniform_block(batch * side * side).reshape(batch, side, side)
+        noise = rng.uniform_block(batch * side * side, -1.0, 1.0).reshape(batch, side, side)
+        pred = gt + self.OFFSET + noise_scale * noise
+        return maps_from_batch(pred, self.LEVEL), maps_from_batch(gt, self.LEVEL)
+
+    def test_near_fit_ldiff_matches_residual_form(self):
+        preds, gts = self._batch(2, 1e-7)
+        bd = total_loss(preds, gts, self.N, 1e-12)
+        for (a, b), got in bd.ldiff_per_pair.items():
+            oracle = _residual_form_oracle(preds, gts, a, b)
+            assert oracle > 1e-12  # above eps, so the log guard does not mask the term
+            assert got == pytest.approx(oracle, rel=1e-6), (a, b)
+
+    def test_near_fit_gradient_matches_finite_differences(self):
+        preds, gts = self._batch(1, 1e-7)
+        analytic = loss_gradient(preds, gts, self.N, 1e-12)
+        # a step well below the 1e-7 residual, so each log term stays locally quadratic
+        numeric = fd_loss_gradient(lambda ps: total_loss(ps, gts, self.N, 1e-12).total, preds,
+                                   step_scale=1e-9)
+        scale = max(np.max(np.abs(g)) for g in numeric)
+        err = max(np.max(np.abs(a.data - g)) for a, g in zip(analytic, numeric)) / scale
+        assert err < 1e-5
+
+    def test_pure_count_offset(self):
+        preds, gts = self._batch(1, 0.0)
+        bd, grads = loss_value_and_gradient(preds, gts, self.N, 1e-12)
+        # the residual is flat, so every difference term is zero up to float dust
+        assert all(v < 1e-20 for v in bd.ldiff_per_pair.values())
+        # what remains is the count term and the regularizer:
+        # (2/B) * (1 / (c 4^L) + c) per cell; dust over eps moves it by a few percent
+        c = self.OFFSET
+        expected = 2.0 * (1.0 / (c * 4.0 ** self.LEVEL) + c)
+        np.testing.assert_allclose(grads[0].data, expected, rtol=0.05)
 
 
 class TestSingleResolutionReduction:
