@@ -56,14 +56,22 @@ class SplitMix64:
 
     def uniform_block(self, count: int, low: float = 0.0, high: float = 1.0) -> np.ndarray:
         """``count`` uniforms, identical to that many ``uniform`` calls."""
-        idx = np.arange(1, count + 1, dtype=np.uint64)
-        state = (np.uint64(self._state) + idx * np.uint64(_GAMMA)).astype(np.uint64)
+        z = np.arange(1, count + 1, dtype=np.uint64)
+        z *= np.uint64(_GAMMA)
+        z += np.uint64(self._state)
         self._state = (self._state + count * _GAMMA) & _MASK
-        z = state
-        z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-        z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-        z = z ^ (z >> np.uint64(31))
-        return low + (high - low) * ((z >> np.uint64(11)).astype(np.float64) * _INV_2_53)
+        shifted = np.empty_like(z)
+        z ^= np.right_shift(z, np.uint64(30), out=shifted)
+        z *= np.uint64(0xBF58476D1CE4E5B9)
+        z ^= np.right_shift(z, np.uint64(27), out=shifted)
+        z *= np.uint64(0x94D049BB133111EB)
+        z ^= np.right_shift(z, np.uint64(31), out=shifted)
+        z >>= np.uint64(11)
+        u = z.astype(np.float64)
+        u *= _INV_2_53
+        u *= high - low
+        u += low
+        return u
 
     def randint(self, low: int, high: int) -> int:
         """Uniform integer in [low, high], both ends inclusive."""
@@ -81,14 +89,23 @@ class SplitMix64:
         return mean + std * r * math.cos(theta), mean + std * r * math.sin(theta)
 
     def gaussian_block(self, count: int, mean: float = 0.0, std: float = 1.0) -> np.ndarray:
-        """``count`` Gaussians from ceil(count/2) Box-Muller pairs."""
+        """``count`` Gaussians from ceil(count/2) Box-Muller pairs.
+
+        Pair k is (u1, u2) = draws 2k and 2k+1 and gives outputs 2k (cosine)
+        and 2k+1 (sine), so the result is written back over the interleaved
+        draws. The transcendental calls read contiguous arrays.
+        """
         pairs = (count + 1) // 2
-        u = self.uniform_block(2 * pairs)
-        u1 = u[0::2] + _INV_2_53  # shift into (0, 1]
-        u2 = u[1::2]
-        r = np.sqrt(-2.0 * np.log(u1))
-        theta = 2.0 * np.pi * u2
-        out = np.empty(2 * pairs)
-        out[0::2] = r * np.cos(theta)
-        out[1::2] = r * np.sin(theta)
-        return mean + std * out[:count]
+        u = self.uniform_block(2 * pairs).reshape(pairs, 2)
+        r = u[:, 0] + _INV_2_53  # shift into (0, 1]
+        np.log(r, out=r)
+        r *= -2.0
+        np.sqrt(r, out=r)
+        theta = u[:, 1] * (2.0 * np.pi)
+        np.multiply(r, np.cos(theta), out=u[:, 0])
+        np.sin(theta, out=theta)
+        np.multiply(r, theta, out=u[:, 1])
+        out = u.reshape(-1)[:count]
+        out *= std
+        out += mean
+        return out

@@ -1,9 +1,12 @@
+import dataclasses
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
 from pml.loss import total_loss, loss_gradient
+from pml.metrics import BenchmarkConfig
 from pml.pyramid import DensityMap
 from pml.rng import SplitMix64
 from pml.synth import (
@@ -14,6 +17,7 @@ from pml.synth import (
     TrainingDiverged,
     clip_by_global_norm,
     generate_scene,
+    predict_counts,
     train,
 )
 
@@ -71,6 +75,23 @@ class TestGenerateScene:
     def test_gt_total_matches_point_count(self):
         scene = generate_scene(SceneConfig(seed=9))
         assert scene.gt_map.total() == float(len(scene.annotations))
+
+    # sha256 of points, observation and ground truth (little-endian float64),
+    # recorded before the noise block was rewritten in place
+    @pytest.mark.parametrize("seed,changes,digest", [
+        (1, {}, "04faac444e1209de2a761aeabc9494edeed89bd7adb6e19a793700c6facd9a23"),
+        (2, {}, "9f535e59f2bbde619a1955f671348c1f7bb90bdbfc9571d4e07ec7e50b04a870"),
+        (3, {}, "c8a1003f76eb6e7a8f75ee66930ead867bcec10647dfb6a5a1ba31d9f60d947c"),
+        (4, {"num_clusters": 0}, "d30ce5bd4788e4639a4bd1dcf974f71b2cbdd0f19d61fec82fcb563baeaa037f"),
+        (5, {"noise_std": 0.0}, "42f0bb3181092064350188e60b101fcd2260c89742f84225620ce5e2505f8822"),
+    ])
+    def test_benchmark_scene_bits_are_pinned(self, seed, changes, digest):
+        cfg = dataclasses.replace(BenchmarkConfig().scene_config(seed), **changes)
+        scene = generate_scene(cfg)
+        h = hashlib.sha256()
+        for a in (scene.annotations.points, scene.observation, scene.gt_map.data):
+            h.update(np.ascontiguousarray(a, dtype="<f8").tobytes())
+        assert h.hexdigest() == digest
 
 
 class TestTinyModel:
@@ -131,6 +152,16 @@ class TestTinyModel:
             fd[i] = (hi - lo) / (2.0 * h)
         err = np.max(np.abs(fd - analytic)) / max(np.max(np.abs(fd)), 1e-300)
         assert err < 1e-4
+
+
+class TestPredictCounts:
+    def test_equals_single_scene_forward_bit_for_bit(self):
+        cfg = BenchmarkConfig()
+        scenes = [generate_scene(cfg.scene_config(200 + i)) for i in range(65)]
+        model = TinyModel.initialize(cfg.level, cfg.channels, seed=3, init_scale=1.0,
+                                     output_bias=cfg.output_bias)
+        counts = predict_counts(model, scenes)
+        assert counts.tolist() == [model.forward(s.observation).total() for s in scenes]
 
 
 class TestClipping:
