@@ -11,8 +11,11 @@ bit-identical scenes.
 The regressor is two 3x3 convolution stages (zero padding, same size) with a
 tanh in between and a softplus output, so predictions are positive
 everywhere. Parameters live in one flat float64 vector. Forward/backward are
-written directly against numpy; ``train`` runs Adam with global
-gradient-norm clipping.
+written directly against numpy: the single-channel first stage and both
+backward correlations run on 9-row patch matrices of single-channel stacks,
+and the C->1 second stage is one (9, C) matmul plus nine shifted-slice adds,
+with no C*9-row patch matrix. ``train`` runs Adam with global gradient-norm
+clipping.
 """
 
 from __future__ import annotations
@@ -123,6 +126,20 @@ def _conv3x3(cols: np.ndarray, w: np.ndarray, b: np.ndarray, shape: tuple[int, i
     return z.reshape((c_out,) + shape)
 
 
+def _conv3x3_single_output(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Bias-free cross-correlation of (C, B, H, W) with one (C, 3, 3) kernel -> (B, H, W)."""
+    c, batch, h, wd = x.shape
+    xp = np.zeros((c, batch, h + 2, wd + 2))
+    xp[:, :, 1:-1, 1:-1] = x
+    # row k holds the response to the k-th 3x3 offset at every padded position
+    y = (w.reshape(c, 9).T @ xp.reshape(c, -1)).reshape(9, batch, h + 2, wd + 2)
+    out = y[0, :, :h, :wd].copy()
+    for k in range(1, 9):
+        du, dv = divmod(k, 3)
+        out += y[k, :, du:du + h, dv:dv + wd]
+    return out
+
+
 def _conv3x3_weight_grad(cols: np.ndarray, dout: np.ndarray, w_shape) -> tuple[np.ndarray, np.ndarray]:
     c_out = w_shape[0]
     dout_mat = dout.reshape(c_out, -1)
@@ -188,8 +205,11 @@ class TinyModel:
     def _forward_cache(self, observations: np.ndarray):
         """Batched forward; observations (B, side, side) -> (preds, cache).
 
-        Activations are kept channel-major (C, B, side, side) so both
-        convolutions run as single matmuls on patch matrices.
+        Activations are kept channel-major (C, B, side, side). The first
+        stage is one matmul on the single-channel patch matrix. The C->1
+        second stage needs no patch matrix: one (9, C) matmul on the zero
+        padded hidden stack gives each 3x3 offset's response, and the nine
+        shifted slices of it add up to the output.
         """
         obs = np.asarray(observations, dtype=np.float64)
         side = 1 << self.level
@@ -199,10 +219,10 @@ class TinyModel:
         shape = obs.shape  # (B, side, side)
         cols1 = _im2col3x3(obs[None])
         h = np.tanh(_conv3x3(cols1, w1, b1, shape))
-        cols2 = _im2col3x3(h)
-        z2 = _conv3x3(cols2, w2, b2, shape)[0]
+        z2 = _conv3x3_single_output(h, w2[0])
+        z2 += b2[0]
         preds = _softplus(z2)
-        return preds, (cols1, h, cols2, z2)
+        return preds, (cols1, h, z2)
 
     def forward(self, observation: np.ndarray) -> DensityMap:
         obs = np.asarray(observation, dtype=np.float64)
@@ -211,14 +231,16 @@ class TinyModel:
 
     def _backward(self, cache, dpreds: np.ndarray) -> np.ndarray:
         """Parameter gradient, summed over the batch; dpreds (B, side, side)."""
-        cols1, h, cols2, z2 = cache
+        cols1, h, z2 = cache
         w1, b1, w2, b2 = self._unpack()
         shape = dpreds.shape
         dz2 = dpreds * _sigmoid(z2)
-        dw2, db2 = _conv3x3_weight_grad(cols2, dz2, w2.shape)
-        # dh is a 3x3 correlation of the single-channel dz2 with the flipped
-        # second-stage kernels, so the cheap patch matrix is the dz2 side
+        # both second-stage gradients come from the single-channel patch
+        # matrix of dz2: dh is a 3x3 correlation with the flipped kernels,
+        # and row k of h @ cols_dz2.T holds the weight gradient at offset 8-k
         cols_dz2 = _im2col3x3(dz2[None])
+        dw2 = (h.reshape(self.channels, -1) @ cols_dz2.T)[:, ::-1]
+        db2 = np.array([dz2.sum()])
         w2_flip = w2[:, :, ::-1, ::-1]
         dh = _conv3x3(cols_dz2, np.ascontiguousarray(w2_flip.transpose(1, 0, 2, 3)),
                       np.zeros(self.channels), shape)
@@ -322,9 +344,9 @@ def train(
     *,
     loss_kind: str = "pml",
     steps: int,
-    lr: float = 1e-4,
+    lr: float,
     clip_norm: float = 10.0,
-    batch: int = 4,
+    batch: int,
     seed: int = 0,
     n: int = 4,
     epsilon: float = loss_mod.DEFAULT_EPSILON,

@@ -15,6 +15,7 @@ from pml.synth import (
     SceneConfig,
     TinyModel,
     TrainingDiverged,
+    _conv3x3_single_output,
     clip_by_global_norm,
     generate_scene,
     predict_counts,
@@ -120,9 +121,9 @@ class TestTinyModel:
         shifted = np.zeros_like(obs)
         shifted[1:, 1:] = obs[:-1, :-1]
         _, cache = model._forward_cache(obs[None])
-        z = cache[3][0]
+        z = cache[2][0]
         _, cache_s = model._forward_cache(shifted[None])
-        z_s = cache_s[3][0]
+        z_s = cache_s[2][0]
         # two 3x3 stages reach 2 cells; compare cells untouched by borders
         np.testing.assert_allclose(z_s[3:-2, 3:-2], z[2:-3, 2:-3], atol=1e-12)
 
@@ -152,6 +153,47 @@ class TestTinyModel:
             fd[i] = (hi - lo) / (2.0 * h)
         err = np.max(np.abs(fd - analytic)) / max(np.max(np.abs(fd)), 1e-300)
         assert err < 1e-4
+
+
+def _reference_im2col(x):
+    """Patch matrix (C*9, B*H*W) of a zero-padded (C, B, H, W) stack, row c*9 + k."""
+    c, batch, h, w = x.shape
+    xp = np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1)))
+    rows = [xp[ci, :, du:du + h, dv:dv + w].ravel()
+            for ci in range(c) for du in range(3) for dv in range(3)]
+    return np.array(rows)
+
+
+def _rel_err(got, want):
+    return np.max(np.abs(got - want)) / np.max(np.abs(want))
+
+
+class TestSecondStage:
+    """The C->1 stage against the patch-matrix lowering it replaced."""
+
+    @pytest.mark.parametrize("shape", [(3, 1, 1, 1), (3, 1, 2, 2), (4, 1, 16, 16), (6, 2, 8, 8)])
+    def test_forward_matches_patch_matrix(self, shape):
+        rng = SplitMix64(sum(shape))
+        x = rng.uniform_block(int(np.prod(shape)), -1.0, 1.0).reshape(shape)
+        w = rng.uniform_block(9 * shape[0], -1.0, 1.0).reshape(shape[0], 3, 3)
+        want = (w.reshape(1, -1) @ _reference_im2col(x)).reshape(shape[1:])
+        assert _rel_err(_conv3x3_single_output(x, w), want) < 1e-12
+
+    @pytest.mark.parametrize("level", [0, 1, 4])
+    def test_model_matches_patch_matrix(self, level):
+        side = 1 << level
+        model = TinyModel.initialize(level=level, channels=3, seed=level, init_scale=1.0)
+        rng = SplitMix64(60 + level)
+        obs = rng.uniform_block(side * side).reshape(1, side, side)
+        dpreds = rng.uniform_block(side * side, -1.0, 1.0).reshape(1, side, side)
+        _, cache = model._forward_cache(obs)
+        h, z2 = cache[1], cache[2]
+        cols2 = _reference_im2col(h)
+        w2 = model.params[30:57]
+        assert _rel_err(z2, (w2 @ cols2).reshape(z2.shape) + model.params[-1]) < 1e-12
+        dz2 = dpreds * 0.5 * (1.0 + np.tanh(0.5 * z2))  # softplus' = sigmoid
+        dw2 = model._backward(cache, dpreds)[30:57]
+        assert _rel_err(dw2, dz2.reshape(1, -1) @ cols2.T) < 1e-12
 
 
 class TestPredictCounts:
@@ -251,7 +293,7 @@ class TestTrain:
         scenes = _small_scenes(9, 4)
         model = TinyModel.initialize(level=4, channels=2, seed=6)
         with pytest.raises(ValueError, match="loss_kind"):
-            train(model, scenes, loss_kind="huber", steps=1, batch=2, seed=0)
+            train(model, scenes, loss_kind="huber", steps=1, lr=1e-3, batch=2, seed=0)
 
     def test_trace_csv_layout(self):
         scenes = _small_scenes(10, 4)
