@@ -67,8 +67,7 @@ class SplitMix64:
         z *= np.uint64(0x94D049BB133111EB)
         z ^= np.right_shift(z, np.uint64(31), out=shifted)
         z >>= np.uint64(11)
-        u = z.astype(np.float64)
-        u *= _INV_2_53
+        u = np.multiply(z, _INV_2_53, dtype=np.float64)
         u *= high - low
         u += low
         return u
@@ -93,7 +92,9 @@ class SplitMix64:
 
         Pair k is (u1, u2) = draws 2k and 2k+1 and gives outputs 2k (cosine)
         and 2k+1 (sine), so the result is written back over the interleaved
-        draws. The transcendental calls read contiguous arrays.
+        draws. ``log``, ``cos`` and ``sin`` still read contiguous arrays, so
+        they run the same numpy loops, and give the same bits, as the
+        out-of-place form.
         """
         pairs = (count + 1) // 2
         u = self.uniform_block(2 * pairs).reshape(pairs, 2)
