@@ -77,8 +77,8 @@ class TestGenerateScene:
         scene = generate_scene(SceneConfig(seed=9))
         assert scene.gt_map.total() == float(len(scene.annotations))
 
-    # sha256 of points, observation and ground truth (little-endian float64),
-    # recorded before the noise block was rewritten in place
+    # sha256 of points, observation and ground truth (little-endian float64);
+    # scene bits are part of the determinism contract, so a change here is declared
     @pytest.mark.parametrize("seed,changes,digest", [
         (1, {}, "04faac444e1209de2a761aeabc9494edeed89bd7adb6e19a793700c6facd9a23"),
         (2, {}, "9f535e59f2bbde619a1955f671348c1f7bb90bdbfc9571d4e07ec7e50b04a870"),
