@@ -41,7 +41,6 @@ from .metrics import (
 from .pyramid import (
     DensityMap,
     PointAnnotations,
-    Pyramid,
     ResolutionSet,
     build_pyramid,
     downsample_avg,

@@ -192,7 +192,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("loss", help="evaluate the loss between predictions and ground truth")
     p.add_argument("--pred", required=True, help=".dmap file or directory of them")
     p.add_argument("--gt", required=True)
-    p.add_argument("--n", type=int, default=4)
+    p.add_argument("--n", type=int, default=defaults.n)
     p.add_argument("--no-reg", action="store_true", help="drop the full-resolution L2 term")
     p.add_argument("--eps", type=float, default=DEFAULT_EPSILON)
     p.add_argument("--json", action="store_true")

@@ -55,7 +55,10 @@ def evaluate(preds: Sequence[DensityMap], gts: Sequence[DensityMap]) -> MetricsS
 
 @dataclass(frozen=True)
 class BenchmarkConfig:
-    """Desk-scale defaults: 64x64 grids, the 1..16 resolution ladder (n=4)."""
+    """Desk-scale defaults: 64x64 grids, the 1..16 resolution ladder (n=4).
+
+    Scenes follow ``SceneConfig``'s defaults at the prediction level.
+    """
 
     level: int = 6
     channels: int = 6
@@ -70,24 +73,9 @@ class BenchmarkConfig:
     val_count: int = 32
     test_count: int = 200
     val_every: int = 200
-    scene_size: float = 1.0
-    num_clusters: int = 5
-    points_per_cluster: tuple[int, int] = (4, 24)
-    cluster_spread: float = 0.07
-    blob_sigma: float = 0.035
-    noise_std: float = 0.05
 
     def scene_config(self, seed: int) -> SceneConfig:
-        return SceneConfig(
-            seed=seed,
-            scene_size=self.scene_size,
-            num_clusters=self.num_clusters,
-            points_per_cluster=self.points_per_cluster,
-            cluster_spread=self.cluster_spread,
-            blob_sigma=self.blob_sigma,
-            noise_std=self.noise_std,
-            obs_level=self.level,
-        )
+        return SceneConfig(seed=seed, obs_level=self.level)
 
     @property
     def steps_per_epoch(self) -> int:

@@ -14,7 +14,8 @@ Operators:
                              over its blocks; when the coarse map is the sum
                              downsample of the fine one, the residual
                              average-downsamples to exactly zero.
-* ``build_pyramid``       -- the stack of sum-downsamples at a resolution set.
+* ``build_pyramid``       -- the tuple of sum-downsamples at a resolution set,
+                             coarsest first.
 
 Replication upsampling is the adjoint of sum pooling: for any ``a`` at level
 ``l1`` and ``b`` at level ``l2 > l1``,
@@ -27,7 +28,7 @@ All operations are pure; map data is locked read-only after construction.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -147,33 +148,6 @@ class ResolutionSet:
         return len(self.levels)
 
 
-@dataclass(frozen=True)
-class Pyramid:
-    """Ordered stack of sum-downsamples of one map, finest level last."""
-
-    maps: tuple[DensityMap, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "maps", tuple(self.maps))
-        ResolutionSet(self.levels)  # validates ordering
-
-    @property
-    def levels(self) -> tuple[int, ...]:
-        return tuple(m.level for m in self.maps)
-
-    def at_level(self, level: int) -> DensityMap:
-        for m in self.maps:
-            if m.level == level:
-                return m
-        raise KeyError(f"no map at level {level}; pyramid holds {self.levels}")
-
-    def __iter__(self) -> Iterator[DensityMap]:
-        return iter(self.maps)
-
-    def __len__(self) -> int:
-        return len(self.maps)
-
-
 def rasterize(ann: PointAnnotations, level: int) -> DensityMap:
     """Count annotations into the uniform 2^level x 2^level partition of the scene.
 
@@ -239,12 +213,15 @@ def residual(fine: DensityMap, coarse: DensityMap) -> DensityMap:
     return DensityMap(fine.level, fine.data - spread)
 
 
-def build_pyramid(m: DensityMap, levels: ResolutionSet | Iterable[int]) -> Pyramid:
-    """Sum-downsample ``m`` to every level in ``levels`` (which must be increasing)."""
+def build_pyramid(m: DensityMap, levels: ResolutionSet | Iterable[int]) -> tuple[DensityMap, ...]:
+    """Sum-downsample ``m`` to every level in ``levels`` (strictly increasing).
+
+    The maps come back coarsest first, one per level.
+    """
     levels = ResolutionSet.of(levels)
     if levels.prediction_level > m.level:
         raise ValueError(f"requested level {levels.prediction_level} exceeds map level {m.level}")
-    return Pyramid(tuple(downsample_sum(m, i) for i in levels))
+    return tuple(downsample_sum(m, i) for i in levels)
 
 
 def maps_from_batch(batch: np.ndarray, level: int) -> list[DensityMap]:

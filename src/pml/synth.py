@@ -10,12 +10,13 @@ bit-identical scenes.
 
 The regressor is two 3x3 convolution stages (zero padding, same size) with a
 tanh in between and a softplus output, so predictions are positive
-everywhere. Parameters live in one flat float64 vector. Forward/backward are
-written directly against numpy: the single-channel first stage and both
-backward correlations run on 9-row patch matrices of single-channel stacks,
-and the C->1 second stage is one (9, C) matmul plus nine shifted-slice adds,
-with no C*9-row patch matrix. ``train`` runs Adam with global gradient-norm
-clipping.
+everywhere. Parameters live in one flat float64 vector; both kernels are
+(C, 9) views of it, column k the 3x3 offset (k // 3, k % 3). Forward/backward
+are written directly against numpy: the first stage, the hidden gradient and
+both weight gradients are plain matmuls with the 9-row patch matrix of a
+single-channel (B, H, W) stack, and the C->1 second stage is one (9, C)
+matmul plus nine shifted-slice adds, with no C*9-row patch matrix. ``train``
+runs Adam with global gradient-norm clipping.
 """
 
 from __future__ import annotations
@@ -33,10 +34,12 @@ from .rng import SplitMix64, derive_seed
 
 @dataclass(frozen=True)
 class SceneConfig:
+    """One scene's generating parameters; the defaults are the benchmark's scenes."""
+
     seed: int
     scene_size: float = 1.0
     num_clusters: int = 5
-    points_per_cluster: tuple[int, int] = (8, 15)
+    points_per_cluster: tuple[int, int] = (4, 24)
     cluster_spread: float = 0.07
     blob_sigma: float = 0.035
     noise_std: float = 0.05
@@ -104,48 +107,34 @@ def generate_scene(cfg: SceneConfig) -> Scene:
     return Scene(config=cfg, annotations=ann, observation=obs, gt_map=gt)
 
 
-def _im2col3x3(x: np.ndarray) -> np.ndarray:
-    """Patch matrix of a channel-major stack: (C, B, H, W) -> (C*9, B*H*W).
+def _patches(x: np.ndarray) -> np.ndarray:
+    """Patch matrix of a (B, H, W) stack: (9, B*H*W).
 
-    Row c*9 + k holds the input shifted by the k-th 3x3 offset (zero padded),
-    so a cross-correlation is one matmul with the (C_out, C*9) kernel matrix.
+    Row k holds the input shifted by the 3x3 offset (k // 3, k % 3) (zero
+    padded), so a 3x3 cross-correlation is one matmul with a (C, 9) kernel.
     """
-    c, batch, h, w = x.shape
-    xp = np.zeros((c, batch, h + 2, w + 2))
-    xp[:, :, 1:-1, 1:-1] = x
-    cols = np.empty((c, 9, batch, h, w))
-    for k, (du, dv) in enumerate((du, dv) for du in range(3) for dv in range(3)):
-        cols[:, k] = xp[:, :, du:du + h, dv:dv + w]
-    return cols.reshape(c * 9, batch * h * w)
-
-
-def _conv3x3(cols: np.ndarray, w: np.ndarray, b: np.ndarray, shape: tuple[int, int, int]) -> np.ndarray:
-    """Cross-correlation on a patch matrix; returns (C_out,) + shape."""
-    c_out = w.shape[0]
-    z = w.reshape(c_out, -1) @ cols + b[:, None]
-    return z.reshape((c_out,) + shape)
+    batch, h, w = x.shape
+    xp = np.zeros((batch, h + 2, w + 2))
+    xp[:, 1:-1, 1:-1] = x
+    cols = np.empty((9, batch, h, w))
+    for k in range(9):
+        du, dv = divmod(k, 3)
+        cols[k] = xp[:, du:du + h, dv:dv + w]
+    return cols.reshape(9, -1)
 
 
 def _conv3x3_single_output(x: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Bias-free cross-correlation of (C, B, H, W) with one (C, 3, 3) kernel -> (B, H, W)."""
+    """Bias-free cross-correlation of (C, B, H, W) with one (C, 9) kernel -> (B, H, W)."""
     c, batch, h, wd = x.shape
     xp = np.zeros((c, batch, h + 2, wd + 2))
     xp[:, :, 1:-1, 1:-1] = x
     # row k holds the response to the k-th 3x3 offset at every padded position
-    y = (w.reshape(c, 9).T @ xp.reshape(c, -1)).reshape(9, batch, h + 2, wd + 2)
+    y = (w.T @ xp.reshape(c, -1)).reshape(9, batch, h + 2, wd + 2)
     out = y[0, :, :h, :wd].copy()
     for k in range(1, 9):
         du, dv = divmod(k, 3)
         out += y[k, :, du:du + h, dv:dv + wd]
     return out
-
-
-def _conv3x3_weight_grad(cols: np.ndarray, dout: np.ndarray, w_shape) -> tuple[np.ndarray, np.ndarray]:
-    c_out = w_shape[0]
-    dout_mat = dout.reshape(c_out, -1)
-    dw = (dout_mat @ cols.T).reshape(w_shape)
-    db = dout_mat.sum(axis=1)
-    return dw, db
 
 
 def _softplus(z: np.ndarray) -> np.ndarray:
@@ -174,7 +163,7 @@ class TinyModel:
         return 9 * channels + channels + 9 * channels + 1
 
     @classmethod
-    def initialize(cls, level: int, channels: int = 8, seed: int = 0,
+    def initialize(cls, level: int, channels: int, seed: int = 0,
                    output_bias: float = -4.26, init_scale: float = 0.25) -> "TinyModel":
         """Uniform fan-scaled weights, zero hidden bias, calibrated output bias.
 
@@ -193,34 +182,32 @@ class TinyModel:
         return cls(level=level, channels=channels, params=params)
 
     def _unpack(self):
+        """Views of ``params``: w1 (C, 9), b1 (C,), w2 (C, 9) and the scalar b2."""
         c = self.channels
         p = self.params
-        o = 0
-        w1 = p[o:o + 9 * c].reshape(c, 1, 3, 3); o += 9 * c
-        b1 = p[o:o + c]; o += c
-        w2 = p[o:o + 9 * c].reshape(1, c, 3, 3); o += 9 * c
-        b2 = p[o:o + 1]
-        return w1, b1, w2, b2
+        w1 = p[:9 * c].reshape(c, 9)
+        b1 = p[9 * c:10 * c]
+        w2 = p[10 * c:19 * c].reshape(c, 9)
+        return w1, b1, w2, p[19 * c]
 
     def _forward_cache(self, observations: np.ndarray):
         """Batched forward; observations (B, side, side) -> (preds, cache).
 
         Activations are kept channel-major (C, B, side, side). The first
-        stage is one matmul on the single-channel patch matrix. The C->1
-        second stage needs no patch matrix: one (9, C) matmul on the zero
-        padded hidden stack gives each 3x3 offset's response, and the nine
-        shifted slices of it add up to the output.
+        stage is ``w1 @ cols1`` on the patch matrix of the observations. The
+        C->1 second stage needs no patch matrix: one (9, C) matmul on the
+        zero padded hidden stack gives each 3x3 offset's response, and the
+        nine shifted slices of it add up to the output.
         """
         obs = np.asarray(observations, dtype=np.float64)
         side = 1 << self.level
         if obs.ndim != 3 or obs.shape[1:] != (side, side):
             raise ValueError(f"observation batch shape {obs.shape} != (B, {side}, {side})")
         w1, b1, w2, b2 = self._unpack()
-        shape = obs.shape  # (B, side, side)
-        cols1 = _im2col3x3(obs[None])
-        h = np.tanh(_conv3x3(cols1, w1, b1, shape))
-        z2 = _conv3x3_single_output(h, w2[0])
-        z2 += b2[0]
+        cols1 = _patches(obs)
+        h = np.tanh((w1 @ cols1 + b1[:, None]).reshape((self.channels,) + obs.shape))
+        z2 = _conv3x3_single_output(h, w2)
+        z2 += b2
         preds = _softplus(z2)
         return preds, (cols1, h, z2)
 
@@ -232,21 +219,19 @@ class TinyModel:
     def _backward(self, cache, dpreds: np.ndarray) -> np.ndarray:
         """Parameter gradient, summed over the batch; dpreds (B, side, side)."""
         cols1, h, z2 = cache
-        w1, b1, w2, b2 = self._unpack()
-        shape = dpreds.shape
+        w2 = self._unpack()[2]
+        h = h.reshape(self.channels, -1)
         dz2 = dpreds * _sigmoid(z2)
-        # both second-stage gradients come from the single-channel patch
-        # matrix of dz2: dh is a 3x3 correlation with the flipped kernels,
-        # and row k of h @ cols_dz2.T holds the weight gradient at offset 8-k
-        cols_dz2 = _im2col3x3(dz2[None])
-        dw2 = (h.reshape(self.channels, -1) @ cols_dz2.T)[:, ::-1]
-        db2 = np.array([dz2.sum()])
-        w2_flip = w2[:, :, ::-1, ::-1]
-        dh = _conv3x3(cols_dz2, np.ascontiguousarray(w2_flip.transpose(1, 0, 2, 3)),
-                      np.zeros(self.channels), shape)
+        # both second-stage gradients are matmuls with the patch matrix of
+        # dz2: reversing the offset index flips a 3x3 kernel, so dh is the
+        # flipped w2 times it, and column k of h @ cols_dz2.T holds the
+        # weight gradient at offset 8-k
+        cols_dz2 = _patches(dz2)
+        dw2 = (h @ cols_dz2.T)[:, ::-1]
+        dh = np.ascontiguousarray(w2[:, ::-1]) @ cols_dz2
         dz1 = dh * (1.0 - h * h)
-        dw1, db1 = _conv3x3_weight_grad(cols1, dz1, w1.shape)
-        return np.concatenate([dw1.ravel(), db1, dw2.ravel(), db2])
+        dw1 = dz1 @ cols1.T
+        return np.concatenate([dw1.ravel(), dz1.sum(axis=1), dw2.ravel(), [dz2.sum()]])
 
 
 def clip_by_global_norm(grad: np.ndarray, max_norm: float) -> tuple[np.ndarray, float, bool]:
@@ -260,7 +245,7 @@ def clip_by_global_norm(grad: np.ndarray, max_norm: float) -> tuple[np.ndarray, 
 class Adam:
     """First/second-moment adaptive updates with bias correction."""
 
-    def __init__(self, size: int, lr: float = 1e-4, beta1: float = 0.9,
+    def __init__(self, size: int, lr: float, beta1: float = 0.9,
                  beta2: float = 0.999, eps: float = 1e-8):
         self.lr = lr
         self.beta1 = beta1

@@ -24,10 +24,6 @@ TINY = BenchmarkConfig(
     val_count=2,
     test_count=6,
     val_every=6,
-    num_clusters=3,
-    points_per_cluster=(2, 5),
-    cluster_spread=0.1,
-    blob_sigma=0.06,
 )
 
 
@@ -90,6 +86,12 @@ class TestStreams:
 
     def test_manifest_hash_stable(self):
         assert stream_manifest_hash(TINY, 1) == stream_manifest_hash(TINY, 1)
+
+    def test_benchmark_manifest_is_pinned(self):
+        # every scene config of the default benchmark stream; JSON, so BLAS-independent
+        assert stream_manifest_hash(BenchmarkConfig(), 3001) == (
+            "1b50abe3e0a28edf71702c0252b11dc824774073a954a4462a9a8cff1f828ed5"
+        )
 
 
 class TestAblation:

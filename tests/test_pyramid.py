@@ -7,7 +7,6 @@ from hypothesis.extra import numpy as hnp
 from pml.pyramid import (
     DensityMap,
     PointAnnotations,
-    Pyramid,
     ResolutionSet,
     build_pyramid,
     downsample_avg,
@@ -176,7 +175,7 @@ class TestBuildPyramid:
         m = DensityMap(2, SplitMix64(2).uniform_block(16).reshape(4, 4))
         pyr = build_pyramid(m, [2])
         assert len(pyr) == 1
-        assert np.array_equal(pyr.at_level(2).data, m.data)
+        assert np.array_equal(pyr[0].data, m.data)
 
     def test_zero_map(self):
         pyr = build_pyramid(DensityMap(3, np.zeros((8, 8))), [0, 1, 2, 3])
@@ -215,11 +214,6 @@ class TestResolutionSet:
         with pytest.raises(ValueError):
             ResolutionSet(())
 
-    def test_pyramid_at_level_missing(self):
-        pyr = Pyramid((DensityMap(0, [[1.0]]),))
-        with pytest.raises(KeyError):
-            pyr.at_level(3)
-
 
 class TestProperties:
     @given(square_maps(), st.data())
@@ -236,9 +230,9 @@ class TestProperties:
             return
         j = data.draw(st.integers(1, m.level))
         i = data.draw(st.integers(0, j - 1))
-        pyr = build_pyramid(m, [i, j])
-        redone = downsample_sum(pyr.at_level(j), i)
-        np.testing.assert_allclose(redone.data, pyr.at_level(i).data, rtol=1e-12, atol=1e-12)
+        coarse, fine = build_pyramid(m, [i, j])
+        redone = downsample_sum(fine, i)
+        np.testing.assert_allclose(redone.data, coarse.data, rtol=1e-12, atol=1e-12)
 
     @given(square_maps(max_level=3), st.data())
     @settings(max_examples=60, deadline=None)

@@ -175,7 +175,7 @@ class TestSecondStage:
     def test_forward_matches_patch_matrix(self, shape):
         rng = SplitMix64(sum(shape))
         x = rng.uniform_block(int(np.prod(shape)), -1.0, 1.0).reshape(shape)
-        w = rng.uniform_block(9 * shape[0], -1.0, 1.0).reshape(shape[0], 3, 3)
+        w = rng.uniform_block(9 * shape[0], -1.0, 1.0).reshape(shape[0], 9)
         want = (w.reshape(1, -1) @ _reference_im2col(x)).reshape(shape[1:])
         assert _rel_err(_conv3x3_single_output(x, w), want) < 1e-12
 
@@ -194,6 +194,53 @@ class TestSecondStage:
         dz2 = dpreds * 0.5 * (1.0 + np.tanh(0.5 * z2))  # softplus' = sigmoid
         dw2 = model._backward(cache, dpreds)[30:57]
         assert _rel_err(dw2, dz2.reshape(1, -1) @ cols2.T) < 1e-12
+
+
+def _reference_model(params, channels, obs, dpreds):
+    """The patch-matrix model with 4-D kernels, w1 (C, 1, 3, 3) and w2 (1, C, 3, 3).
+
+    Returns preds, h, z2 and the gradient (dw1, db1, dw2, db2) for ``dpreds``.
+    """
+    c, shape = channels, obs.shape
+    w1 = params[:9 * c].reshape(c, 1, 3, 3)
+    b1 = params[9 * c:10 * c]
+    w2 = params[10 * c:19 * c].reshape(1, c, 3, 3)
+    b2 = params[19 * c:]
+    cols1 = _reference_im2col(obs[None])
+    h = np.tanh((w1.reshape(c, -1) @ cols1 + b1[:, None]).reshape((c,) + shape))
+    cols2 = _reference_im2col(h)
+    z2 = (w2.reshape(1, -1) @ cols2 + b2[:, None]).reshape(shape)
+    preds = np.logaddexp(0.0, z2)
+    dz2 = dpreds * 0.5 * (1.0 + np.tanh(0.5 * z2))
+    w2_flip = np.ascontiguousarray(w2[:, :, ::-1, ::-1].transpose(1, 0, 2, 3))  # (C, 1, 3, 3)
+    dh = (w2_flip.reshape(c, -1) @ _reference_im2col(dz2[None])).reshape((c,) + shape)
+    dz1 = (dh * (1.0 - h * h)).reshape(c, -1)
+    grad = [dz1 @ cols1.T, dz1.sum(axis=1), dz2.reshape(1, -1) @ cols2.T, np.array([dz2.sum()])]
+    return preds, h, z2, grad
+
+
+class TestPatchMatrixReference:
+    """Forward and backward against the 4-D kernel, channel-axis lowering."""
+
+    @pytest.mark.parametrize("batch", [1, 2])
+    @pytest.mark.parametrize("level", [0, 1, 4])
+    @pytest.mark.parametrize("channels", [3, 6])
+    def test_forward_and_gradient_match(self, batch, level, channels):
+        side = 1 << level
+        model = TinyModel.initialize(level=level, channels=channels, seed=7 * level + channels,
+                                     init_scale=1.0)
+        rng = SplitMix64(100 * batch + 10 * level + channels)
+        obs = rng.uniform_block(batch * side * side).reshape(batch, side, side)
+        dpreds = rng.uniform_block(batch * side * side, -1.0, 1.0).reshape(batch, side, side)
+        preds, h, z2, want_grad = _reference_model(model.params, channels, obs, dpreds)
+        got_preds, cache = model._forward_cache(obs)
+        for got, want in ((got_preds, preds), (cache[1], h), (cache[2], z2)):
+            assert got.shape == want.shape and _rel_err(got, want) < 1e-12
+        grad = model._backward(cache, dpreds)
+        bounds = np.cumsum([0] + [g.size for g in want_grad])
+        assert grad.shape == (bounds[-1],)
+        for lo, hi, want in zip(bounds, bounds[1:], want_grad):
+            assert _rel_err(grad[lo:hi], want.ravel()) < 1e-12
 
 
 class TestPredictCounts:
