@@ -16,7 +16,6 @@ from .loss import (
     l_diff,
     l_diff_pair,
     loss_gradient,
-    optimal_sigma,
     pml_loss,
     total_loss,
 )

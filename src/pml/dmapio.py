@@ -47,7 +47,8 @@ def write_dmap(path, m: DensityMap) -> None:
     with open(path, "w") as fh:
         fh.write(f"{side} {side}\n")
         for row in m.data:
-            fh.write(" ".join(format_float(v) for v in row))
+            # Python floats format faster than np.float64s, to the same strings
+            fh.write(" ".join(format_float(v) for v in row.tolist()))
             fh.write("\n")
 
 

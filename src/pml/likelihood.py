@@ -171,7 +171,7 @@ def optimal_variances(
 ) -> dict[int, float]:
     """Closed-form variance optimum for an arbitrary resolution set.
 
-    Terms below ``epsilon`` fall back to ``epsilon``, as in ``optimal_sigma``.
+    Terms below ``epsilon`` fall back to ``epsilon``, as in the loss's log guard.
     """
     levels = ResolutionSet.of(levels)
     subs = _require_sub_levels(levels)

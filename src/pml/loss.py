@@ -38,8 +38,9 @@ likelihood come out in closed form:
     sigma_sq[j] = l_diff(pair j) / (4^{n_j} - 4^{n_{j-1}}),   j >= 1
     sigma_sq[0] = 4^{-n_0} * l2_level(n_0)
 
-``optimal_sigma`` evaluates these from a breakdown; zero losses fall back to
-the same ``eps`` guard and set a flag instead of erroring.
+``_evaluate`` reports them as ``sigma_sq`` and ``likelihood.optimal_variances``
+evaluates them for any resolution set; zero losses fall back to the same
+``eps`` guard and set a flag instead of erroring.
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .pyramid import DensityMap, ResolutionSet, _pool_sum, _replicate, maps_from_batch
+from .pyramid import DensityMap, _pool_sum, _replicate, maps_from_batch
 
 DEFAULT_EPSILON = 1e-12
 
@@ -301,27 +302,6 @@ def loss_gradient(
     produces.
     """
     return loss_value_and_gradient(preds, gts, n, epsilon, include_regularizer)[1]
-
-
-def optimal_sigma(breakdown: LossBreakdown, levels: ResolutionSet | Sequence[int]) -> dict[int, float]:
-    """Likelihood-maximizing variances for the sub-levels of ``levels``.
-
-    Requires the breakdown to carry the level/pair terms the set needs (a
-    ``total_loss`` breakdown covers the dense set {0..n} plus L). Values
-    below the breakdown's epsilon fall back to epsilon, mirroring the log
-    guard.
-    """
-    levels = ResolutionSet.of(levels)
-    subs = levels.sub_levels
-    if not subs:
-        raise ValueError("resolution set needs at least one sub-level below the prediction level")
-    try:
-        sigma, _ = _sigma_from_terms(
-            breakdown.l2_per_level, breakdown.ldiff_per_pair, subs, breakdown.epsilon
-        )
-    except KeyError as exc:
-        raise KeyError(f"breakdown lacks the loss term for {exc.args[0]}") from None
-    return sigma
 
 
 def fd_loss_gradient(loss_of_preds, preds: Sequence[DensityMap], step_scale: float = 1e-6):

@@ -17,6 +17,14 @@ both weight gradients are plain matmuls with the 9-row patch matrix of a
 single-channel (B, H, W) stack, and the C->1 second stage is one (9, C)
 matmul plus nine shifted-slice adds, with no C*9-row patch matrix. ``train``
 runs Adam with global gradient-norm clipping.
+
+Every large array of a step (padded stacks, patch matrices, the hidden
+activations and their gradient) lives in a ``Workspace`` and is written with
+``out=``. ``train`` makes one workspace per call and drops it on return, so
+its steps and validation passes reuse the same memory instead of allocating
+(and page-faulting) fresh temporaries; any other forward gets a fresh
+workspace of its own. A forward's cache holds views of its workspace and
+stays valid only until the next forward through that workspace.
 """
 
 from __future__ import annotations
@@ -107,29 +115,67 @@ def generate_scene(cfg: SceneConfig) -> Scene:
     return Scene(config=cfg, annotations=ann, observation=obs, gt_map=gt)
 
 
-def _patches(x: np.ndarray) -> np.ndarray:
-    """Patch matrix of a (B, H, W) stack: (9, B*H*W).
+class Workspace:
+    """The large arrays of a forward and backward, one set per (batch, side, channels).
+
+    ``train`` makes one and passes it to every forward and validation pass,
+    so a step writes into the same memory each time instead of allocating
+    (and page-faulting) fresh temporaries. A forward without a workspace
+    makes a fresh one for that call.
+    """
+
+    def __init__(self):
+        self._sets: dict[tuple[int, int, int], _Buffers] = {}
+
+    def buffers(self, batch: int, side: int, channels: int) -> "_Buffers":
+        key = (batch, side, channels)
+        if key not in self._sets:
+            self._sets[key] = _Buffers(*key)
+        return self._sets[key]
+
+
+class _Buffers:
+    """One shape's arrays. Padded ones keep their zero border; only interiors are written."""
+
+    def __init__(self, batch: int, side: int, channels: int):
+        pixels = batch * side * side
+        self.xp = np.zeros((batch, side + 2, side + 2))  # observations, then dz2
+        self.cols1 = np.empty((9, pixels))
+        self.h = np.empty((channels, pixels))  # first-stage pre-activation, then h
+        self.hp = np.zeros((channels, batch, side + 2, side + 2))
+        self.y = np.empty((9, batch * (side + 2) ** 2))
+        self.cols_dz2 = np.empty((9, pixels))
+        self.dh = np.empty((channels, pixels))  # dh, then dz1
+        self.g = np.empty((channels, pixels))  # 1 - h*h
+
+
+def _patches(x: np.ndarray, xp: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Patch matrix of a (B, H, W) stack into ``out`` (9, B*H*W); returns ``out``.
 
     Row k holds the input shifted by the 3x3 offset (k // 3, k % 3) (zero
     padded), so a 3x3 cross-correlation is one matmul with a (C, 9) kernel.
+    ``xp`` (B, H+2, W+2) is zero-bordered scratch.
     """
-    batch, h, w = x.shape
-    xp = np.zeros((batch, h + 2, w + 2))
+    _, h, w = x.shape
     xp[:, 1:-1, 1:-1] = x
-    cols = np.empty((9, batch, h, w))
+    cols = out.reshape((9,) + x.shape)
     for k in range(9):
         du, dv = divmod(k, 3)
         cols[k] = xp[:, du:du + h, dv:dv + w]
-    return cols.reshape(9, -1)
+    return out
 
 
-def _conv3x3_single_output(x: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Bias-free cross-correlation of (C, B, H, W) with one (C, 9) kernel -> (B, H, W)."""
+def _conv3x3_single_output(x: np.ndarray, w: np.ndarray, xp: np.ndarray,
+                           y: np.ndarray) -> np.ndarray:
+    """Bias-free cross-correlation of (C, B, H, W) with one (C, 9) kernel -> (B, H, W).
+
+    ``xp`` (C, B, H+2, W+2) is zero-bordered scratch and ``y`` (9, B*(H+2)*(W+2))
+    receives each 3x3 offset's response at every padded position.
+    """
     c, batch, h, wd = x.shape
-    xp = np.zeros((c, batch, h + 2, wd + 2))
     xp[:, :, 1:-1, 1:-1] = x
-    # row k holds the response to the k-th 3x3 offset at every padded position
-    y = (w.T @ xp.reshape(c, -1)).reshape(9, batch, h + 2, wd + 2)
+    np.matmul(w.T, xp.reshape(c, -1), out=y)
+    y = y.reshape(9, batch, h + 2, wd + 2)
     out = y[0, :, :h, :wd].copy()
     for k in range(1, 9):
         du, dv = divmod(k, 3)
@@ -190,7 +236,7 @@ class TinyModel:
         w2 = p[10 * c:19 * c].reshape(c, 9)
         return w1, b1, w2, p[19 * c]
 
-    def _forward_cache(self, observations: np.ndarray):
+    def _forward_cache(self, observations: np.ndarray, work: Workspace | None = None):
         """Batched forward; observations (B, side, side) -> (preds, cache).
 
         Activations are kept channel-major (C, B, side, side). The first
@@ -198,18 +244,27 @@ class TinyModel:
         C->1 second stage needs no patch matrix: one (9, C) matmul on the
         zero padded hidden stack gives each 3x3 offset's response, and the
         nine shifted slices of it add up to the output.
+
+        The large arrays live in ``work`` (a fresh ``Workspace`` when None)
+        and are written with ``out=``, so the bits do not depend on it. The
+        cache holds views of those arrays: it stays valid only until the
+        next forward through the same workspace. ``preds`` is never reused.
         """
         obs = np.asarray(observations, dtype=np.float64)
         side = 1 << self.level
         if obs.ndim != 3 or obs.shape[1:] != (side, side):
             raise ValueError(f"observation batch shape {obs.shape} != (B, {side}, {side})")
+        buf = (work or Workspace()).buffers(obs.shape[0], side, self.channels)
         w1, b1, w2, b2 = self._unpack()
-        cols1 = _patches(obs)
-        h = np.tanh((w1 @ cols1 + b1[:, None]).reshape((self.channels,) + obs.shape))
-        z2 = _conv3x3_single_output(h, w2)
+        cols1 = _patches(obs, buf.xp, buf.cols1)
+        h = np.matmul(w1, cols1, out=buf.h)
+        h += b1[:, None]
+        np.tanh(h, out=h)
+        h = h.reshape((self.channels,) + obs.shape)
+        z2 = _conv3x3_single_output(h, w2, buf.hp, buf.y)
         z2 += b2
         preds = _softplus(z2)
-        return preds, (cols1, h, z2)
+        return preds, (cols1, h, z2, buf)
 
     def forward(self, observation: np.ndarray) -> DensityMap:
         obs = np.asarray(observation, dtype=np.float64)
@@ -217,8 +272,12 @@ class TinyModel:
         return DensityMap(self.level, preds[0])
 
     def _backward(self, cache, dpreds: np.ndarray) -> np.ndarray:
-        """Parameter gradient, summed over the batch; dpreds (B, side, side)."""
-        cols1, h, z2 = cache
+        """Parameter gradient, summed over the batch; dpreds (B, side, side).
+
+        Writes none of the cache's arrays, so the cache stays valid for
+        another backward.
+        """
+        cols1, h, z2, buf = cache
         w2 = self._unpack()[2]
         h = h.reshape(self.channels, -1)
         dz2 = dpreds * _sigmoid(z2)
@@ -226,10 +285,12 @@ class TinyModel:
         # dz2: reversing the offset index flips a 3x3 kernel, so dh is the
         # flipped w2 times it, and column k of h @ cols_dz2.T holds the
         # weight gradient at offset 8-k
-        cols_dz2 = _patches(dz2)
+        cols_dz2 = _patches(dz2, buf.xp, buf.cols_dz2)
         dw2 = (h @ cols_dz2.T)[:, ::-1]
-        dh = np.ascontiguousarray(w2[:, ::-1]) @ cols_dz2
-        dz1 = dh * (1.0 - h * h)
+        dz1 = np.matmul(np.ascontiguousarray(w2[:, ::-1]), cols_dz2, out=buf.dh)
+        g = np.multiply(h, h, out=buf.g)
+        np.subtract(1.0, g, out=g)
+        dz1 *= g
         dw1 = dz1 @ cols1.T
         return np.concatenate([dw1.ravel(), dz1.sum(axis=1), dw2.ravel(), [dz2.sum()]])
 
@@ -304,7 +365,8 @@ class TrainResult:
 SceneSource = Sequence[Scene] | Callable[[int], Sequence[Scene]]
 
 
-def predict_counts(model: TinyModel, scenes: Sequence[Scene]) -> np.ndarray:
+def predict_counts(model: TinyModel, scenes: Sequence[Scene],
+                   work: Workspace | None = None) -> np.ndarray:
     """Predicted total count per scene, two scenes per forward.
 
     Two is the benchmark's training batch: a larger batch gives the same
@@ -313,13 +375,14 @@ def predict_counts(model: TinyModel, scenes: Sequence[Scene]) -> np.ndarray:
     counts = []
     for start in range(0, len(scenes), 2):
         obs = np.stack([s.observation for s in scenes[start:start + 2]])
-        preds, _ = model._forward_cache(obs)
+        preds, _ = model._forward_cache(obs, work)
         counts.extend(preds.sum(axis=(1, 2)).tolist())
     return np.array(counts)
 
 
-def _counting_errors(model: TinyModel, scenes: Sequence[Scene]) -> tuple[float, float]:
-    err = predict_counts(model, scenes) - np.array([s.gt_map.total() for s in scenes])
+def _counting_errors(model: TinyModel, scenes: Sequence[Scene],
+                     work: Workspace | None = None) -> tuple[float, float]:
+    err = predict_counts(model, scenes, work) - np.array([s.gt_map.total() for s in scenes])
     return float(np.mean(np.abs(err))), float(np.sqrt(np.mean(err * err)))
 
 
@@ -345,7 +408,8 @@ def train(
     mapping the epoch index to that epoch's scene list. Batch order within
     an epoch is shuffled from a stream keyed by (seed, epoch). ``val_every``
     > 0 evaluates counting MAE/MSE on ``val_scenes`` every that many steps
-    and at the last step.
+    and at the last step. One ``Workspace`` serves every forward, backward
+    and validation pass of the call and is dropped when it returns.
     """
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
@@ -355,6 +419,7 @@ def train(
 
     model = TinyModel(level=model.level, channels=model.channels, params=model.params.copy())
     opt = Adam(model.params.size, lr=lr)
+    work = Workspace()
     rows: list[TraceRow] = []
     step = 0
     epoch = 0
@@ -370,7 +435,7 @@ def train(
             group = [epoch_scenes[i] for i in order[start:start + batch]]
             gt_arr = np.stack([s.gt_map.data for s in group])
             obs_batch = np.stack([s.observation for s in group])
-            pred_arr, cache = model._forward_cache(obs_batch)
+            pred_arr, cache = model._forward_cache(obs_batch, work)
             if not np.all(np.isfinite(pred_arr)):
                 raise TrainingDiverged(step, float("nan"), _snapshot(model, rows))
 
@@ -393,7 +458,7 @@ def train(
 
             val_mae = val_mse = None
             if val_every > 0 and len(val_scenes) and (step % val_every == 0 or step == steps):
-                val_mae, val_mse = _counting_errors(model, val_scenes)
+                val_mae, val_mse = _counting_errors(model, val_scenes, work)
             rows.append(TraceRow(step, loss_value, norm, clipped, val_mae, val_mse))
         epoch += 1
     return TrainResult(model=model, rows=tuple(rows))

@@ -31,6 +31,17 @@ class TestDmapRoundTrip:
         write_dmap(path, DensityMap(0, [[math_pi := 3.141592653589793]]))
         assert read_dmap(path).data[0, 0] == math_pi
 
+    def test_cells_formatted_as_float64_to_17_digits(self, tmp_path):
+        edge = [-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308, -1.7976931348623157e308,
+                0.1, 1.0 / 3.0, -2.5, 1e-7, 123456789.123, 1e16, 9007199254740993.0, 1.0, -1e-300]
+        data = np.array(edge).reshape(4, 4)
+        path = tmp_path / "m.dmap"
+        write_dmap(path, DensityMap(2, data))
+        want = "4 4\n" + "".join(" ".join(f"{v:.17g}" for v in row) + "\n" for row in data)
+        assert path.read_bytes() == want.encode()
+        assert path.read_text().split()[2] == "-0"
+        assert np.array_equal(np.signbit(read_dmap(path).data), np.signbit(data))
+
     def test_header_layout(self, tmp_path):
         path = tmp_path / "m.dmap"
         write_dmap(path, DensityMap(1, [[1, 2], [3, 4]]))

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import fd_loss_gradient, random_map_batch
-from pml.likelihood import likelihood_with_variances
+from pml.likelihood import likelihood_with_variances, optimal_variances
 from pml.loss import (
     alpha_coefficients,
     l2_level,
@@ -14,7 +14,6 @@ from pml.loss import (
     l_diff_pair,
     loss_gradient,
     loss_value_and_gradient,
-    optimal_sigma,
     pml_loss,
     total_loss,
 )
@@ -278,47 +277,43 @@ class TestLossGradient:
 
 
 class TestOptimalSigma:
+    """``optimal_variances`` against the terms of a ``total_loss`` breakdown."""
+
     def test_base_level_zero(self):
         preds, gts = random_map_batch(22, 3, 2)
         bd = total_loss(preds, gts, 2, 1e-12)
-        sigma = optimal_sigma(bd, ResolutionSet.dense(2, 3))
+        sigma = optimal_variances(preds, gts, ResolutionSet.dense(2, 3))
         assert sigma[0] == pytest.approx(bd.l2_per_level[0], rel=1e-15)
 
     def test_pair_zero_one(self):
         preds, gts = random_map_batch(23, 3, 2)
         bd = total_loss(preds, gts, 1, 1e-12)
-        sigma = optimal_sigma(bd, ResolutionSet((0, 1, 3)))
+        sigma = optimal_variances(preds, gts, ResolutionSet((0, 1, 3)))
         assert sigma[1] == pytest.approx(bd.ldiff_per_pair[(0, 1)] / 3.0, rel=1e-15)
 
     def test_matches_breakdown_sigma(self):
         preds, gts = random_map_batch(24, 4, 2)
         bd = total_loss(preds, gts, 3, 1e-12)
-        assert optimal_sigma(bd, ResolutionSet.dense(3, 4)) == bd.sigma_sq
+        assert optimal_variances(preds, gts, ResolutionSet.dense(3, 4)) == bd.sigma_sq
 
     def test_perfect_fit_uses_guard_and_flags(self):
         preds, _ = random_map_batch(25, 3, 2)
         bd = total_loss(preds, preds, 2, 1e-12)
         assert bd.sigma_guarded
         assert bd.sigma_sq[0] == 1e-12
+        assert optimal_variances(preds, preds, ResolutionSet.dense(2, 3), 1e-12) == bd.sigma_sq
 
     def test_stationary_under_perturbation(self):
         preds, gts = random_map_batch(26, 4, 2)
-        n = 3
-        bd = total_loss(preds, gts, n, 1e-12)
-        levels = ResolutionSet.dense(n, 4)
-        base = likelihood_with_variances(preds, gts, levels, bd.sigma_sq)
-        for j in bd.sigma_sq:
+        levels = ResolutionSet.dense(3, 4)
+        sigma = optimal_variances(preds, gts, levels)
+        base = likelihood_with_variances(preds, gts, levels, sigma)
+        for j in sigma:
             for factor in (0.9, 0.99, 1.01, 1.1):
-                perturbed = dict(bd.sigma_sq)
-                perturbed[j] = bd.sigma_sq[j] * factor
+                perturbed = dict(sigma)
+                perturbed[j] = sigma[j] * factor
                 value = likelihood_with_variances(preds, gts, levels, perturbed)
                 assert value <= base + 1e-9
-
-    def test_missing_terms_rejected(self):
-        preds, gts = random_map_batch(27, 3, 2)
-        bd = total_loss(preds, gts, 1, 1e-12)
-        with pytest.raises(KeyError):
-            optimal_sigma(bd, ResolutionSet((0, 2, 3)))
 
 
 class TestPointsTrainingReaches:

@@ -15,6 +15,7 @@ from pml.synth import (
     SceneConfig,
     TinyModel,
     TrainingDiverged,
+    Workspace,
     _conv3x3_single_output,
     clip_by_global_norm,
     generate_scene,
@@ -177,23 +178,8 @@ class TestSecondStage:
         x = rng.uniform_block(int(np.prod(shape)), -1.0, 1.0).reshape(shape)
         w = rng.uniform_block(9 * shape[0], -1.0, 1.0).reshape(shape[0], 9)
         want = (w.reshape(1, -1) @ _reference_im2col(x)).reshape(shape[1:])
-        assert _rel_err(_conv3x3_single_output(x, w), want) < 1e-12
-
-    @pytest.mark.parametrize("level", [0, 1, 4])
-    def test_model_matches_patch_matrix(self, level):
-        side = 1 << level
-        model = TinyModel.initialize(level=level, channels=3, seed=level, init_scale=1.0)
-        rng = SplitMix64(60 + level)
-        obs = rng.uniform_block(side * side).reshape(1, side, side)
-        dpreds = rng.uniform_block(side * side, -1.0, 1.0).reshape(1, side, side)
-        _, cache = model._forward_cache(obs)
-        h, z2 = cache[1], cache[2]
-        cols2 = _reference_im2col(h)
-        w2 = model.params[30:57]
-        assert _rel_err(z2, (w2 @ cols2).reshape(z2.shape) + model.params[-1]) < 1e-12
-        dz2 = dpreds * 0.5 * (1.0 + np.tanh(0.5 * z2))  # softplus' = sigmoid
-        dw2 = model._backward(cache, dpreds)[30:57]
-        assert _rel_err(dw2, dz2.reshape(1, -1) @ cols2.T) < 1e-12
+        buf = Workspace().buffers(shape[1], shape[2], shape[0])
+        assert _rel_err(_conv3x3_single_output(x, w, buf.hp, buf.y), want) < 1e-12
 
 
 def _reference_model(params, channels, obs, dpreds):
@@ -241,6 +227,54 @@ class TestPatchMatrixReference:
         assert grad.shape == (bounds[-1],)
         for lo, hi, want in zip(bounds, bounds[1:], want_grad):
             assert _rel_err(grad[lo:hi], want.ravel()) < 1e-12
+
+
+class TestWorkspace:
+    """A reused workspace against the fresh path, which allocates every call."""
+
+    @pytest.mark.parametrize("level", [0, 1, 4, 6])
+    @pytest.mark.parametrize("channels", [1, 3, 6])
+    def test_reused_workspace_matches_fresh_path(self, level, channels):
+        side = 1 << level
+        model = TinyModel.initialize(level=level, channels=channels, seed=level + channels,
+                                     init_scale=1.0)
+        rng = SplitMix64(1000 + 10 * level + channels)
+        work = Workspace()
+        for _ in range(3):
+            for batch in (2, 1, 3):
+                obs = rng.uniform_block(batch * side * side).reshape(batch, side, side)
+                dpreds = rng.uniform_block(batch * side * side, -1.0, 1.0).reshape(obs.shape)
+                want_preds, want_cache = model._forward_cache(obs)
+                want_grad = model._backward(want_cache, dpreds)
+                preds, cache = model._forward_cache(obs, work)
+                assert np.array_equal(preds, want_preds)
+                for got, want in zip(cache[:3], want_cache[:3]):
+                    assert np.array_equal(got, want)
+                assert np.array_equal(model._backward(cache, dpreds), want_grad)
+            model.params = model.params + rng.uniform_block(model.params.size, -0.1, 0.1)
+
+    def test_fresh_path_caches_are_independent(self):
+        model = TinyModel.initialize(level=4, channels=3, seed=1, init_scale=1.0)
+        rng = SplitMix64(77)
+        obs = rng.uniform_block(4 * 256).reshape(2, 2, 16, 16)
+        dpreds = rng.uniform_block(2 * 256, -1.0, 1.0).reshape(2, 16, 16)
+        preds, cache = model._forward_cache(obs[0])
+        kept = [a.copy() for a in (preds, *cache[:3])]
+        grad = model._backward(cache, dpreds)
+        model._forward_cache(obs[1])
+        for got, want in zip((preds, *cache[:3]), kept):
+            assert np.array_equal(got, want)
+        assert np.array_equal(model._backward(cache, dpreds), grad)
+
+    def test_identical_train_calls_give_identical_trace_csv(self):
+        # 7 scenes in batches of 2 and 5 validation scenes in pairs: the
+        # workspace serves batch shapes 2 and 1 in both training and validation
+        scenes = _small_scenes(30, 7)
+        model = TinyModel.initialize(level=4, channels=3, seed=8)
+        runs = [train(model, scenes, loss_kind="pml", steps=9, lr=1e-2, batch=2, seed=4, n=2,
+                      val_scenes=scenes[:5], val_every=2) for _ in range(2)]
+        assert runs[0].trace_csv().encode() == runs[1].trace_csv().encode()
+        assert np.array_equal(runs[0].model.params, runs[1].model.params)
 
 
 class TestPredictCounts:
