@@ -40,6 +40,8 @@ from .loss import DEFAULT_EPSILON, _sigma_from_terms, _stack, _terms, l2_level, 
 from .pyramid import DensityMap, ResolutionSet, maps_from_batch
 from .rng import SplitMix64
 
+THEOREM_SLACK = 1e-9  # how far below the sparse set rounding may put the dense one
+
 
 @dataclass(frozen=True)
 class LikelihoodReport:
@@ -52,13 +54,18 @@ class LikelihoodReport:
     constant_part: float
 
 
-def _require_sub_levels(levels: ResolutionSet) -> tuple[int, ...]:
-    subs = levels.sub_levels
-    if not subs:
+def _checked_set(levels: ResolutionSet | Iterable[int], map_level: int) -> ResolutionSet:
+    """The one resolution-set check: a sub-level, and no level above the maps' ``map_level``."""
+    levels = ResolutionSet.of(levels)
+    if not levels.sub_levels:
         raise ValueError(
             f"resolution set {levels.levels} has no sub-level below the prediction level"
         )
-    return subs
+    if levels.prediction_level > map_level:
+        raise ValueError(
+            f"resolution set reaches level {levels.prediction_level}, maps are level {map_level}"
+        )
+    return levels
 
 
 def log_likelihood(
@@ -68,13 +75,9 @@ def log_likelihood(
     epsilon: float = DEFAULT_EPSILON,
 ) -> LikelihoodReport:
     """Variance-profiled relative log-likelihood for an arbitrary resolution set."""
-    levels = ResolutionSet.of(levels)
-    subs = _require_sub_levels(levels)
     d, level = _stack(preds, gts)
-    if levels.prediction_level > level:
-        raise ValueError(
-            f"resolution set reaches level {levels.prediction_level}, maps are level {level}"
-        )
+    levels = _checked_set(levels, level)
+    subs = levels.sub_levels
     l2, ldiff = _terms(d, level, subs)[:2]
     n_k = subs[-1]
     constant = -0.5 * (2.0 * math.pi - 1.0) * 4.0 ** n_k
@@ -140,8 +143,7 @@ def likelihood_with_variances(
     it evaluates its terms through the public ``l2_level``/``l_diff_pair``
     rather than the array core the profiled forms share.
     """
-    levels = ResolutionSet.of(levels)
-    subs = _require_sub_levels(levels)
+    subs = _checked_set(levels, _stack(preds, gts)[1]).sub_levels
     total = 0.0
     for j in range(1, len(subs)):
         a, b = subs[j - 1], subs[j]
@@ -173,9 +175,9 @@ def optimal_variances(
 
     Terms below ``epsilon`` fall back to ``epsilon``, as in the loss's log guard.
     """
-    levels = ResolutionSet.of(levels)
-    subs = _require_sub_levels(levels)
-    l2, ldiff = _terms(*_stack(preds, gts), subs)[:2]
+    d, level = _stack(preds, gts)
+    subs = _checked_set(levels, level).sub_levels
+    l2, ldiff = _terms(d, level, subs)[:2]
     return _sigma_from_terms(l2, ldiff, subs, epsilon)[0]
 
 
@@ -193,7 +195,6 @@ class TheoremTrial:
 class TheoremReport:
     trials: tuple[TheoremTrial, ...]
     violations: int
-    slack: float
 
     def to_csv(self) -> str:
         lines = ["trial,loglik_N,loglik_Nprime,diff,violated"]
@@ -210,15 +211,14 @@ def verify_theorem(
     level: int,
     n_k: int,
     batch: int = 2,
-    epsilon: float = DEFAULT_EPSILON,
-    slack: float = 1e-9,
 ) -> TheoremReport:
     """Compare sparse resolution sets against their dense refinement.
 
-    Each trial draws a random prediction/ground-truth batch at ``level``, a
+    Each trial draws a random batch of ``batch`` map pairs at ``level``, a
     random sparse sub-level set with maximum ``n_k``, and checks that the
-    dense set {0..n_k, level} never scores a lower log-likelihood than the
-    sparse one (beyond ``slack``). Trial t uses the stream seeded seed + t.
+    dense set {0..n_k, level} never scores a lower ``log_likelihood`` (at
+    ``DEFAULT_EPSILON``) than the sparse one, beyond ``THEOREM_SLACK``.
+    Trial t uses the stream seeded seed + t.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
@@ -236,10 +236,10 @@ def verify_theorem(
         sparse = ResolutionSet(tuple(subs) + (level,))
         preds = maps_from_batch(pred, level)
         gts = maps_from_batch(gt, level)
-        ll_sparse = log_likelihood(preds, gts, sparse, epsilon).loglik
-        ll_dense = log_likelihood(preds, gts, dense, epsilon).loglik
+        ll_sparse = log_likelihood(preds, gts, sparse).loglik
+        ll_dense = log_likelihood(preds, gts, dense).loglik
         diff = ll_dense - ll_sparse
-        violated = diff < -slack
+        violated = diff < -THEOREM_SLACK
         violations += violated
         rows.append(
             TheoremTrial(
@@ -251,4 +251,4 @@ def verify_theorem(
                 violated=violated,
             )
         )
-    return TheoremReport(trials=tuple(rows), violations=violations, slack=slack)
+    return TheoremReport(trials=tuple(rows), violations=violations)

@@ -69,9 +69,6 @@ class AlphaCoefficients:
     n: int
     alpha: tuple[float, ...]
 
-    def tail_sum(self, j: int) -> float:
-        return float(sum(self.alpha[j:]))
-
 
 def alpha_coefficients(n: int) -> AlphaCoefficients:
     """Solve the triangular re-weighting system by back-substitution."""

@@ -133,7 +133,7 @@ def test_criterion_5_alpha_system():
         coeffs = alpha_coefficients(n)
         ok &= abs(sum(coeffs.alpha) - 1.0) < 1e-12
         for j in range(1, n + 1):
-            ok &= abs((4.0 ** j - 4.0 ** (j - 1)) * coeffs.tail_sum(j) - 1.0) < 1e-12
+            ok &= abs((4.0 ** j - 4.0 ** (j - 1)) * sum(coeffs.alpha[j:]) - 1.0) < 1e-12
         ok &= abs(coeffs.alpha[0] - 2.0 / 3.0) < 1e-12
     rng = SplitMix64(40_000)
     for n in range(1, 9):

@@ -176,6 +176,14 @@ class TestAblateCommand:
         assert lines[0] == "cell,repeat,mae,mse"
         assert len(lines) == 5  # 2 n-values x reg on/off
 
+    def test_zero_repeats_is_input_error(self, tmp_path, capsys):
+        out = tmp_path / "ablate.csv"
+        code = main(["ablate", "--seed", "3", "--n-values", "0", "--repeats", "0",
+                     "--steps", "4", "--out", str(out)])
+        assert code == 1
+        assert not out.exists()
+        assert "repeats must be >= 1" in capsys.readouterr().err
+
 
 class TestCompareCommand:
     def test_writes_per_seed_table(self, tmp_path, capsys):

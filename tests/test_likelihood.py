@@ -1,10 +1,14 @@
+import hashlib
+import itertools
 import math
 
 import numpy as np
 import pytest
 
 from conftest import random_map_batch
+from pml.cli import main
 from pml.likelihood import (
+    THEOREM_SLACK,
     LikelihoodReport,
     likelihood_with_variances,
     log_likelihood,
@@ -13,6 +17,7 @@ from pml.likelihood import (
     verify_theorem,
 )
 from pml.loss import l2_level
+from pml.metrics import _TEST, BenchmarkConfig, _fixed_scenes, run_benchmark_cell
 from pml.pyramid import ResolutionSet, maps_from_batch
 from pml.rng import SplitMix64
 
@@ -95,6 +100,17 @@ class TestLogLikelihood:
             log_likelihood([], [], ResolutionSet((0, 3)), EPS)
 
 
+@pytest.mark.parametrize("evaluate", [
+    lambda p, g, levels: log_likelihood(p, g, levels),
+    lambda p, g, levels: optimal_variances(p, g, levels),
+    lambda p, g, levels: likelihood_with_variances(p, g, levels, {0: 1.0, 1: 1.0}),
+], ids=["log_likelihood", "optimal_variances", "likelihood_with_variances"])
+def test_every_entry_point_rejects_a_set_above_the_map_level(evaluate):
+    preds, gts = random_map_batch(43, 3, 2)
+    with pytest.raises(ValueError, match="resolution set reaches level 5, maps are level 3"):
+        evaluate(preds, gts, (0, 1, 5))
+
+
 class TestSpecialCaseLikelihood:
     def test_n0_reduces_to_base_term(self):
         preds, gts = random_map_batch(35, 4, 2)
@@ -158,6 +174,30 @@ class TestVerifyTheorem:
         assert lines[0] == "trial,loglik_N,loglik_Nprime,diff,violated"
         assert len(lines) == 4
         assert all(len(line.split(",")) == 5 for line in lines[1:])
+
+    def test_cli_csv_is_pinned(self, tmp_path, capsys):
+        out = tmp_path / "theorem.csv"
+        assert main(["verify-theorem", "--trials", "100", "--seed", "6", "--level", "5",
+                     "--nk", "3", "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "d2fd6329f85231803715c830df35923a3085179fb0bf3391cc20c06016541c10"
+        )
+
+    def test_refinement_holds_on_trained_residuals(self):
+        # the theorem on the residuals training reaches, not only on uniform
+        # noise: a briefly trained level-4 benchmark model and its test scenes
+        cfg = BenchmarkConfig(level=4, channels=2, n=2, steps=200, scenes_per_epoch=4,
+                              val_count=2, test_count=16, val_every=200)
+        model = run_benchmark_cell(cfg, 21, "pml").result.model
+        test = _fixed_scenes(cfg, 21, _TEST, cfg.test_count)
+        preds = [model.forward(s.observation) for s in test]
+        gts = [s.gt_map for s in test]
+        dense = log_likelihood(preds, gts, (0, 1, 2, 3, 4)).loglik
+        subsets = [c for k in range(4) for c in itertools.combinations((0, 1, 2), k)]
+        assert len(subsets) == 8
+        for subs in subsets:
+            sparse = log_likelihood(preds, gts, subs + (3, 4)).loglik
+            assert dense >= sparse - THEOREM_SLACK, f"{subs}: {dense!r} < {sparse!r}"
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):

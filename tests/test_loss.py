@@ -147,7 +147,7 @@ class TestAlphaCoefficients:
         coeffs = alpha_coefficients(n)
         assert abs(sum(coeffs.alpha) - 1.0) < 1e-12
         for j in range(1, n + 1):
-            assert abs((4.0 ** j - 4.0 ** (j - 1)) * coeffs.tail_sum(j) - 1.0) < 1e-12
+            assert abs((4.0 ** j - 4.0 ** (j - 1)) * sum(coeffs.alpha[j:]) - 1.0) < 1e-12
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_alpha0_is_two_thirds(self, n):

@@ -136,6 +136,11 @@ class TestAblation:
         with pytest.raises(ValueError):
             ablation_run(9, [TINY.level + 1], cfg=TINY)
 
+    @pytest.mark.parametrize("repeats", [0, -1])
+    def test_fewer_than_one_repeat_rejected(self, repeats):
+        with pytest.raises(ValueError, match="repeats must be >= 1"):
+            ablation_run(9, [1], repeats=repeats, cfg=TINY)
+
 
 class TestBenchmarkCell:
     def test_metrics_and_hash_populated(self):
