@@ -99,13 +99,17 @@ def train_stream(cfg: BenchmarkConfig, base_seed: int):
 
 def stream_manifest(cfg: BenchmarkConfig, base_seed: int) -> str:
     """One JSON line per planned training scene config (scenes are pure
-    functions of their config, so this identifies the stream)."""
+    functions of their config, so this identifies the stream).
+
+    Each line is ``json.dumps(config.__dict__, sort_keys=True)``. Only the
+    seed varies and "seed" sorts last, so the lines share one head.
+    """
     stream_seed = derive_seed(base_seed, _TRAIN)
-    lines = []
-    for epoch in range(cfg.epochs):
-        for i in range(cfg.scenes_per_epoch):
-            sc = cfg.scene_config(derive_seed(stream_seed, epoch, i))
-            lines.append(json.dumps(sc.__dict__, sort_keys=True))
+    fields = dict(cfg.scene_config(0).__dict__)
+    del fields["seed"]
+    head = json.dumps(fields, sort_keys=True)[:-1] + ', "seed": '
+    lines = [f"{head}{derive_seed(stream_seed, epoch, i)}}}"
+             for epoch in range(cfg.epochs) for i in range(cfg.scenes_per_epoch)]
     return "\n".join(lines) + "\n"
 
 

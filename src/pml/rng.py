@@ -1,8 +1,13 @@
 """Deterministic pseudo-random streams built on splitmix64.
 
 Scene generation and theorem-verification trials must reproduce exactly,
-including across implementations in other languages, so nothing here uses a
-platform RNG. The generator is a 64-bit counter: each draw advances the
+so nothing here uses a platform RNG. The integer stream and the uniforms are
+exact integer arithmetic and one exact scaling, the same on every platform.
+Gaussian draws also take a logarithm, a cosine and a sine: ``gaussian_pair``
+calls the C library through ``math`` and ``gaussian_block`` calls numpy,
+whose float64 ``log`` runs its own AVX-512 kernel where the CPU has one and
+the C library otherwise. Gaussian blocks, and the scenes built on them, are
+therefore exact per numpy SIMD dispatch level, not across levels. The generator is a 64-bit counter: each draw advances the
 counter by a fixed odd constant and feeds it through the splitmix64 finalizer
 mix. All floating-point draws are derived from integer output:
 

@@ -15,7 +15,7 @@ everywhere. Parameters live in one flat float64 vector; both kernels are
 are written directly against numpy: the first stage, the hidden gradient and
 both weight gradients are plain matmuls with the 9-row patch matrix of a
 single-channel (B, H, W) stack, and the C->1 second stage is one (9, C)
-matmul plus nine shifted-slice adds, with no C*9-row patch matrix. ``train``
+matmul plus nine contiguous slice adds, with no C*9-row patch matrix. ``train``
 runs Adam with global gradient-norm clipping.
 
 Every large array of a step (padded stacks, patch matrices, the hidden
@@ -102,15 +102,17 @@ def generate_scene(cfg: SceneConfig) -> Scene:
     side = 1 << cfg.obs_level
     coords = (np.arange(side) + 0.5) * (size / side)
     inv = 1.0 / (2.0 * cfg.blob_sigma ** 2)
-    if pts:
-        xy = np.array(pts)
-        gx = np.exp(-((coords[None, :] - xy[:, 0:1]) ** 2) * inv)  # (P, side)
-        gy = np.exp(-((coords[None, :] - xy[:, 1:2]) ** 2) * inv)
-        obs = gy.T @ gx  # row index is y
+    if len(ann):
+        # both separable Gaussians in one (2, P, side) buffer: row 0 along x, row 1 along y
+        g = np.subtract(coords, ann.points.T[:, :, None])
+        np.square(g, out=g)
+        g *= -inv
+        np.exp(g, out=g)
+        obs = g[1].T @ g[0]  # row index is y
     else:
         obs = np.zeros((side, side))
     if cfg.noise_std > 0:
-        obs = obs + rng.gaussian_block(side * side, std=cfg.noise_std).reshape(side, side)
+        obs += rng.gaussian_block(side * side, std=cfg.noise_std).reshape(side, side)
     gt = rasterize(ann, cfg.obs_level)
     return Scene(config=cfg, annotations=ann, observation=obs, gt_map=gt)
 
@@ -143,7 +145,7 @@ class _Buffers:
         self.cols1 = np.empty((9, pixels))
         self.h = np.empty((channels, pixels))  # first-stage pre-activation, then h
         self.hp = np.zeros((channels, batch, side + 2, side + 2))
-        self.y = np.empty((9, batch * (side + 2) ** 2))
+        self.y = np.empty((9, batch * (side + 2) ** 2))  # offset responses; row 0 sums them
         self.cols_dz2 = np.empty((9, pixels))
         self.dh = np.empty((channels, pixels))  # dh, then dz1
         self.g = np.empty((channels, pixels))  # 1 - h*h
@@ -170,17 +172,22 @@ def _conv3x3_single_output(x: np.ndarray, w: np.ndarray, xp: np.ndarray,
     """Bias-free cross-correlation of (C, B, H, W) with one (C, 9) kernel -> (B, H, W).
 
     ``xp`` (C, B, H+2, W+2) is zero-bordered scratch and ``y`` (9, B*(H+2)*(W+2))
-    receives each 3x3 offset's response at every padded position.
+    receives each 3x3 offset's response at every padded position. In the
+    flat padded layout the offset (du, dv) is a shift by du*(W+2) + dv, so
+    the nine responses add up as contiguous 1-D slices into row 0 of ``y``,
+    whose (B, H+2, W+2) view then holds the output in its top-left corner.
     """
     c, batch, h, wd = x.shape
     xp[:, :, 1:-1, 1:-1] = x
     np.matmul(w.T, xp.reshape(c, -1), out=y)
-    y = y.reshape(9, batch, h + 2, wd + 2)
-    out = y[0, :, :h, :wd].copy()
+    # the largest shift, 2*(W+2) + 2, takes the last output cell to the last padded one
+    size = y.shape[1] - 2 * (wd + 2) - 2
+    acc = y[0, :size]
     for k in range(1, 9):
         du, dv = divmod(k, 3)
-        out += y[k, :, du:du + h, dv:dv + wd]
-    return out
+        shift = du * (wd + 2) + dv
+        acc += y[k, shift:shift + size]
+    return y[0].reshape(batch, h + 2, wd + 2)[:, :h, :wd].copy()
 
 
 def _softplus(z: np.ndarray) -> np.ndarray:
@@ -243,7 +250,7 @@ class TinyModel:
         stage is ``w1 @ cols1`` on the patch matrix of the observations. The
         C->1 second stage needs no patch matrix: one (9, C) matmul on the
         zero padded hidden stack gives each 3x3 offset's response, and the
-        nine shifted slices of it add up to the output.
+        nine shifted 1-D slices of it add up to the output.
 
         The large arrays live in ``work`` (a fresh ``Workspace`` when None)
         and are written with ``out=``, so the bits do not depend on it. The
@@ -414,8 +421,11 @@ def train(
     """
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
+    if batch < 1:
+        raise ValueError(f"batch must be >= 1, got {batch}")
     if loss_kind not in ("pml", "l2"):
         raise ValueError(f"loss_kind must be 'pml' or 'l2', got {loss_kind!r}")
+    loss_mod._check_n(n, model.level)  # for both kinds, so a bad n fails before any step
     provider = scenes if callable(scenes) else (lambda epoch: scenes)
 
     model = TinyModel(level=model.level, channels=model.channels, params=model.params.copy())

@@ -166,6 +166,15 @@ class TestTrainDemoCommand:
         assert "lr=0.001" in echo and "clip=10.0" in echo and "n=4" in echo
 
 
+    @pytest.mark.parametrize("loss", ["l2", "pml"])
+    def test_n_above_the_map_level_is_input_error(self, tmp_path, capsys, loss):
+        out = tmp_path / "t.csv"
+        assert main(["train-demo", "--seed", "1", "--steps", "1", "--loss", loss, "--n", "99",
+                     "--out", str(out)]) == 1
+        assert not out.exists()
+        assert "n = 99 exceeds prediction level 6" in capsys.readouterr().err
+
+
 class TestAblateCommand:
     def test_writes_table(self, tmp_path, capsys):
         out = tmp_path / "ablate.csv"

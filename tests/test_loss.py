@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from conftest import fd_loss_gradient, random_map_batch
 from pml.likelihood import likelihood_with_variances, optimal_variances
 from pml.loss import (
+    _sq_norm,
     alpha_coefficients,
     l2_level,
     l_diff,
@@ -19,6 +20,15 @@ from pml.loss import (
 )
 from pml.pyramid import DensityMap, ResolutionSet, downsample_sum, maps_from_batch, residual
 from pml.rng import SplitMix64
+
+
+class TestSqNorm:
+    @pytest.mark.parametrize("side", [1, 2, 3, 16, 64, 512])
+    def test_equals_mean_of_per_sample_sums_bit_for_bit(self, side):
+        rng = SplitMix64(side)
+        for batch in range(1, 9):
+            x = rng.uniform_block(batch * side * side, -2.0, 2.0).reshape(batch, side, side)
+            assert _sq_norm(x) == float(np.mean(np.sum(x * x, axis=(1, 2))))
 
 
 class TestL2Level:

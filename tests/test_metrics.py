@@ -1,9 +1,12 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pml.metrics import (
+    _TRAIN,
     BenchmarkConfig,
     ablation_run,
     evaluate,
@@ -86,6 +89,13 @@ class TestStreams:
 
     def test_manifest_hash_stable(self):
         assert stream_manifest_hash(TINY, 1) == stream_manifest_hash(TINY, 1)
+
+    @pytest.mark.parametrize("cfg", [TINY, BenchmarkConfig(steps=40)])
+    def test_manifest_lines_are_each_scene_configs_json(self, cfg):
+        seed = derive_seed(9, _TRAIN)
+        want = [json.dumps(cfg.scene_config(derive_seed(seed, epoch, i)).__dict__, sort_keys=True)
+                for epoch in range(cfg.epochs) for i in range(cfg.scenes_per_epoch)]
+        assert stream_manifest(cfg, 9) == "\n".join(want) + "\n"
 
     def test_benchmark_manifest_is_pinned(self):
         # every scene config of the default benchmark stream; JSON, so BLAS-independent

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import float64_dispatch
 from pml.loss import total_loss, loss_gradient
 from pml.metrics import BenchmarkConfig
 from pml.pyramid import DensityMap
@@ -79,7 +80,17 @@ class TestGenerateScene:
         assert scene.gt_map.total() == float(len(scene.annotations))
 
     # sha256 of points, observation and ground truth (little-endian float64);
-    # scene bits are part of the determinism contract, so a change here is declared
+    # scene bits are part of the determinism contract, so a change here is declared.
+    # The blob's exp and the noise's log follow numpy's float64 dispatch: the
+    # parametrized digests are those of its AVX-512 kernels, these of the C library's
+    LIBM_SCENE_DIGESTS = {
+        1: "ab3bb52d5a25317e6b72277e3775ade43be0e4f42286a466092ad000cdc011ee",
+        2: "f6cb1f5c96a374d2f755dc8d21957c1eb09d8e33d57f24407efbec662e329195",
+        3: "31c62d710d15c27e09a83d963ee360c3aebe0cea4e46470c5fda438aff47c282",
+        4: "58482ecbaa730f3c92cf4b435525260939425f04232bacdd92f912c54ba90e8c",
+        5: "dae74ba044efd29022c994f2065b4e2ed51a29f2c5621e4ddd2257f5b4987e4c",
+    }
+
     @pytest.mark.parametrize("seed,changes,digest", [
         (1, {}, "04faac444e1209de2a761aeabc9494edeed89bd7adb6e19a793700c6facd9a23"),
         (2, {}, "9f535e59f2bbde619a1955f671348c1f7bb90bdbfc9571d4e07ec7e50b04a870"),
@@ -88,12 +99,15 @@ class TestGenerateScene:
         (5, {"noise_std": 0.0}, "42f0bb3181092064350188e60b101fcd2260c89742f84225620ce5e2505f8822"),
     ])
     def test_benchmark_scene_bits_are_pinned(self, seed, changes, digest):
+        digests = {"avx512": digest, "libm": self.LIBM_SCENE_DIGESTS[seed]}
+        dispatch = float64_dispatch()
+        assert dispatch in digests, f"no pinned scene digests for numpy's {dispatch}"
         cfg = dataclasses.replace(BenchmarkConfig().scene_config(seed), **changes)
         scene = generate_scene(cfg)
         h = hashlib.sha256()
         for a in (scene.annotations.points, scene.observation, scene.gt_map.data):
             h.update(np.ascontiguousarray(a, dtype="<f8").tobytes())
-        assert h.hexdigest() == digest
+        assert h.hexdigest() == digests[dispatch], f"float64 dispatch: {dispatch}"
 
 
 class TestTinyModel:
@@ -180,6 +194,24 @@ class TestSecondStage:
         want = (w.reshape(1, -1) @ _reference_im2col(x)).reshape(shape[1:])
         buf = Workspace().buffers(shape[1], shape[2], shape[0])
         assert _rel_err(_conv3x3_single_output(x, w, buf.hp, buf.y), want) < 1e-12
+
+    @pytest.mark.parametrize("channels,batch,side", [(6, 2, 64), (3, 1, 1), (6, 1, 2), (4, 3, 16)])
+    def test_flat_slices_equal_strided_window_adds(self, channels, batch, side):
+        rng = SplitMix64(channels * batch + side)
+        x = rng.uniform_block(channels * batch * side * side, -1.0, 1.0)
+        x = x.reshape(channels, batch, side, side)
+        w = rng.uniform_block(9 * channels, -1.0, 1.0).reshape(channels, 9)
+        buf = Workspace().buffers(batch, side, channels)
+        got = _conv3x3_single_output(x, w, buf.hp, buf.y)
+        # the same products, summed as nine 3-D windows of the padded responses in offset order
+        xp = np.zeros((channels, batch, side + 2, side + 2))
+        xp[:, :, 1:-1, 1:-1] = x
+        y = (w.T @ xp.reshape(channels, -1)).reshape(9, batch, side + 2, side + 2)
+        want = y[0, :, :side, :side].copy()
+        for k in range(1, 9):
+            du, dv = divmod(k, 3)
+            want += y[k, :, du:du + side, dv:dv + side]
+        assert got.shape == want.shape and np.array_equal(got, want)
 
 
 def _reference_model(params, channels, obs, dpreds):
@@ -380,6 +412,37 @@ class TestTrain:
         with pytest.raises(ValueError, match="loss_kind"):
             train(model, scenes, loss_kind="huber", steps=1, lr=1e-3, clip_norm=10.0, batch=2,
                   seed=0, n=4)
+
+    @pytest.mark.parametrize("batch", [0, -1])
+    def test_batch_below_one_rejected_before_any_epoch(self, batch):
+        scenes = _small_scenes(11, 4)
+        seen = []
+
+        def provider(epoch):
+            # a bad batch once spun here epoch after epoch; fail instead of hanging
+            if len(seen) == 3:
+                raise RuntimeError("scene source asked for a fourth epoch")
+            seen.append(epoch)
+            return scenes
+
+        model = TinyModel.initialize(level=4, channels=2, seed=8)
+        with pytest.raises(ValueError, match=f"batch must be >= 1, got {batch}"):
+            train(model, provider, loss_kind="l2", steps=2, lr=1e-3, clip_norm=10.0,
+                  batch=batch, seed=0, n=4)
+        assert seen == []
+
+    @pytest.mark.parametrize("loss_kind", ["pml", "l2"])
+    @pytest.mark.parametrize("n,message", [(5, "n = 5 exceeds prediction level 4"),
+                                           (-1, "n must be >= 0, got -1")])
+    def test_n_outside_the_levels_rejected_for_both_losses(self, loss_kind, n, message):
+        model = TinyModel.initialize(level=4, channels=2, seed=9)
+
+        def provider(epoch):
+            raise AssertionError("n was not checked before the first epoch")
+
+        with pytest.raises(ValueError, match=message):
+            train(model, provider, loss_kind=loss_kind, steps=1, lr=1e-3, clip_norm=10.0,
+                  batch=2, seed=0, n=n)
 
     def test_trace_csv_layout(self):
         scenes = _small_scenes(10, 4)
