@@ -191,7 +191,19 @@ def _conv3x3_single_output(x: np.ndarray, w: np.ndarray, xp: np.ndarray,
 
 
 def _softplus(z: np.ndarray) -> np.ndarray:
-    return np.logaddexp(0.0, z)
+    """log(1 + e^z) as log1p(exp(-|z|)) + max(z, 0), in a fresh array.
+
+    The exponent is never positive, so nothing overflows. It equals
+    ``np.logaddexp(0, z)`` bit for bit where numpy's float64 ``exp`` and
+    ``log1p`` are the C library's, and within 4.5e-16 relative under its
+    AVX-512 kernels.
+    """
+    out = np.abs(z)
+    np.negative(out, out=out)
+    np.exp(out, out=out)
+    np.log1p(out, out=out)
+    out += np.maximum(z, 0.0)
+    return out
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:

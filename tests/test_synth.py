@@ -18,6 +18,7 @@ from pml.synth import (
     TrainingDiverged,
     Workspace,
     _conv3x3_single_output,
+    _softplus,
     clip_by_global_norm,
     generate_scene,
     predict_counts,
@@ -212,6 +213,23 @@ class TestSecondStage:
             du, dv = divmod(k, 3)
             want += y[k, :, du:du + side, dv:dv + side]
         assert got.shape == want.shape and np.array_equal(got, want)
+
+
+class TestSoftplus:
+    def test_matches_logaddexp(self):
+        z = np.concatenate([np.linspace(-800.0, 800.0, 160001),
+                            [0.0, -0.0, 1e-300, -1e-300, 709.0, -709.0, 745.0, -745.0,
+                             np.inf, -np.inf]])
+        before = z.copy()
+        got, want = _softplus(z), np.logaddexp(0.0, z)
+        assert np.array_equal(z, before) and not np.shares_memory(got, z)
+        if float64_dispatch() == "libm":
+            assert np.array_equal(got, want)
+        finite = np.isfinite(want)
+        assert np.array_equal(got[~finite], want[~finite])
+        # subnormal outputs (z below about -708.4) may differ by one subnormal step
+        tol = np.maximum(4.5e-16 * want[finite], np.spacing(0.0))
+        assert np.all(np.abs(got[finite] - want[finite]) <= tol)
 
 
 def _reference_model(params, channels, obs, dpreds):
