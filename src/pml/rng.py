@@ -7,9 +7,11 @@ Gaussian draws also take a logarithm, a cosine and a sine: ``gaussian_pair``
 calls the C library through ``math`` and ``gaussian_block`` calls numpy,
 whose float64 ``log`` runs its own AVX-512 kernel where the CPU has one and
 the C library otherwise. Gaussian blocks, and the scenes built on them, are
-therefore exact per numpy SIMD dispatch level, not across levels. The generator is a 64-bit counter: each draw advances the
-counter by a fixed odd constant and feeds it through the splitmix64 finalizer
-mix. All floating-point draws are derived from integer output:
+therefore exact per numpy SIMD dispatch level, not across levels.
+
+The generator is a 64-bit counter: each draw advances the counter by a fixed
+odd constant and feeds it through the splitmix64 finalizer mix. All
+floating-point draws are derived from integer output:
 
 * ``uniform``   -- top 53 bits of the mixed counter, scaled into [0, 1).
 * ``randint``   -- ``low + floor(uniform * span)``, clamped to ``high``.
