@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -44,6 +45,16 @@ def _int_list(text: str) -> list[int]:
     if not values:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
     return values
+
+
+def _tolerance(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not 0.0 <= value < math.inf:
+        raise argparse.ArgumentTypeError(f"tolerance must be finite and >= 0, got {text!r}")
+    return value
 
 
 def _cmd_rasterize(args) -> int:
@@ -97,7 +108,7 @@ def _cmd_grad_check(args) -> int:
     num_scale = max(float(np.max(np.abs(g))) for g in numeric)
     err = max(float(np.max(np.abs(a.data - g))) for a, g in zip(analytic, numeric)) / num_scale
     print(f"max relative error: {err:.6e} (tolerance {args.tol:g})")
-    if err > args.tol:
+    if not err <= args.tol:  # a NaN error fails too
         print("grad-check: FAIL", file=sys.stderr)
         return 2
     print("grad-check: OK")
@@ -202,7 +213,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--level", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--tol", type=float, default=1e-5)
+    p.add_argument("--tol", type=_tolerance, default=1e-5)
     p.add_argument("--eps", type=float, default=DEFAULT_EPSILON)
     p.set_defaults(func=_cmd_grad_check)
 

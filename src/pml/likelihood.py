@@ -36,7 +36,15 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from .loss import DEFAULT_EPSILON, _sigma_from_terms, _stack, _terms, l2_level, l_diff_pair
+from .loss import (
+    DEFAULT_EPSILON,
+    _check_epsilon,
+    _sigma_from_terms,
+    _stack,
+    _terms,
+    l2_level,
+    l_diff_pair,
+)
 from .pyramid import DensityMap, ResolutionSet, maps_from_batch
 from .rng import SplitMix64
 
@@ -75,6 +83,7 @@ def log_likelihood(
     epsilon: float = DEFAULT_EPSILON,
 ) -> LikelihoodReport:
     """Variance-profiled relative log-likelihood for an arbitrary resolution set."""
+    _check_epsilon(epsilon)
     d, level = _stack(preds, gts)
     levels = _checked_set(levels, level)
     subs = levels.sub_levels
@@ -108,6 +117,7 @@ def special_case_likelihood(
     """Collapsed form for the dense set {0..n} plus the prediction level."""
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
+    _check_epsilon(epsilon)
     d, level = _stack(preds, gts)
     levels = ResolutionSet.dense(n, level)
     l2, ldiff = _terms(d, level, levels.sub_levels)[:2]
@@ -175,6 +185,7 @@ def optimal_variances(
 
     Terms below ``epsilon`` fall back to ``epsilon``, as in the loss's log guard.
     """
+    _check_epsilon(epsilon)
     d, level = _stack(preds, gts)
     subs = _checked_set(levels, level).sub_levels
     l2, ldiff = _terms(d, level, subs)[:2]

@@ -121,14 +121,15 @@ def _stack(preds: Sequence[DensityMap], gts: Sequence[DensityMap]):
     if len(preds) != len(gts):
         raise ValueError(f"batch sizes differ: {len(preds)} predictions vs {len(gts)} ground truths")
     level = preds[0].level
+    side = 1 << level
+    d = np.empty((len(preds), side, side))
     for k, (p, g) in enumerate(zip(preds, gts)):
         if p.level != level or g.level != level:
             raise ValueError(
                 f"pair {k}: prediction level {p.level}, ground truth level {g.level}; "
                 f"a batch needs a single map level ({level})"
             )
-    d = np.stack([p.data for p in preds])
-    d -= np.stack([g.data for g in gts])
+        np.subtract(p.data, g.data, out=d[k])
     return d, level
 
 
@@ -203,6 +204,12 @@ def _sigma_from_terms(
     return sigma, guarded
 
 
+def _check_epsilon(epsilon: float) -> None:
+    """Reject a log guard ``eps`` that is not a finite number above zero."""
+    if not 0.0 < epsilon < math.inf:
+        raise ValueError(f"epsilon must be finite and > 0, got {epsilon}")
+
+
 def _check_n(n: int, level: int) -> None:
     """Reject a finest pml level ``n`` outside [0, level], the prediction level."""
     if n < 0:
@@ -218,8 +225,7 @@ def _evaluate(d, level, n, epsilon, include_regularizer, want_gradient):
     respect to the prediction as one array of the same shape (else None).
     """
     _check_n(n, level)
-    if epsilon <= 0.0:
-        raise ValueError(f"epsilon must be > 0, got {epsilon}")
+    _check_epsilon(epsilon)
 
     l2_vals, ldiff_vals, pooled, diffs = _terms(d, level, tuple(range(n + 1)))
     pml = math.log(l2_vals[0] + epsilon)

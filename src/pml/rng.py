@@ -19,7 +19,11 @@ floating-point draws are derived from integer output:
   uniform shifted into (0, 1] so the logarithm is always finite.
 
 ``uniform_block`` produces exactly the same values as repeated ``uniform``
-calls, but vectorized with numpy uint64 arithmetic.
+calls, but vectorized with numpy uint64 arithmetic. ``gaussian_pair`` reads
+its two uniforms from a lookahead of ``_LOOKAHEAD`` draws mixed at once the
+same way; the lookahead is keyed on the counter, so any other draw, or a
+write to ``_state``, makes it stale, and the pairs equal those from mixing
+one draw at a time.
 """
 
 from __future__ import annotations
@@ -31,12 +35,28 @@ import numpy as np
 _MASK = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
 _INV_2_53 = 1.0 / (1 << 53)
+_LOOKAHEAD = 256  # uniforms ``gaussian_pair`` mixes per refill
 
 
 def _mix(z: int) -> int:
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
     return z ^ (z >> 31)
+
+
+def _uniforms(state: int, count: int) -> np.ndarray:
+    """The uniforms of the ``count`` draws after counter ``state``, mixed in numpy."""
+    z = np.arange(1, count + 1, dtype=np.uint64)
+    z *= np.uint64(_GAMMA)
+    z += np.uint64(state)
+    shifted = np.empty_like(z)
+    z ^= np.right_shift(z, np.uint64(30), out=shifted)
+    z *= np.uint64(0xBF58476D1CE4E5B9)
+    z ^= np.right_shift(z, np.uint64(27), out=shifted)
+    z *= np.uint64(0x94D049BB133111EB)
+    z ^= np.right_shift(z, np.uint64(31), out=shifted)
+    z >>= np.uint64(11)
+    return np.multiply(z, _INV_2_53, dtype=np.float64)
 
 
 def derive_seed(*words: int) -> int:
@@ -52,6 +72,11 @@ class SplitMix64:
 
     def __init__(self, seed: int):
         self._state = int(seed) & _MASK
+        # gaussian_pair's lookahead: uniforms of the draws after counter
+        # ``_ahead_state``, the next one at index ``_ahead_next``
+        self._ahead: list[float] = []
+        self._ahead_next = 0
+        self._ahead_state = None
 
     def next_u64(self) -> int:
         self._state = (self._state + _GAMMA) & _MASK
@@ -63,18 +88,8 @@ class SplitMix64:
 
     def uniform_block(self, count: int, low: float = 0.0, high: float = 1.0) -> np.ndarray:
         """``count`` uniforms, identical to that many ``uniform`` calls."""
-        z = np.arange(1, count + 1, dtype=np.uint64)
-        z *= np.uint64(_GAMMA)
-        z += np.uint64(self._state)
+        u = _uniforms(self._state, count)
         self._state = (self._state + count * _GAMMA) & _MASK
-        shifted = np.empty_like(z)
-        z ^= np.right_shift(z, np.uint64(30), out=shifted)
-        z *= np.uint64(0xBF58476D1CE4E5B9)
-        z ^= np.right_shift(z, np.uint64(27), out=shifted)
-        z *= np.uint64(0x94D049BB133111EB)
-        z ^= np.right_shift(z, np.uint64(31), out=shifted)
-        z >>= np.uint64(11)
-        u = np.multiply(z, _INV_2_53, dtype=np.float64)
         u *= high - low
         u += low
         return u
@@ -88,8 +103,16 @@ class SplitMix64:
 
     def gaussian_pair(self, mean: float = 0.0, std: float = 1.0) -> tuple[float, float]:
         """One Box-Muller pair; consumes exactly two uniform draws."""
-        u1 = ((self.next_u64() >> 11) + 1) * _INV_2_53
-        u2 = (self.next_u64() >> 11) * _INV_2_53
+        state = self._state
+        i = self._ahead_next
+        ahead = self._ahead
+        if state != self._ahead_state or i + 2 > len(ahead):
+            ahead = self._ahead = _uniforms(state, _LOOKAHEAD).tolist()
+            i = 0
+        u1 = ahead[i] + _INV_2_53  # exact: shifts the uniform into (0, 1]
+        u2 = ahead[i + 1]
+        self._ahead_next = i + 2
+        self._state = self._ahead_state = (state + 2 * _GAMMA) & _MASK
         r = math.sqrt(-2.0 * math.log(u1))
         theta = 2.0 * math.pi * u2
         return mean + std * r * math.cos(theta), mean + std * r * math.sin(theta)

@@ -88,16 +88,17 @@ def generate_scene(cfg: SceneConfig) -> Scene:
     size = cfg.scene_size
     centers = [(rng.uniform(0.0, size), rng.uniform(0.0, size)) for _ in range(cfg.num_clusters)]
     counts = [rng.randint(*cfg.points_per_cluster) for _ in range(cfg.num_clusters)]
-    pts: list[tuple[float, float]] = []
+    draw, spread = rng.gaussian_pair, cfg.cluster_spread
+    flat: list[float] = []  # x0, y0, x1, y1, ...
     for (cx, cy), count in zip(centers, counts):
         for _ in range(count):
             while True:
-                dx, dy = rng.gaussian_pair(std=cfg.cluster_spread)
+                dx, dy = draw(0.0, spread)
                 x, y = cx + dx, cy + dy
                 if 0.0 <= x < size and 0.0 <= y < size:
-                    pts.append((x, y))
+                    flat += (x, y)
                     break
-    ann = PointAnnotations(points=np.array(pts).reshape(-1, 2), scene_size=size)
+    ann = PointAnnotations(points=np.array(flat).reshape(-1, 2), scene_size=size)
 
     side = 1 << cfg.obs_level
     coords = (np.arange(side) + 0.5) * (size / side)

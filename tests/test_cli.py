@@ -55,6 +55,15 @@ class TestLossCommand:
                      "--n", "2"])
         assert code == 0
 
+    @pytest.mark.parametrize("eps", ["nan", "inf", "0", "-1"])
+    def test_bad_eps_is_an_input_error(self, tmp_path, capsys, eps):
+        _write_map(tmp_path / "p.dmap", 2, 2)
+        _write_map(tmp_path / "g.dmap", 2, 3)
+        code = main(["loss", "--pred", str(tmp_path / "p.dmap"), "--gt", str(tmp_path / "g.dmap"),
+                     "--n", "1", "--eps", eps])
+        assert code == 1
+        assert "epsilon must be finite and > 0" in capsys.readouterr().err
+
     def test_negative_gt_rejected(self, tmp_path, capsys):
         _write_map(tmp_path / "p.dmap", 1, 1)
         write_dmap(tmp_path / "g.dmap", DensityMap(1, [[-1.0, 0.0], [0.0, 0.0]]))
@@ -73,6 +82,30 @@ class TestGradCheckCommand:
     def test_impossible_tolerance_fails_with_code_2(self, capsys):
         code = main(["grad-check", "--seed", "7", "--level", "3", "--n", "2", "--tol", "1e-30"])
         assert code == 2
+
+    def test_nan_error_fails_with_code_2(self, capsys, monkeypatch):
+        monkeypatch.setattr(
+            "pml.cli.fd_loss_gradient", lambda f, preds: [np.full_like(p.data, np.nan) for p in preds]
+        )
+        code = main(["grad-check", "--seed", "7", "--level", "3", "--n", "2", "--tol", "1e-5"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "max relative error: nan" in captured.out
+        assert "OK" not in captured.out
+        assert "FAIL" in captured.err
+
+    def test_infinite_eps_is_an_input_error(self, capsys):
+        code = main(["grad-check", "--seed", "7", "--level", "3", "--n", "2", "--eps", "inf"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert "OK" not in captured.out
+        assert "epsilon must be finite and > 0" in captured.err
+
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-0.5", "x"])
+    def test_bad_tolerance_is_a_usage_error(self, capsys, tol):
+        code = main(["grad-check", "--seed", "7", "--level", "3", "--n", "2", "--tol", tol])
+        assert code == 1
+        assert "tolerance must be finite and >= 0" in capsys.readouterr().err
 
 
 class TestVerifyTheoremCommand:

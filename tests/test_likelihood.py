@@ -240,6 +240,21 @@ class TestVarianceStationarity:
         sigma = optimal_variances(preds, preds, ResolutionSet((1, 2, 3)), EPS)
         assert sigma == {0: EPS / 4.0, 1: EPS / 12.0}
 
+    @pytest.mark.parametrize("eps", [0.0, -1.0, math.nan, math.inf])
+    def test_non_finite_or_non_positive_epsilon_rejected(self, eps):
+        # a perfect fit makes every term zero, so only the guard stands
+        # between the log and a bare math domain error
+        preds, _ = random_map_batch(42, 3, 2)
+        levels = ResolutionSet((1, 2, 3))
+        calls = (
+            lambda: log_likelihood(preds, preds, levels, eps),
+            lambda: special_case_likelihood(preds, preds, 2, eps),
+            lambda: optimal_variances(preds, preds, levels, eps),
+        )
+        for call in calls:
+            with pytest.raises(ValueError, match="epsilon must be finite and > 0"):
+                call()
+
     def test_invalid_sigma_rejected(self):
         preds, gts = random_map_batch(40, 3, 2)
         with pytest.raises(ValueError, match="sigma"):

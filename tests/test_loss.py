@@ -9,6 +9,7 @@ from conftest import fd_loss_gradient, random_map_batch
 from pml.likelihood import likelihood_with_variances, optimal_variances
 from pml.loss import (
     _sq_norm,
+    _stack,
     alpha_coefficients,
     l2_level,
     l_diff,
@@ -29,6 +30,18 @@ class TestSqNorm:
         for batch in range(1, 9):
             x = rng.uniform_block(batch * side * side, -2.0, 2.0).reshape(batch, side, side)
             assert _sq_norm(x) == float(np.mean(np.sum(x * x, axis=(1, 2))))
+
+
+class TestStack:
+    @pytest.mark.parametrize("level", [0, 1, 3, 6])
+    def test_equals_difference_of_stacks_bit_for_bit(self, level):
+        for batch in (1, 2, 5):
+            preds, gts = random_map_batch(60 + level, level, batch, -3.0, 3.0)
+            d, got_level = _stack(preds, gts)
+            want = np.stack([p.data for p in preds]) - np.stack([g.data for g in gts])
+            assert got_level == level
+            assert d.shape == want.shape and d.dtype == want.dtype
+            assert np.array_equal(d, want)
 
 
 class TestL2Level:
@@ -214,6 +227,13 @@ class TestPmlLoss:
         preds, gts = random_map_batch(11, 2, 2)
         with pytest.raises(ValueError, match="epsilon"):
             pml_loss(preds, gts, 1, 0.0)
+
+    @pytest.mark.parametrize("eps", [0.0, -1.0, math.nan, math.inf, -math.inf])
+    def test_non_finite_or_non_positive_epsilon_rejected(self, eps):
+        preds, gts = random_map_batch(11, 2, 2)
+        for fn in (pml_loss, total_loss, loss_gradient):
+            with pytest.raises(ValueError, match="epsilon must be finite and > 0"):
+                fn(preds, gts, 1, eps)
 
 
 class TestTotalLoss:

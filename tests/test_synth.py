@@ -110,6 +110,45 @@ class TestGenerateScene:
             h.update(np.ascontiguousarray(a, dtype="<f8").tobytes())
         assert h.hexdigest() == digests[dispatch], f"float64 dispatch: {dispatch}"
 
+    @staticmethod
+    def _offset_attempts(cfg):
+        """Offset attempts of ``cfg``'s scene, by a rejection loop over a scalar stream."""
+        rng, size = SplitMix64(cfg.seed), cfg.scene_size
+        centers = [(rng.uniform(0.0, size), rng.uniform(0.0, size)) for _ in range(cfg.num_clusters)]
+        counts = [rng.randint(*cfg.points_per_cluster) for _ in range(cfg.num_clusters)]
+        attempts = 0
+        for (cx, cy), count in zip(centers, counts):
+            accepted = 0
+            while accepted < count:
+                attempts += 1
+                dx, dy = rng.gaussian_pair(0.0, cfg.cluster_spread)
+                accepted += 0.0 <= cx + dx < size and 0.0 <= cy + dy < size
+        return attempts
+
+    def test_one_gaussian_pair_call_per_offset_attempt(self, monkeypatch):
+        # the traced benchmark reads its accept ratio off these two call counts
+        configs = [BenchmarkConfig().scene_config(seed) for seed in range(1, 21)]
+        configs.append(dataclasses.replace(configs[0], noise_std=0.0))
+        attempts = [self._offset_attempts(cfg) for cfg in configs]
+        calls = {"gaussian_pair": 0, "uniform_block": 0}
+
+        def counting(name):
+            original = getattr(SplitMix64, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(SplitMix64, name, counting(name))
+        for cfg, want in zip(configs, attempts):
+            calls.update(gaussian_pair=0, uniform_block=0)
+            generate_scene(cfg)
+            assert calls == {"gaussian_pair": want, "uniform_block": int(cfg.noise_std > 0)}
+        assert sum(attempts[:20]) > sum(len(generate_scene(cfg).annotations) for cfg in configs[:20])
+
 
 class TestTinyModel:
     def test_zero_parameters_give_constant_activation(self):
