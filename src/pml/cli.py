@@ -19,7 +19,7 @@ from . import dmapio
 from .likelihood import verify_theorem
 from .loss import DEFAULT_EPSILON, fd_loss_gradient, loss_gradient, pml_loss, total_loss
 from .metrics import BenchmarkConfig, ablation_run, compare_pml_vs_l2, evaluate, run_benchmark_cell
-from .pyramid import build_pyramid, maps_from_batch, rasterize
+from .pyramid import build_pyramid, lock, maps_from_batch, rasterize
 from .rng import SplitMix64
 
 
@@ -101,8 +101,8 @@ def _cmd_grad_check(args) -> int:
     side = 1 << args.level
     rng = SplitMix64(args.seed)
     batch = 2
-    preds = maps_from_batch(rng.uniform_block(batch * side * side).reshape(batch, side, side), args.level)
-    gts = maps_from_batch(rng.uniform_block(batch * side * side).reshape(batch, side, side), args.level)
+    preds = maps_from_batch(lock(rng.uniform_block(batch * side * side)).reshape(batch, side, side), args.level)
+    gts = maps_from_batch(lock(rng.uniform_block(batch * side * side)).reshape(batch, side, side), args.level)
     analytic = loss_gradient(preds, gts, args.n, args.eps)
     numeric = fd_loss_gradient(lambda ps: total_loss(ps, gts, args.n, args.eps).total, preds)
     num_scale = max(float(np.max(np.abs(g))) for g in numeric)

@@ -45,7 +45,7 @@ from .loss import (
     l2_level,
     l_diff_pair,
 )
-from .pyramid import DensityMap, ResolutionSet, maps_from_batch
+from .pyramid import DensityMap, ResolutionSet, lock, maps_from_batch
 from .rng import SplitMix64
 
 THEOREM_SLACK = 1e-9  # how far below the sparse set rounding may put the dense one
@@ -241,8 +241,8 @@ def verify_theorem(
     violations = 0
     for t in range(trials):
         rng = SplitMix64(seed + t)
-        pred = rng.uniform_block(batch * side * side).reshape(batch, side, side)
-        gt = rng.uniform_block(batch * side * side).reshape(batch, side, side)
+        pred = lock(rng.uniform_block(batch * side * side)).reshape(batch, side, side)
+        gt = lock(rng.uniform_block(batch * side * side)).reshape(batch, side, side)
         subs = [i for i in range(n_k) if rng.uniform() < 0.5] + [n_k]
         sparse = ResolutionSet(tuple(subs) + (level,))
         preds = maps_from_batch(pred, level)

@@ -51,7 +51,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .pyramid import DensityMap, _pool_sum, _replicate, maps_from_batch
+from .pyramid import DensityMap, _pool_sum, _replicate, lock, maps_from_batch
 
 DEFAULT_EPSILON = 1e-12
 
@@ -295,7 +295,7 @@ def loss_value_and_gradient(
     """Breakdown and per-cell gradient in one pass."""
     d, level = _stack(preds, gts)
     breakdown, grad = _evaluate(d, level, n, epsilon, include_regularizer, want_gradient=True)
-    return breakdown, maps_from_batch(grad, level)
+    return breakdown, maps_from_batch(lock(grad), level)
 
 
 def loss_gradient(

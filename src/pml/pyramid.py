@@ -22,7 +22,23 @@ Replication upsampling is the adjoint of sum pooling: for any ``a`` at level
 ``dot(upsample_replicate(a, l2), b) == dot(a, downsample_sum(b, l1))``.
 The loss gradients rely on this identity.
 
-All operations are pure; map data is locked read-only after construction.
+Block sums keep numpy's own summation order bit for bit, signs of zero
+included. For C-contiguous input, ``reshape(...).sum(axis=(-3, -1))`` sums
+each block row's ``f`` contiguous cells, sequentially when ``f < 8`` and as
+its 8-accumulator pairwise tree (for ``f == 8``: three halvings
+``x[..., 0::2] + x[..., 1::2]``) otherwise, and then adds the ``f`` row sums
+in order. Large inputs with ``f <= 8`` rebuild that order from whole-array
+strided adds, because numpy's multi-axis reduction calls its inner loop once
+per block row. Pooling to level 0 (one pairwise sum over all ``f^2`` cells),
+``f >= 16``, small inputs and non-contiguous ones keep numpy's expression.
+
+All operations are pure; map data is locked read-only after construction. A
+``DensityMap`` copies its data unless that data is a C-contiguous float64
+array that neither it nor any array it views (every ``.base``) can write:
+such an array is adopted as is. The finiteness check still runs. So
+``maps_from_batch`` wraps views of the rows of a batch that its maker has
+locked with ``lock`` (on the array that owns the memory, before any reshape)
+instead of copying them.
 """
 
 from __future__ import annotations
@@ -33,12 +49,29 @@ from typing import Iterable, Iterator
 import numpy as np
 
 
+def _is_locked(a) -> bool:
+    """Whether ``a`` is a C-contiguous float64 ndarray that no one can write.
+
+    Both ``a`` and every array it views must be read-only, and the chain must
+    end in an array that owns its memory; a read-only view of a writable array
+    (``np.broadcast_to``, a locked slice) or of a foreign buffer does not count.
+    """
+    if type(a) is not np.ndarray or a.dtype != np.float64 or not a.flags.c_contiguous:
+        return False
+    while isinstance(a, np.ndarray):
+        if a.flags.writeable:
+            return False
+        a = a.base
+    return a is None
+
+
 @dataclass(frozen=True)
 class DensityMap:
     """Square 2^level x 2^level grid of float64 densities.
 
     ``data`` may be given flat (length 4^level) or square; it is copied,
-    coerced to float64, and locked read-only.
+    coerced to float64, and locked read-only. Data that nobody can write (see
+    ``_is_locked``) is adopted without a copy.
     """
 
     level: int
@@ -48,7 +81,9 @@ class DensityMap:
         if self.level < 0:
             raise ValueError(f"level must be >= 0, got {self.level}")
         side = 1 << self.level
-        arr = np.array(self.data, dtype=np.float64, copy=True)
+        arr = self.data
+        if not _is_locked(arr):
+            arr = np.array(arr, dtype=np.float64, copy=True)
         if arr.ndim == 1:
             if arr.size != side * side:
                 raise ValueError(
@@ -78,7 +113,10 @@ class DensityMap:
 
 @dataclass(frozen=True)
 class PointAnnotations:
-    """2-D point annotations in the square scene [0, scene_size)^2."""
+    """2-D point annotations in the square scene [0, scene_size)^2.
+
+    ``points`` has shape (N, 2); any empty input means no points.
+    """
 
     points: np.ndarray  # (N, 2) float64, columns (x, y)
     scene_size: float
@@ -86,7 +124,11 @@ class PointAnnotations:
     def __post_init__(self):
         if not (self.scene_size > 0.0) or not np.isfinite(self.scene_size):
             raise ValueError(f"scene_size must be finite and > 0, got {self.scene_size}")
-        pts = np.array(self.points, dtype=np.float64, copy=True).reshape(-1, 2)
+        pts = np.array(self.points, dtype=np.float64, copy=True)
+        if pts.size == 0:
+            pts = pts.reshape(0, 2)
+        elif pts.ndim != 2 or pts.shape[1] != 2:
+            raise ValueError(f"points must have shape (N, 2), got {pts.shape}")
         if not np.all(np.isfinite(pts)):
             raise ValueError("annotations contain non-finite coordinates")
         bad = np.nonzero((pts < 0.0) | (pts >= self.scene_size))
@@ -167,13 +209,28 @@ def rasterize(ann: PointAnnotations, level: int) -> DensityMap:
     return DensityMap(level, grid)
 
 
+_STRIDED_MIN_CELLS = 2048  # below this, numpy's one reduction call beats a few strided adds
+
+
 def _pool_sum(data: np.ndarray, from_level: int, to_level: int) -> np.ndarray:
+    """Block sums of a (..., side, side) array, bit for bit numpy's (module docstring)."""
     factor = 1 << (from_level - to_level)
     if factor == 1:
         return data
     out_side = data.shape[-1] >> (from_level - to_level)
-    shaped = data.reshape(data.shape[:-2] + (out_side, factor, out_side, factor))
-    return shaped.sum(axis=(-3, -1))
+    if (to_level == 0 or factor >= 16 or data.size < _STRIDED_MIN_CELLS
+            or not data.flags.c_contiguous):
+        shaped = data.reshape(data.shape[:-2] + (out_side, factor, out_side, factor))
+        return shaped.sum(axis=(-3, -1))
+    if factor == 8:
+        rows = data[..., 0::2] + data[..., 1::2]
+        rows = rows[..., 0::2] + rows[..., 1::2]
+        rows = rows[..., 0::2] + rows[..., 1::2]
+    else:
+        rows = data[..., 0::factor] + data[..., 1::factor]
+        for k in range(2, factor):
+            rows += data[..., k::factor]
+    return np.add.reduce(rows.reshape(data.shape[:-2] + (out_side, factor, out_side)), axis=-2)
 
 
 def _replicate(data: np.ndarray, from_level: int, to_level: int) -> np.ndarray:
@@ -224,6 +281,20 @@ def build_pyramid(m: DensityMap, levels: ResolutionSet | Iterable[int]) -> tuple
     return tuple(downsample_sum(m, i) for i in levels)
 
 
+def lock(a: np.ndarray) -> np.ndarray:
+    """Make ``a`` read-only in place and return it.
+
+    Lock a fresh batch this way, on the array that owns its memory and before
+    any reshape, and ``maps_from_batch`` wraps views of its rows instead of
+    copying them.
+    """
+    a.setflags(write=False)
+    return a
+
+
 def maps_from_batch(batch: np.ndarray, level: int) -> list[DensityMap]:
-    """Wrap a (B, 2^level, 2^level) array as a list of density maps."""
+    """Wrap a (B, 2^level, 2^level) array as a list of density maps.
+
+    The maps share the rows of a locked batch (see ``lock``) and copy any other.
+    """
     return [DensityMap(level, batch[b]) for b in range(batch.shape[0])]

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from conftest import fd_loss_gradient, random_map_batch
 from pml.likelihood import likelihood_with_variances, optimal_variances
 from pml.loss import (
+    _evaluate,
     _sq_norm,
     _stack,
     alpha_coefficients,
@@ -304,6 +306,21 @@ class TestLossGradient:
         separate = loss_gradient(preds, gts, 3, 1e-12)
         for a, b in zip(grads, separate):
             assert np.array_equal(a.data, b.data)
+
+    def test_maps_view_one_locked_batch_with_pinned_bits(self):
+        # level 7, batch 3 pools through the strided block sums (7->5 by 4, 5->4 by 2);
+        # the digest is the one the gradient had when each map copied its row
+        preds, gts = random_map_batch(31, 7, 3, -1.0, 1.0)
+        bd, grads = loss_value_and_gradient(preds, gts, 5)
+        batch = grads[0].data.base
+        assert batch is not None and not batch.flags.writeable
+        core = _evaluate(*_stack(preds, gts), 5, bd.epsilon, True, True)[1]
+        for b, g in enumerate(grads):
+            assert g.data.base is batch and not g.data.flags.writeable
+            assert np.array_equal(g.data, core[b])
+        assert bd.total == 10959.98393355991
+        assert hashlib.sha256(b"".join(g.data.tobytes() for g in grads)).hexdigest() == (
+            "02983fee146bcf61fd66ff33be37e8b6f4f905543fa2aebeb4effaaf1548d8c1")
 
 
 class TestOptimalSigma:

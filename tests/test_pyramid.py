@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,9 +10,12 @@ from pml.pyramid import (
     DensityMap,
     PointAnnotations,
     ResolutionSet,
+    _pool_sum,
     build_pyramid,
     downsample_avg,
     downsample_sum,
+    lock,
+    maps_from_batch,
     rasterize,
     residual,
     upsample_replicate,
@@ -48,6 +53,57 @@ class TestDensityMap:
     def test_nonnegativity_check(self):
         with pytest.raises(ValueError, match="negative"):
             DensityMap(0, [[-1.0]]).require_nonnegative()
+
+    def test_writable_source_is_copied(self):
+        src = np.arange(16.0).reshape(4, 4)
+        m, = maps_from_batch(src.reshape(1, 4, 4), 2)
+        src[0, 0] = 99.0
+        assert m.data[0, 0] == 0.0
+        assert src.flags.writeable  # maps_from_batch leaves its argument alone
+
+    @pytest.mark.parametrize("view", [
+        lambda base: np.broadcast_to(base, base.shape),
+        lambda base: lock(base.reshape(4)),  # locks the view only, not its base
+    ])
+    def test_read_only_view_of_writable_base_is_copied(self, view):
+        base = np.arange(4.0).reshape(2, 2)
+        data = view(base)
+        assert not data.flags.writeable and data.flags.c_contiguous
+        m = DensityMap(1, data)
+        base[0, 0] = 99.0
+        assert m.data[0, 0] == 0.0
+        assert not np.shares_memory(m.data, base)
+
+    def test_locked_batch_rows_are_shared_and_stay_read_only(self):
+        batch = lock(np.arange(48.0)).reshape(3, 4, 4)
+        maps = maps_from_batch(batch, 2)
+        for b, m in enumerate(maps):
+            assert np.shares_memory(m.data, batch[b])
+            assert np.array_equal(m.data, batch[b])
+            assert not m.data.flags.writeable
+            with pytest.raises(ValueError):
+                m.data[0, 0] = 5.0
+            with pytest.raises(ValueError):
+                m.data.setflags(write=True)
+
+    def test_locked_data_is_still_checked(self):
+        with pytest.raises(ValueError, match="non-finite"):
+            DensityMap(1, lock(np.array([[0.0, 1.0], [np.inf, 2.0]])))
+        with pytest.raises(ValueError, match="expected shape"):
+            DensityMap(1, lock(np.zeros((4, 4))))
+
+
+class TestPointAnnotations:
+    @pytest.mark.parametrize("points", [[], np.empty(0), np.empty((0, 2))])
+    def test_empty_input_means_no_points(self, points):
+        ann = PointAnnotations(points, scene_size=1.0)
+        assert len(ann) == 0 and ann.points.shape == (0, 2)
+
+    @pytest.mark.parametrize("shape", [(2, 3), (3,), (4,), (1, 2, 2), (2, 1)])
+    def test_wrong_shape_is_rejected_by_name(self, shape):
+        pts = np.full(shape, 0.5)
+        with pytest.raises(ValueError, match=r"shape \(N, 2\), got " + re.escape(str(shape))):
+            PointAnnotations(pts, scene_size=1.0)
 
 
 class TestRasterize:
@@ -109,6 +165,61 @@ class TestDownsampleSum:
     def test_target_above_level_rejected(self):
         with pytest.raises(ValueError):
             downsample_sum(DensityMap(1, np.ones((2, 2))), 2)
+
+
+def _numpy_block_sum(x, from_level, to_level):
+    f, o = 1 << (from_level - to_level), 1 << to_level
+    return x.reshape(x.shape[:-2] + (o, f, o, f)).sum(axis=(-3, -1))
+
+
+def _assert_same_bits(got, want):
+    assert got.shape == want.shape
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+@pytest.fixture(scope="module")
+def mixed_cells():
+    """16 level-9 maps' worth of normals scaled by 2^-60..2^60, 15% of them -0.0."""
+    rng = np.random.default_rng(5)
+    cells = rng.standard_normal(16 << 18) * np.exp2(rng.integers(-60, 61, 16 << 18))
+    cells[rng.random(cells.size) < 0.15] = -0.0
+    return cells
+
+
+class TestPoolSumOrder:
+    """``_pool_sum`` reproduces numpy's own block sum bit for bit, zero signs included."""
+
+    @pytest.mark.parametrize("batch", [None] + list(range(1, 17)))
+    def test_every_level_pair_matches_numpy(self, mixed_cells, batch):
+        for level in range(10):
+            side = 1 << level
+            shape = (side, side) if batch is None else (batch, side, side)
+            x = mixed_cells[:side * side * (batch or 1)].reshape(shape).copy()
+            # a band of all-zero blocks at every factor: -0.0 on the left, mixed signs on the right
+            x[..., : side // 2, : side // 2] = -0.0
+            x[..., : side // 2, side // 2:] = np.where(np.arange(side - side // 2) % 3, 0.0, -0.0)
+            for target in range(level):
+                _assert_same_bits(_pool_sum(x, level, target), _numpy_block_sum(x, level, target))
+
+    @pytest.mark.parametrize("level, batch", [(1, 512), (2, 128), (3, 32), (3, 64)])
+    def test_pooling_to_one_cell_matches_numpy_on_large_batches(self, mixed_cells, level, batch):
+        # enough cells for the strided path, but numpy sums a whole block pairwise here
+        x = mixed_cells[:batch << (2 * level)].reshape(batch, 1 << level, 1 << level)
+        _assert_same_bits(_pool_sum(x, level, 0), _numpy_block_sum(x, level, 0))
+
+    @given(st.integers(5, 8), st.integers(1, 4), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_palette_maps_match_numpy(self, level, batch, data):
+        target = data.draw(st.integers(0, level - 1))
+        palette = data.draw(st.lists(
+            st.floats(-1e250, 1e250, allow_nan=False) | st.sampled_from([0.0, -0.0, 1.0, -1.0]),
+            min_size=1, max_size=8))
+        seed = data.draw(st.integers(0, 2**32 - 1))
+        side = 1 << level
+        picks = np.random.default_rng(seed).integers(0, len(palette), (batch, side, side))
+        x = np.array(palette)[picks]
+        _assert_same_bits(_pool_sum(x, level, target), _numpy_block_sum(x, level, target))
 
 
 class TestDownsampleAvg:
