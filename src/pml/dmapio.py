@@ -1,28 +1,19 @@
-"""Plain-text file formats: .dmap matrices, point CSVs, scene bundles.
+"""Plain-text file formats: .dmap matrices and point CSVs.
 
 The .dmap format is line 1 ``<rows> <cols>`` followed by ``rows`` lines of
 ``cols`` space-separated decimal floats; rows and cols must be equal and a
 power of two, and only blank lines may follow the last row. Floats are
 written with 17 significant digits so a write/read round trip reproduces
 every float64 bit-for-bit.
-
-A scene bundle is a directory holding ``points.csv``, ``observation.dmap``,
-``gt.dmap`` and a one-line ``manifest.txt`` recording the generating config.
 """
 
 from __future__ import annotations
 
-import json
-from dataclasses import asdict
 from pathlib import Path
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .pyramid import DensityMap, PointAnnotations
-
-if TYPE_CHECKING:
-    from .synth import Scene, SceneConfig
 
 
 class ParseError(ValueError):
@@ -44,12 +35,42 @@ def _is_power_of_two(v: int) -> bool:
 
 def write_dmap(path, m: DensityMap) -> None:
     side = m.side
+    # one format per row over Python floats: the same strings as format_float
+    row_format = " ".join(["%.17g"] * side) + "\n"
     with open(path, "w") as fh:
         fh.write(f"{side} {side}\n")
         for row in m.data:
-            # Python floats format faster than np.float64s, to the same strings
-            fh.write(" ".join(format_float(v) for v in row.tolist()))
-            fh.write("\n")
+            fh.write(row_format % tuple(row.tolist()))
+
+
+def _parse_rows(path, body: list[str], cols: int) -> np.ndarray:
+    """Parse the data rows one at a time, raising a ParseError that names the line."""
+    data = np.empty((len(body), cols), dtype=np.float64)
+    for r, line in enumerate(body):
+        parts = line.split()
+        if len(parts) != cols:
+            raise ParseError(path, 2 + r, f"expected {cols} values, found {len(parts)}")
+        try:
+            data[r] = [float(p) for p in parts]
+        except ValueError as exc:
+            raise ParseError(path, 2 + r, f"bad float: {exc}") from None
+    return data
+
+
+def _load_rows(body: list[str], cols: int) -> np.ndarray | None:
+    """Parse the data rows in one numpy call; None leaves them to ``_parse_rows``.
+
+    ``loadtxt`` reads every row it accepts to the bits that ``float`` over
+    ``str.split`` gives, and rejects some rows those accept (``1_0``, non-ASCII
+    digits). Blank rows are left out: ``loadtxt`` would warn and skip them.
+    """
+    if not all(map(str.strip, body)):
+        return None
+    try:
+        data = np.loadtxt(body, dtype=np.float64, comments=None, ndmin=2, max_rows=len(body))
+    except ValueError:
+        return None
+    return data if data.shape == (len(body), cols) else None
 
 
 def read_dmap(path) -> DensityMap:
@@ -70,21 +91,17 @@ def read_dmap(path) -> DensityMap:
         raise ParseError(path, 1, f"side {rows} is not a power of two")
     if len(lines) < 1 + rows:
         raise ParseError(path, len(lines) + 1, f"expected {rows} data rows, found {len(lines) - 1}")
-    data = np.empty((rows, cols), dtype=np.float64)
-    for r in range(rows):
-        parts = lines[1 + r].split()
-        if len(parts) != cols:
-            raise ParseError(path, 2 + r, f"expected {cols} values, found {len(parts)}")
-        try:
-            data[r] = [float(p) for p in parts]
-        except ValueError as exc:
-            raise ParseError(path, 2 + r, f"bad float: {exc}") from None
+    body = lines[1:1 + rows]
+    data = _load_rows(body, cols)
+    if data is None:
+        data = _parse_rows(path, body, cols)
     bad_rows = np.flatnonzero(~np.isfinite(data).all(axis=1))
     if bad_rows.size:
         raise ParseError(path, 2 + int(bad_rows[0]), "non-finite value")
     for k in range(1 + rows, len(lines)):
         if lines[k].strip():
             raise ParseError(path, k + 1, f"unexpected data after the {rows} declared rows")
+    data.setflags(write=False)  # fresh and unshared, so DensityMap adopts it without a copy
     return DensityMap(rows.bit_length() - 1, data)
 
 
@@ -116,30 +133,6 @@ def read_points_csv(path, scene_size: float) -> PointAnnotations:
             pts.append((x, y))
     points = np.array(pts, dtype=np.float64).reshape(-1, 2)
     return PointAnnotations(points=points, scene_size=scene_size)
-
-
-def save_scene(directory, scene: "Scene") -> None:
-    d = Path(directory)
-    d.mkdir(parents=True, exist_ok=True)
-    write_points_csv(d / "points.csv", scene.annotations)
-    write_dmap(d / "observation.dmap", DensityMap(scene.config.obs_level, scene.observation))
-    write_dmap(d / "gt.dmap", scene.gt_map)
-    with open(d / "manifest.txt", "w") as fh:
-        fh.write(json.dumps(asdict(scene.config), sort_keys=True) + "\n")
-
-
-def load_scene(directory) -> "Scene":
-    from .synth import Scene, SceneConfig
-
-    d = Path(directory)
-    with open(d / "manifest.txt") as fh:
-        raw = json.loads(fh.readline())
-    raw["points_per_cluster"] = tuple(raw["points_per_cluster"])
-    cfg = SceneConfig(**raw)
-    ann = read_points_csv(d / "points.csv", cfg.scene_size)
-    obs = read_dmap(d / "observation.dmap")
-    gt = read_dmap(d / "gt.dmap").require_nonnegative()
-    return Scene(config=cfg, annotations=ann, observation=obs.data, gt_map=gt)
 
 
 def read_dmap_batch(path_or_dir) -> list[DensityMap]:

@@ -1,13 +1,18 @@
+import re
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from pml import dmapio
 from pml.dmapio import (
     ParseError,
-    load_scene,
+    format_float,
     read_dmap,
     read_dmap_batch,
     read_points_csv,
-    save_scene,
     write_dmap,
     write_points_csv,
 )
@@ -138,23 +143,185 @@ class TestPointsCsv:
             read_points_csv(p, 1.0)
 
 
-class TestSceneBundle:
+class TestSceneFiles:
+    def _write(self, directory, scene):
+        directory.mkdir()
+        write_points_csv(directory / "points.csv", scene.annotations)
+        write_dmap(directory / "observation.dmap", DensityMap(scene.config.obs_level, scene.observation))
+        write_dmap(directory / "gt.dmap", scene.gt_map)
+
     def test_round_trip(self, tmp_path):
         cfg = SceneConfig(seed=77, obs_level=4, num_clusters=3, points_per_cluster=(2, 4))
         scene = generate_scene(cfg)
-        save_scene(tmp_path / "scene", scene)
-        back = load_scene(tmp_path / "scene")
-        assert back.config == cfg
-        assert np.array_equal(back.observation, scene.observation)
-        assert np.array_equal(back.gt_map.data, scene.gt_map.data)
-        assert np.array_equal(back.annotations.points, scene.annotations.points)
+        self._write(tmp_path / "scene", scene)
+        obs = read_dmap(tmp_path / "scene" / "observation.dmap")
+        gt = read_dmap(tmp_path / "scene" / "gt.dmap").require_nonnegative()
+        points = read_points_csv(tmp_path / "scene" / "points.csv", cfg.scene_size)
+        assert obs.level == gt.level == cfg.obs_level
+        assert np.array_equal(obs.data, scene.observation)
+        assert np.array_equal(gt.data, scene.gt_map.data)
+        assert np.array_equal(points.points, scene.annotations.points)
 
     def test_serialization_is_deterministic(self, tmp_path):
         cfg = SceneConfig(seed=78, obs_level=4)
-        save_scene(tmp_path / "a", generate_scene(cfg))
-        save_scene(tmp_path / "b", generate_scene(cfg))
-        for name in ("points.csv", "observation.dmap", "gt.dmap", "manifest.txt"):
+        self._write(tmp_path / "a", generate_scene(cfg))
+        self._write(tmp_path / "b", generate_scene(cfg))
+        for name in ("points.csv", "observation.dmap", "gt.dmap"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
+def _outcome(path):
+    """What read_dmap makes of a file: the level and bits, or the ParseError's line and text."""
+    try:
+        m = read_dmap(path)
+    except ParseError as exc:
+        return ("error", exc.line, str(exc))
+    return ("ok", m.level, m.data.tobytes())
+
+
+def _assert_paths_agree(path):
+    """read_dmap gives the same result with and without its one-call numpy parse."""
+    with open(path) as fh:
+        lines = fh.read().splitlines()
+    header = lines[0].split() if lines else []
+    if len(header) == 2 and header[0].isdigit() and 0 < int(header[0]) < len(lines):
+        rows = int(header[0])
+        body = lines[1:1 + rows]
+        fast = dmapio._load_rows(body, rows)
+        if fast is not None:
+            slow = dmapio._parse_rows(path, body, rows)
+            assert fast.tobytes() == slow.tobytes()
+    with mock.patch.object(dmapio, "_load_rows", lambda body, cols: None):
+        row_by_row = _outcome(path)
+    got = _outcome(path)
+    assert got == row_by_row
+    return got
+
+
+EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308, 2.2250738585072014e-308,
+               1.7976931348623157e308, -1.7976931348623157e308, 1e-300, 0.1, 1.0 / 3.0]
+# each token as the last cell of a 2x2 map: the float it reads as, or its ParseError on line 3
+TOKEN_OUTCOMES = [
+    ("1_0", 10.0), ("\u0661", 1.0), ("\uff11", 1.0), ("-0", -0.0), ("1e-400", 0.0), ("+1.5", 1.5),
+    (".5", 0.5), ("5.", 5.0),
+    ("inf", "non-finite value$"), ("-inf", "non-finite value$"), ("nan", "non-finite value$"),
+    ("NaN", "non-finite value$"), ("infinity", "non-finite value$"), ("1e5000", "non-finite value$"),
+    ("-1e5000", "non-finite value$"),
+    ("0x10", "bad float"), ("1d5", "bad float"), ("1e", "bad float"), ("1j", "bad float"),
+    ("#1", "bad float"), ("1,5", "bad float"), ("'1'", "bad float"), ("\x00", "bad float"),
+]
+TOKENS = [token for token, _ in TOKEN_OUTCOMES]
+SEPARATORS = [" ", "  ", "\t", "\x0b", "\x0c", "\x1c", "\x1f", "\xa0", "\u2003", " \t"]
+
+
+class TestNumpyParseMatchesRowParser:
+    """The one-call numpy parse never changes what read_dmap accepts, reads or reports."""
+
+    @given(st.integers(0, 3), st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_formatted_floats_read_to_the_same_bits(self, tmp_path_factory, level, data):
+        side = 1 << level
+        values = data.draw(st.lists(
+            st.one_of(st.floats(allow_nan=False, allow_infinity=False), st.sampled_from(EDGE_FLOATS),
+                      st.integers(0, 10 ** 6).map(float)),
+            min_size=side * side, max_size=side * side))
+        want = np.array(values).reshape(side, side)
+        text = f"{side} {side}\n" + "".join(" ".join(f"{v:.17g}" for v in row) + "\n" for row in want)
+        path = tmp_path_factory.mktemp("fmt") / "m.dmap"
+        path.write_text(text)
+        body = text.splitlines()[1:]
+        assert dmapio._load_rows(body, side) is not None
+        assert _assert_paths_agree(path) == ("ok", level, want.tobytes())
+
+    @pytest.mark.parametrize("token, expected", TOKEN_OUTCOMES)
+    def test_token(self, tmp_path, token, expected):
+        path = tmp_path / "m.dmap"
+        path.write_text(f"2 2\n1 2\n3 {token}\n")
+        got = _assert_paths_agree(path)
+        if isinstance(expected, float):
+            value = read_dmap(path).data[1, 1]
+            assert value == expected and np.signbit(value) == np.signbit(expected)
+        else:
+            assert got[:2] == ("error", 3) and re.search(f":3: {expected}", got[2])
+
+    @pytest.mark.parametrize("sep", SEPARATORS)
+    def test_separator(self, tmp_path, sep):
+        path = tmp_path / "m.dmap"
+        path.write_text(f"2 2\n1{sep}2\n{sep}3{sep}4{sep}\n", newline="")
+        _assert_paths_agree(path)
+
+    @pytest.mark.parametrize("text, line", [
+        ("4 4\n1 2 3 4\n\n1 2 3 4\n1 2 3 4\n", 3),        # blank row in the body
+        ("4 4\n1 2 3 4\n1 2 3 4\n \t \n1 2 3 4\n", 4),   # whitespace-only row in the body
+        ("4 4\n1 2 3 4\n1 2 3\n1 2 3 4\n1 2 3 4\n", 3),    # short row
+        ("4 4\n1 2 3 4\n1 2 3 4\n1 2 3 4\n1 2 3 4 5\n", 5),  # long row
+        ("2 2\n1 2 3\n4 5 6\n", 2),                         # every row long
+        ("2 2\n1 2\n3 4\n5 6\n", 4),                       # data after the last row
+        ("2 2\n1 2 #1\n3 4 #1\n", 2),                       # comments for loadtxt's default
+        ("2 2\n#1 2\n3 4\n", 2),                            # a whole-row comment for it
+    ])
+    def test_malformed_body_names_the_same_line(self, tmp_path, text, line):
+        path = tmp_path / "m.dmap"
+        path.write_text(text)
+        assert _assert_paths_agree(path)[:2] == ("error", line)
+
+    def test_crlf_line_endings(self, tmp_path):
+        path = tmp_path / "m.dmap"
+        path.write_bytes(b"2 2\r\n1 -0\r\n3 4.5\r\n\r\n")
+        assert _assert_paths_agree(path)[0] == "ok"
+        assert np.array_equal(np.signbit(read_dmap(path).data), [[False, True], [False, False]])
+
+    @given(st.integers(0, 2), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_mixed_tokens_separators_and_line_endings(self, tmp_path_factory, level, data):
+        side = 1 << level
+        cell = st.one_of(st.floats(allow_nan=False, allow_infinity=False).map(lambda v: f"{v:.17g}"),
+                         st.sampled_from(TOKENS))
+        sep = st.sampled_from(SEPARATORS)
+        lines = [f"{side} {side}"]
+        for _ in range(side + data.draw(st.integers(-1, 1))):
+            cells = data.draw(st.lists(cell, min_size=max(side - 1, 0), max_size=side + 1))
+            lines.append(data.draw(sep).join(cells) if data.draw(st.booleans()) else
+                         data.draw(st.sampled_from(["", " ", "\t"])).join(cells))
+        ending = data.draw(st.sampled_from(["\n", "\r\n", "\r"]))
+        path = tmp_path_factory.mktemp("mix") / "m.dmap"
+        path.write_bytes((ending.join(lines) + ending).encode())
+        _assert_paths_agree(path)
+
+
+class TestWriterBytes:
+    """write_dmap's one format per row writes what format_float writes value by value."""
+
+    @staticmethod
+    def _per_value(m):
+        side = m.side
+        return (f"{side} {side}\n" + "".join(
+            " ".join(format_float(v) for v in row.tolist()) + "\n" for row in m.data)).encode()
+
+    @pytest.mark.parametrize("level", [2, 5, 8])
+    def test_random_bit_patterns(self, tmp_path, level):
+        # every finite float64 bit pattern is equally likely: subnormals and all exponents
+        side = 1 << level
+        bits = np.frombuffer(np.random.default_rng(level).bytes(8 * 4 * side * side), dtype=np.float64)
+        extremes = [-0.0, 5e-324, 1.7976931348623157e308]
+        values = bits[np.isfinite(bits)][:side * side - len(extremes)].tolist() + extremes
+        m = DensityMap(level, np.array(values).reshape(side, side))
+        path = tmp_path / "m.dmap"
+        write_dmap(path, m)
+        assert path.read_bytes() == self._per_value(m)
+        assert read_dmap(path).data.tobytes() == m.data.tobytes()
+
+    @given(st.integers(0, 3), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_drawn_maps(self, tmp_path_factory, level, data):
+        side = 1 << level
+        values = data.draw(st.lists(
+            st.one_of(st.floats(allow_nan=False, allow_infinity=False), st.sampled_from(EDGE_FLOATS)),
+            min_size=side * side, max_size=side * side))
+        m = DensityMap(level, np.array(values).reshape(side, side))
+        path = tmp_path_factory.mktemp("w") / "m.dmap"
+        write_dmap(path, m)
+        assert path.read_bytes() == self._per_value(m)
 
 
 class TestBatchReader:
