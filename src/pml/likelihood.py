@@ -40,6 +40,7 @@ from .loss import (
     DEFAULT_EPSILON,
     _check_epsilon,
     _sigma_from_terms,
+    _sq_norm,
     _stack,
     _terms,
     l2_level,
@@ -87,15 +88,15 @@ def log_likelihood(
     d, level = _stack(preds, gts)
     levels = _checked_set(levels, level)
     subs = levels.sub_levels
-    l2, ldiff = _terms(d, level, subs)[:2]
+    pooled, diffs = _terms(d, level, subs)
     n_k = subs[-1]
     constant = -0.5 * (2.0 * math.pi - 1.0) * 4.0 ** n_k
     terms: dict[tuple[int, int], float] = {}
     for a, b in zip(subs, subs[1:]):
         delta = 4.0 ** b - 4.0 ** a
-        arg = 4.0 ** b * ldiff[(a, b)] / delta
+        arg = 4.0 ** b * _sq_norm(diffs[(a, b)]) / delta
         terms[(a, b)] = -0.5 * delta * math.log(arg + epsilon)
-    base = -0.5 * 4.0 ** subs[0] * math.log(l2[subs[0]] + epsilon)
+    base = -0.5 * 4.0 ** subs[0] * math.log(_sq_norm(pooled[subs[0]]) + epsilon)
     total = constant + base
     for a, b in zip(subs, subs[1:]):
         total += terms[(a, b)]
@@ -120,14 +121,14 @@ def special_case_likelihood(
     _check_epsilon(epsilon)
     d, level = _stack(preds, gts)
     levels = ResolutionSet.dense(n, level)
-    l2, ldiff = _terms(d, level, levels.sub_levels)[:2]
+    pooled, diffs = _terms(d, level, levels.sub_levels)
     constant = -0.5 * (2.0 * math.pi - 1.0) * 4.0 ** n
     terms: dict[tuple[int, int], float] = {}
     for j in range(1, n + 1):
         delta = 4.0 ** j - 4.0 ** (j - 1)
-        arg = (4.0 / 3.0) * ldiff[(j - 1, j)]
+        arg = (4.0 / 3.0) * _sq_norm(diffs[(j - 1, j)])
         terms[(j - 1, j)] = -0.5 * delta * math.log(arg + epsilon)
-    base = -0.5 * math.log(l2[0] + epsilon)
+    base = -0.5 * math.log(_sq_norm(pooled[0]) + epsilon)
     total = constant + base
     for j in range(1, n + 1):
         total += terms[(j - 1, j)]
@@ -188,7 +189,9 @@ def optimal_variances(
     _check_epsilon(epsilon)
     d, level = _stack(preds, gts)
     subs = _checked_set(levels, level).sub_levels
-    l2, ldiff = _terms(d, level, subs)[:2]
+    pooled, diffs = _terms(d, level, subs)
+    l2 = {subs[0]: _sq_norm(pooled[subs[0]])}
+    ldiff = {pair: _sq_norm(r) for pair, r in diffs.items()}
     return _sigma_from_terms(l2, ldiff, subs, epsilon)[0]
 
 
@@ -229,7 +232,8 @@ def verify_theorem(
     random sparse sub-level set with maximum ``n_k``, and checks that the
     dense set {0..n_k, level} never scores a lower ``log_likelihood`` (at
     ``DEFAULT_EPSILON``) than the sparse one, beyond ``THEOREM_SLACK``.
-    Trial t uses the stream seeded seed + t.
+    Trial t uses the stream seeded seed + t and draws its predictions, then
+    its ground truths, as one block of uniforms.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
@@ -241,8 +245,7 @@ def verify_theorem(
     violations = 0
     for t in range(trials):
         rng = SplitMix64(seed + t)
-        pred = lock(rng.uniform_block(batch * side * side)).reshape(batch, side, side)
-        gt = lock(rng.uniform_block(batch * side * side)).reshape(batch, side, side)
+        pred, gt = lock(rng.uniform_block(2 * batch * side * side)).reshape(2, batch, side, side)
         subs = [i for i in range(n_k) if rng.uniform() < 0.5] + [n_k]
         sparse = ResolutionSet(tuple(subs) + (level,))
         preds = maps_from_batch(pred, level)

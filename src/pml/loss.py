@@ -22,9 +22,11 @@ batch-index order, so results are reproducible.
 
 The public functions take ``DensityMap`` batches; ``_stack`` validates them
 and forms ``d`` once. ``_terms`` pools ``d`` to each requested level, each
-from the next finer one, and reads ``l2`` and ``l_diff`` off that pyramid;
-``_evaluate`` adds the log terms, the variances and the gradient. Training
-calls this core directly on its arrays.
+from the next finer one, and forms the residual differences; each caller
+takes the norms of just the maps it reads (``_evaluate`` all of them, the
+likelihood only the base level and the pairs). ``_evaluate`` adds the log
+terms, the variances and the gradient. Training calls this core directly on
+its arrays.
 
 Replication is the adjoint of sum pooling, and the coarse part of ``r``
 pools to zero, so the gradient is the replicated residuals:
@@ -143,12 +145,13 @@ def _sq_norm(x) -> float:
 
 
 def _terms(d, level: int, levels: Sequence[int]):
-    """Residual pyramid of ``d`` at the increasing ``levels`` and its terms.
+    """Residual pyramid of ``d`` at the increasing ``levels``.
 
     Each level is pooled from the next finer requested level. Returns
-    ``(l2, ldiff, pooled, diffs)``: per level the pooled residual and its l2,
-    and per consecutive pair (a, b) the residual difference
-    ``r = pooled[b] - 4^(a-b) * rep(pooled[a])`` and ``l_diff = ||r||^2``.
+    ``(pooled, diffs)``: per level the pooled residual, whose ``_sq_norm`` is
+    its l2, and per consecutive pair (a, b) the residual difference
+    ``r = pooled[b] - 4^(a-b) * rep(pooled[a])``, whose ``_sq_norm`` is
+    ``l_diff``. Callers take the norms of just the maps they read.
     """
     if levels[0] < 0 or levels[-1] > level:
         raise ValueError(f"requested levels {tuple(levels)} must lie in [0, {level}], the map level")
@@ -159,21 +162,19 @@ def _terms(d, level: int, levels: Sequence[int]):
         finer_level = i
     diffs = {(a, b): pooled[b] - 4.0 ** (a - b) * _replicate(pooled[a], a, b)
              for a, b in zip(levels, levels[1:])}
-    l2 = {i: _sq_norm(pooled[i]) for i in levels}
-    ldiff = {pair: _sq_norm(r) for pair, r in diffs.items()}
-    return l2, ldiff, pooled, diffs
+    return pooled, diffs
 
 
 def l2_level(preds: Sequence[DensityMap], gts: Sequence[DensityMap], i: int) -> float:
     """Batch-mean squared error between sum-downsamples at level ``i``."""
-    return _terms(*_stack(preds, gts), (i,))[0][i]
+    return _sq_norm(_terms(*_stack(preds, gts), (i,))[0][i])
 
 
 def l_diff_pair(preds: Sequence[DensityMap], gts: Sequence[DensityMap], j1: int, j2: int) -> float:
     """Difference loss for an arbitrary level pair j1 < j2."""
     if not 0 <= j1 < j2:
         raise ValueError(f"need 0 <= coarse < fine, got ({j1}, {j2})")
-    return _terms(*_stack(preds, gts), (j1, j2))[1][(j1, j2)]
+    return _sq_norm(_terms(*_stack(preds, gts), (j1, j2))[1][(j1, j2)])
 
 
 def l_diff(preds: Sequence[DensityMap], gts: Sequence[DensityMap], j: int) -> float:
@@ -227,7 +228,10 @@ def _evaluate(d, level, n, epsilon, include_regularizer, want_gradient):
     _check_n(n, level)
     _check_epsilon(epsilon)
 
-    l2_vals, ldiff_vals, pooled, diffs = _terms(d, level, tuple(range(n + 1)))
+    levels = tuple(range(n + 1))
+    pooled, diffs = _terms(d, level, levels)
+    l2_vals = {i: _sq_norm(pooled[i]) for i in levels}
+    ldiff_vals = {pair: _sq_norm(r) for pair, r in diffs.items()}
     pml = math.log(l2_vals[0] + epsilon)
     for j in range(1, n + 1):
         pml += math.log(ldiff_vals[(j - 1, j)] + epsilon)
@@ -236,7 +240,7 @@ def _evaluate(d, level, n, epsilon, include_regularizer, want_gradient):
     if include_regularizer:
         regularizer = l2_vals[level] = _sq_norm(d)
 
-    sigma, guarded = _sigma_from_terms(l2_vals, ldiff_vals, tuple(range(n + 1)), epsilon)
+    sigma, guarded = _sigma_from_terms(l2_vals, ldiff_vals, levels, epsilon)
     breakdown = LossBreakdown(
         l2_per_level=l2_vals,
         ldiff_per_pair=ldiff_vals,

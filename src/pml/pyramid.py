@@ -92,7 +92,7 @@ class DensityMap:
             arr = arr.reshape(side, side)
         elif arr.shape != (side, side):
             raise ValueError(f"expected shape {(side, side)} at level {self.level}, got {arr.shape}")
-        if not np.all(np.isfinite(arr)):
+        if not np.isfinite(arr).all():
             raise ValueError("density map contains non-finite entries")
         arr.setflags(write=False)
         object.__setattr__(self, "data", arr)

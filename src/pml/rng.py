@@ -34,28 +34,32 @@ import numpy as np
 
 _MASK = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
+_MUL1, _MUL2 = 0xBF58476D1CE4E5B9, 0x94D049BB133111EB  # the finalizer's multipliers
 _INV_2_53 = 1.0 / (1 << 53)
 _LOOKAHEAD = 256  # uniforms ``gaussian_pair`` mixes per refill
+# the same constants as numpy scalars, converted once rather than per block
+_GAMMA_U, _MUL1_U, _MUL2_U = np.uint64(_GAMMA), np.uint64(_MUL1), np.uint64(_MUL2)
+_S11, _S27, _S30, _S31 = (np.uint64(s) for s in (11, 27, 30, 31))
 
 
 def _mix(z: int) -> int:
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
+    z = ((z ^ (z >> 30)) * _MUL1) & _MASK
+    z = ((z ^ (z >> 27)) * _MUL2) & _MASK
     return z ^ (z >> 31)
 
 
 def _uniforms(state: int, count: int) -> np.ndarray:
     """The uniforms of the ``count`` draws after counter ``state``, mixed in numpy."""
     z = np.arange(1, count + 1, dtype=np.uint64)
-    z *= np.uint64(_GAMMA)
+    z *= _GAMMA_U
     z += np.uint64(state)
     shifted = np.empty_like(z)
-    z ^= np.right_shift(z, np.uint64(30), out=shifted)
-    z *= np.uint64(0xBF58476D1CE4E5B9)
-    z ^= np.right_shift(z, np.uint64(27), out=shifted)
-    z *= np.uint64(0x94D049BB133111EB)
-    z ^= np.right_shift(z, np.uint64(31), out=shifted)
-    z >>= np.uint64(11)
+    z ^= np.right_shift(z, _S30, out=shifted)
+    z *= _MUL1_U
+    z ^= np.right_shift(z, _S27, out=shifted)
+    z *= _MUL2_U
+    z ^= np.right_shift(z, _S31, out=shifted)
+    z >>= _S11
     return np.multiply(z, _INV_2_53, dtype=np.float64)
 
 

@@ -219,11 +219,6 @@ class TinyModel:
     channels: int
     params: np.ndarray
 
-    @property
-    def architecture(self) -> str:
-        s = 1 << self.level
-        return f"in {s}x{s} -> conv3x3(1->{self.channels}) tanh -> conv3x3({self.channels}->1) softplus"
-
     @classmethod
     def param_count(cls, channels: int) -> int:
         return 9 * channels + channels + 9 * channels + 1
@@ -497,10 +492,10 @@ def _epoch_order(count: int, seed: int, epoch: int) -> list[int]:
 
 
 def _snapshot(model: TinyModel, rows: Sequence[TraceRow]) -> dict:
-    recent = [r.loss for r in rows[-5:]]
+    s, c = 1 << model.level, model.channels
     return {
         "param_norm": float(np.linalg.norm(model.params)),
         "param_max": float(np.max(np.abs(model.params))),
-        "recent_losses": recent,
-        "architecture": model.architecture,
+        "recent_losses": [r.loss for r in rows[-5:]],
+        "architecture": f"in {s}x{s} -> conv3x3(1->{c}) tanh -> conv3x3({c}->1) softplus",
     }

@@ -8,6 +8,20 @@ from pml.pyramid import maps_from_batch
 from pml.rng import SplitMix64
 
 
+# pyproject.toml ignores this warning too, but a test's own filterwarnings("error")
+# mark would turn it back into the error that ends the session (see there)
+_HYPOTHESIS_REPORT_WARNING = "ignore:mypy_extensions.TypedDict is deprecated:DeprecationWarning"
+
+
+def pytest_collection_modifyitems(session, config, items):
+    """Ignore the warning above under every test's own ``filterwarnings`` marks.
+
+    Filters from marks apply after the ini ones, nearest node first, so the
+    session's marks apply last and outrank every test's and class's.
+    """
+    session.add_marker(pytest.mark.filterwarnings(_HYPOTHESIS_REPORT_WARNING))
+
+
 def random_map_batch(seed: int, level: int, batch: int, low: float = 0.0, high: float = 1.0):
     """Platform-independent random prediction/ground-truth batches."""
     side = 1 << level

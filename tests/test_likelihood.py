@@ -99,6 +99,16 @@ class TestLogLikelihood:
         with pytest.raises(ValueError, match="non-empty"):
             log_likelihood([], [], ResolutionSet((0, 3)), EPS)
 
+    def test_reports_are_pinned_through_the_strided_block_sums(self):
+        # level 7, batch 3 pools through the strided block sums (7->5 by 4, 5->2 by 8,
+        # 5->4 by 2); the digest pins every float of both reports
+        preds, gts = random_map_batch(31, 7, 3, -1.0, 1.0)
+        reports = [log_likelihood(preds, gts, s) for s in ((2, 5, 7), ResolutionSet.dense(5, 7))]
+        text = repr([(r.loglik, sorted(r.terms.items()), r.base_term, r.constant_part)
+                     for r in reports])
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "0b96b4096bfd8ed0e65d94ff4b4af1149ec47d080bbf657bdfd3f61ca343c3da")
+
 
 @pytest.mark.parametrize("evaluate", [
     lambda p, g, levels: log_likelihood(p, g, levels),

@@ -48,6 +48,16 @@ def test_uniform_block_matches_reference(count, low, high):
     assert rng.next_u64() == ref.next_u64()  # the counter advanced by count draws
 
 
+@pytest.mark.parametrize("count", COUNTS)
+def test_double_block_equals_two_consecutive_blocks(count):
+    # a theorem trial draws its predictions and ground truths as one block
+    one, two = SplitMix64(47), SplitMix64(47)
+    both = one.uniform_block(2 * count)
+    halves = np.concatenate([two.uniform_block(count), two.uniform_block(count)])
+    assert both.tobytes() == halves.tobytes()
+    assert one._state == two._state
+
+
 def test_uniform_block_equals_scalar_draws():
     rng, scalar = SplitMix64(7), SplitMix64(7)
     block = rng.uniform_block(33, -1.0, 4.0)
