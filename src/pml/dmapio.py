@@ -2,13 +2,15 @@
 
 The .dmap format is line 1 ``<rows> <cols>`` followed by ``rows`` lines of
 ``cols`` space-separated decimal floats; rows and cols must be equal and a
-power of two, and only blank lines may follow the last row. Floats are
-written with 17 significant digits so a write/read round trip reproduces
-every float64 bit-for-bit.
+power of two, and only blank lines may follow the last row. Floats are read
+in numpy's ``loadtxt`` grammar, which unlike Python's ``float`` rejects ``1_0``
+and non-ASCII digits, and written with 17 significant digits, so a write/read
+round trip reproduces every float64 bit-for-bit.
 """
 
 from __future__ import annotations
 
+from contextlib import suppress
 from pathlib import Path
 
 import numpy as np
@@ -43,34 +45,34 @@ def write_dmap(path, m: DensityMap) -> None:
             fh.write(row_format % tuple(row.tolist()))
 
 
+def _loads(text: str) -> bool:
+    """Whether ``np.loadtxt`` reads ``text`` as one row of floats."""
+    try:
+        np.loadtxt([text], dtype=np.float64, comments=None)
+    except ValueError:
+        return False
+    return True
+
+
 def _parse_rows(path, body: list[str], cols: int) -> np.ndarray:
-    """Parse the data rows one at a time, raising a ParseError that names the line."""
-    data = np.empty((len(body), cols), dtype=np.float64)
+    """Parse the data rows in one ``np.loadtxt`` call, the format's one number grammar.
+
+    Where it rejects them, name the first line with a wrong value count or a token
+    it rejects. Blank rows never reach ``loadtxt``, which would warn and skip them.
+    """
+    with suppress(ValueError):
+        if all(map(str.strip, body)):
+            data = np.loadtxt(body, dtype=np.float64, comments=None, ndmin=2, max_rows=len(body))
+            if data.shape == (len(body), cols):
+                return data
     for r, line in enumerate(body):
         parts = line.split()
         if len(parts) != cols:
             raise ParseError(path, 2 + r, f"expected {cols} values, found {len(parts)}")
-        try:
-            data[r] = [float(p) for p in parts]
-        except ValueError as exc:
-            raise ParseError(path, 2 + r, f"bad float: {exc}") from None
-    return data
-
-
-def _load_rows(body: list[str], cols: int) -> np.ndarray | None:
-    """Parse the data rows in one numpy call; None leaves them to ``_parse_rows``.
-
-    ``loadtxt`` reads every row it accepts to the bits that ``float`` over
-    ``str.split`` gives, and rejects some rows those accept (``1_0``, non-ASCII
-    digits). Blank rows are left out: ``loadtxt`` would warn and skip them.
-    """
-    if not all(map(str.strip, body)):
-        return None
-    try:
-        data = np.loadtxt(body, dtype=np.float64, comments=None, ndmin=2, max_rows=len(body))
-    except ValueError:
-        return None
-    return data if data.shape == (len(body), cols) else None
+        if not _loads(line):
+            bad = next((p for p in parts if not _loads(p)), line)
+            raise ParseError(path, 2 + r, f"bad float: could not convert string to float: {bad!r}")
+    raise AssertionError("np.loadtxt rejected rows that it reads one at a time")
 
 
 def read_dmap(path) -> DensityMap:
@@ -92,9 +94,7 @@ def read_dmap(path) -> DensityMap:
     if len(lines) < 1 + rows:
         raise ParseError(path, len(lines) + 1, f"expected {rows} data rows, found {len(lines) - 1}")
     body = lines[1:1 + rows]
-    data = _load_rows(body, cols)
-    if data is None:
-        data = _parse_rows(path, body, cols)
+    data = _parse_rows(path, body, cols)
     bad_rows = np.flatnonzero(~np.isfinite(data).all(axis=1))
     if bad_rows.size:
         raise ParseError(path, 2 + int(bad_rows[0]), "non-finite value")

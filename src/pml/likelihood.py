@@ -21,7 +21,8 @@ simplified form evaluated by ``log_likelihood``:
 The guard ``eps`` is added to each complete log argument; that placement
 keeps the refinement comparison below exact. For the dense set {0..n, L}
 the sum collapses to ``special_case_likelihood``'s form with per-pair factor
-4/3 and base weight 1.
+4/3 and base weight 1. Each form computes its own log arguments, so the two
+stay independent checks of each other, and ``_report`` assembles both reports.
 
 Refining a resolution set (inserting intermediate levels, extending down to
 level 0) never lowers ll*: each insertion replaces one log term with a
@@ -77,6 +78,19 @@ def _checked_set(levels: ResolutionSet | Iterable[int], map_level: int) -> Resol
     return levels
 
 
+def _report(levels: ResolutionSet, args: dict[tuple[int, int], float], base_weight: float,
+            base_arg: float, epsilon: float) -> LikelihoodReport:
+    """Profiled report from each pair's log argument and the base one, summed in pair order."""
+    constant = -0.5 * (2.0 * math.pi - 1.0) * 4.0 ** levels.sub_levels[-1]
+    terms = {(a, b): -0.5 * (4.0 ** b - 4.0 ** a) * math.log(arg + epsilon)
+             for (a, b), arg in args.items()}
+    base = -0.5 * base_weight * math.log(base_arg + epsilon)
+    total = constant + base
+    for term in terms.values():
+        total += term
+    return LikelihoodReport(levels, total, terms, base, constant)
+
+
 def log_likelihood(
     preds: Sequence[DensityMap],
     gts: Sequence[DensityMap],
@@ -89,24 +103,8 @@ def log_likelihood(
     levels = _checked_set(levels, level)
     subs = levels.sub_levels
     pooled, diffs = _terms(d, level, subs)
-    n_k = subs[-1]
-    constant = -0.5 * (2.0 * math.pi - 1.0) * 4.0 ** n_k
-    terms: dict[tuple[int, int], float] = {}
-    for a, b in zip(subs, subs[1:]):
-        delta = 4.0 ** b - 4.0 ** a
-        arg = 4.0 ** b * _sq_norm(diffs[(a, b)]) / delta
-        terms[(a, b)] = -0.5 * delta * math.log(arg + epsilon)
-    base = -0.5 * 4.0 ** subs[0] * math.log(_sq_norm(pooled[subs[0]]) + epsilon)
-    total = constant + base
-    for a, b in zip(subs, subs[1:]):
-        total += terms[(a, b)]
-    return LikelihoodReport(
-        resolution_set=levels,
-        loglik=total,
-        terms=terms,
-        base_term=base,
-        constant_part=constant,
-    )
+    args = {(a, b): 4.0 ** b * _sq_norm(r) / (4.0 ** b - 4.0 ** a) for (a, b), r in diffs.items()}
+    return _report(levels, args, 4.0 ** subs[0], _sq_norm(pooled[subs[0]]), epsilon)
 
 
 def special_case_likelihood(
@@ -116,29 +114,12 @@ def special_case_likelihood(
     epsilon: float = DEFAULT_EPSILON,
 ) -> LikelihoodReport:
     """Collapsed form for the dense set {0..n} plus the prediction level."""
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
     _check_epsilon(epsilon)
     d, level = _stack(preds, gts)
     levels = ResolutionSet.dense(n, level)
     pooled, diffs = _terms(d, level, levels.sub_levels)
-    constant = -0.5 * (2.0 * math.pi - 1.0) * 4.0 ** n
-    terms: dict[tuple[int, int], float] = {}
-    for j in range(1, n + 1):
-        delta = 4.0 ** j - 4.0 ** (j - 1)
-        arg = (4.0 / 3.0) * _sq_norm(diffs[(j - 1, j)])
-        terms[(j - 1, j)] = -0.5 * delta * math.log(arg + epsilon)
-    base = -0.5 * math.log(_sq_norm(pooled[0]) + epsilon)
-    total = constant + base
-    for j in range(1, n + 1):
-        total += terms[(j - 1, j)]
-    return LikelihoodReport(
-        resolution_set=levels,
-        loglik=total,
-        terms=terms,
-        base_term=base,
-        constant_part=constant,
-    )
+    args = {pair: (4.0 / 3.0) * _sq_norm(r) for pair, r in diffs.items()}
+    return _report(levels, args, 1.0, _sq_norm(pooled[0]), epsilon)
 
 
 def likelihood_with_variances(

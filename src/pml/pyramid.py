@@ -248,11 +248,9 @@ def downsample_sum(m: DensityMap, target_level: int) -> DensityMap:
 
 
 def downsample_avg(m: DensityMap, target_level: int) -> DensityMap:
-    """Coarsen by block means; equals downsample_sum scaled by 4^(target - level)."""
-    if target_level < 0 or target_level > m.level:
-        raise ValueError(f"target level {target_level} not in [0, {m.level}]")
+    """Coarsen by block means: downsample_sum scaled by 4^(target - level)."""
     scale = 4.0 ** (target_level - m.level)
-    return DensityMap(target_level, _pool_sum(m.data, m.level, target_level) * scale)
+    return DensityMap(target_level, downsample_sum(m, target_level).data * scale)
 
 
 def upsample_replicate(m: DensityMap, target_level: int) -> DensityMap:

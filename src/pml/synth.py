@@ -215,6 +215,8 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
 class TinyModel:
     """Two-stage 3x3 conv regressor with positive (softplus) output."""
 
+    OUTPUT_BIAS = -4.26
+
     level: int
     channels: int
     params: np.ndarray
@@ -225,11 +227,11 @@ class TinyModel:
 
     @classmethod
     def initialize(cls, level: int, channels: int, seed: int = 0,
-                   output_bias: float = -4.26, init_scale: float = 0.25) -> "TinyModel":
+                   init_scale: float = 0.25) -> "TinyModel":
         """Uniform fan-scaled weights, zero hidden bias, calibrated output bias.
 
-        ``output_bias`` sets the initial density scale: softplus(output_bias)
-        per cell. The default puts the initial count on a 64x64 grid near the
+        ``OUTPUT_BIAS`` sets the initial density scale: softplus(OUTPUT_BIAS)
+        per cell. It puts the initial count on a 64x64 grid near the
         benchmark scenes' counts, so training starts roughly count-calibrated.
         ``init_scale`` shrinks the fan-scaled weight range to keep the initial
         output spread small around that calibration.
@@ -239,7 +241,7 @@ class TinyModel:
         a2 = init_scale * math.sqrt(6.0 / (9 * channels + 9))
         w1 = rng.uniform_block(9 * channels, -a1, a1)
         w2 = rng.uniform_block(9 * channels, -a2, a2)
-        params = np.concatenate([w1, np.zeros(channels), w2, np.array([output_bias])])
+        params = np.concatenate([w1, np.zeros(channels), w2, np.array([cls.OUTPUT_BIAS])])
         return cls(level=level, channels=channels, params=params)
 
     def _unpack(self):

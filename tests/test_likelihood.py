@@ -144,6 +144,17 @@ class TestSpecialCaseLikelihood:
             vals = [special_case_likelihood(preds, gts, n, EPS).loglik for n in range(6)]
             assert np.all(np.diff(vals) >= -1e-9), f"seed {seed}: {vals}"
 
+    def test_reports_are_pinned(self):
+        # n = 0..5 on a level-6 and a level-7 batch; the digest pins every float of the reports
+        reports = []
+        for seed, level, batch in ((39, 6, 2), (40, 7, 3)):
+            preds, gts = random_map_batch(seed, level, batch, -1.0, 1.0)
+            reports += [special_case_likelihood(preds, gts, n) for n in range(6)]
+        text = repr([(r.loglik, sorted(r.terms.items()), r.base_term, r.constant_part)
+                     for r in reports])
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "36d47bb3158e82612aca842aa8b2bc90594862ce0f04a0fe528d757dfbc3d394")
+
     def test_negative_n_rejected(self):
         preds, gts = random_map_batch(37, 3, 2)
         with pytest.raises(ValueError):
