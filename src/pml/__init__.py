@@ -9,7 +9,6 @@ multi-resolution loss against plain single-resolution L2.
 
 from .loss import (
     DEFAULT_EPSILON,
-    AlphaCoefficients,
     LossBreakdown,
     alpha_coefficients,
     l2_level,

@@ -129,7 +129,7 @@ def _cmd_verify_theorem(args) -> int:
 def _cmd_train_demo(args) -> int:
     _echo("train-demo", args)
     cfg = BenchmarkConfig(steps=args.steps, lr=args.lr, clip_norm=args.clip, n=args.n)
-    run = run_benchmark_cell(cfg, args.seed, args.loss, with_regularizer=True)
+    run = run_benchmark_cell(cfg, args.seed, args.loss)
     with open(args.out, "w") as fh:
         fh.write(run.result.trace_csv())
     first = run.result.rows[0].loss

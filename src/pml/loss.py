@@ -58,28 +58,20 @@ from .pyramid import DensityMap, _pool_sum, _replicate, lock, maps_from_batch
 DEFAULT_EPSILON = 1e-12
 
 
-@dataclass(frozen=True)
-class AlphaCoefficients:
+def alpha_coefficients(n: int) -> tuple[float, ...]:
     """Resolution weights alpha_0..alpha_n of the level re-weighting system.
 
     They are the unique solution of the triangular system
     ``(4^j - 4^{j-1}) * sum_{k=j..n} alpha_k = 1`` for j = 1..n together with
-    ``sum_k alpha_k = 1``; applying them to the per-n weighted log terms
-    collapses the weighted average to ``log l2(0) + sum_j log l_diff(j)``.
+    ``sum_k alpha_k = 1``, solved here by back-substitution; applying them to
+    the per-n weighted log terms collapses the weighted average to
+    ``log l2(0) + sum_j log l_diff(j)``.
     """
-
-    n: int
-    alpha: tuple[float, ...]
-
-
-def alpha_coefficients(n: int) -> AlphaCoefficients:
-    """Solve the triangular re-weighting system by back-substitution."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     # tails[j] = sum_{k=j..n} alpha_k; tails[0] = 1 from the normalization row
     tails = [1.0] + [1.0 / (4.0 ** j - 4.0 ** (j - 1)) for j in range(1, n + 1)] + [0.0]
-    alpha = tuple(tails[j] - tails[j + 1] for j in range(n + 1))
-    return AlphaCoefficients(n=n, alpha=alpha)
+    return tuple(tails[j] - tails[j + 1] for j in range(n + 1))
 
 
 @dataclass(frozen=True)

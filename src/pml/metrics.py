@@ -9,21 +9,23 @@ streams and compares loss variants. All cell runs for a given (base seed,
 repeat) share the model init and the scene stream; only the loss differs, so
 ablation differences are attributable to the loss alone. Training scenes are
 regenerated every epoch from an epoch-indexed seed instead of augmenting a
-fixed set.
+fixed set. A cell scores its test scenes as validation does, with
+``predict_counts`` and the count reduction ``count_errors`` that ``evaluate`` uses.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
 
 from .pyramid import DensityMap
 from .rng import derive_seed
-from .synth import Scene, SceneConfig, TinyModel, TrainResult, generate_scene, train
+from .synth import (Scene, SceneConfig, TinyModel, TrainResult, count_errors, generate_scene,
+                    predict_counts, train)
 
 # sub-stream tags so the train/val/test/model streams never collide
 _TRAIN, _VAL, _TEST, _MODEL = 1, 2, 3, 4
@@ -42,14 +44,12 @@ def evaluate(preds: Sequence[DensityMap], gts: Sequence[DensityMap]) -> MetricsS
         raise ValueError("batches must be non-empty")
     if len(preds) != len(gts):
         raise ValueError(f"batch sizes differ: {len(preds)} vs {len(gts)}")
-    est = np.array([p.total() for p in preds])
-    true = np.array([g.total() for g in gts])
-    err = est - true
-    return MetricsSummary(
-        mae=float(np.mean(np.abs(err))),
-        mse=float(np.sqrt(np.mean(err * err))),
-        per_sample=tuple(zip(est.tolist(), true.tolist())),
-    )
+    return _summary(np.array([p.total() for p in preds]), np.array([g.total() for g in gts]))
+
+
+def _summary(est: np.ndarray, true: np.ndarray) -> MetricsSummary:
+    mae, mse = count_errors(est, true)
+    return MetricsSummary(mae, mse, tuple(zip(est.tolist(), true.tolist())))
 
 
 @dataclass(frozen=True)
@@ -138,10 +138,10 @@ def run_benchmark_cell(
     base_seed: int,
     loss_kind: str,
     with_regularizer: bool = True,
-    n: int | None = None,
 ) -> BenchmarkRun:
     """Train one model with one loss on the shared stream and score test MAE."""
-    n = cfg.n if n is None else n
+    if cfg.test_count < 1:
+        raise ValueError(f"test_count must be >= 1, got {cfg.test_count}")
     model = TinyModel.initialize(cfg.level, cfg.channels, seed=derive_seed(base_seed, _MODEL))
     result = train(
         model,
@@ -152,20 +152,19 @@ def run_benchmark_cell(
         clip_norm=cfg.clip_norm,
         batch=cfg.batch,
         seed=derive_seed(base_seed, _TRAIN),
-        n=n,
+        n=cfg.n,
         with_regularizer=with_regularizer,
         val_scenes=_fixed_scenes(cfg, base_seed, _VAL, cfg.val_count),
         val_every=cfg.val_every,
     )
     test = _fixed_scenes(cfg, base_seed, _TEST, cfg.test_count)
-    preds = [result.model.forward(s.observation) for s in test]
-    gts = [s.gt_map for s in test]
+    true = np.array([s.gt_map.total() for s in test])
     return BenchmarkRun(
         loss_kind=loss_kind,
         with_regularizer=with_regularizer,
-        n=n,
+        n=cfg.n,
         base_seed=base_seed,
-        metrics=evaluate(preds, gts),
+        metrics=_summary(predict_counts(result.model, test), true),
         stream_hash=stream_manifest_hash(cfg, base_seed),
         result=result,
     )
@@ -175,7 +174,7 @@ def compare_pml_vs_l2(base_seeds: Sequence[int], cfg: BenchmarkConfig = Benchmar
     """Per-seed test MAE of the regularized multi-resolution loss vs plain L2."""
     rows = []
     for s in base_seeds:
-        pml_run = run_benchmark_cell(cfg, s, "pml", with_regularizer=True)
+        pml_run = run_benchmark_cell(cfg, s, "pml")
         l2_run = run_benchmark_cell(cfg, s, "l2")
         rows.append(
             {
@@ -226,11 +225,10 @@ class AblationTable:
 def ablation_run(
     base_seed: int,
     n_values: Sequence[int],
-    with_reg: Sequence[bool] = (True, False),
     repeats: int = 1,
     cfg: BenchmarkConfig = BenchmarkConfig(),
 ) -> AblationTable:
-    """Sweep n and the regularizer flag on identical per-repeat streams."""
+    """Sweep n, each with the regularizer on then off, on identical per-repeat streams."""
     if repeats < 1:
         raise ValueError(f"repeats must be >= 1, got {repeats}")
     if any(n < 0 or n > cfg.level for n in n_values):
@@ -239,8 +237,8 @@ def ablation_run(
     for repeat in range(repeats):
         seed = derive_seed(base_seed, repeat)
         for n in n_values:
-            for reg in with_reg:
-                run = run_benchmark_cell(cfg, seed, "pml", with_regularizer=reg, n=n)
+            for reg in (True, False):
+                run = run_benchmark_cell(replace(cfg, n=n), seed, "pml", with_regularizer=reg)
                 rows.append(
                     AblationRow(
                         n=n,

@@ -105,7 +105,7 @@ class SplitMix64:
         span = high - low + 1
         return low + min(int(self.uniform() * span), span - 1)
 
-    def gaussian_pair(self, mean: float = 0.0, std: float = 1.0) -> tuple[float, float]:
+    def gaussian_pair(self, std: float = 1.0) -> tuple[float, float]:
         """One Box-Muller pair; consumes exactly two uniform draws."""
         state = self._state
         i = self._ahead_next
@@ -119,9 +119,9 @@ class SplitMix64:
         self._state = self._ahead_state = (state + 2 * _GAMMA) & _MASK
         r = math.sqrt(-2.0 * math.log(u1))
         theta = 2.0 * math.pi * u2
-        return mean + std * r * math.cos(theta), mean + std * r * math.sin(theta)
+        return std * r * math.cos(theta), std * r * math.sin(theta)
 
-    def gaussian_block(self, count: int, mean: float = 0.0, std: float = 1.0) -> np.ndarray:
+    def gaussian_block(self, count: int, std: float = 1.0) -> np.ndarray:
         """``count`` Gaussians from ceil(count/2) Box-Muller pairs.
 
         Pair k is (u1, u2) = draws 2k and 2k+1 and gives outputs 2k (cosine)
@@ -142,5 +142,4 @@ class SplitMix64:
         np.multiply(r, theta, out=u[:, 1])
         out = u.reshape(-1)[:count]
         out *= std
-        out += mean
         return out

@@ -22,9 +22,9 @@ Every large array of a step (padded stacks, patch matrices, the hidden
 activations and their gradient) lives in a ``Workspace`` and is written with
 ``out=``. ``train`` makes one workspace per call and drops it on return, so
 its steps and validation passes reuse the same memory instead of allocating
-(and page-faulting) fresh temporaries; any other forward gets a fresh
-workspace of its own. A forward's cache holds views of its workspace and
-stays valid only until the next forward through that workspace.
+(and page-faulting) fresh temporaries; ``predict_counts`` makes one per pass
+and any other forward a fresh one of its own. A forward's cache holds views
+of its workspace and stays valid only until the next forward through it.
 """
 
 from __future__ import annotations
@@ -73,13 +73,8 @@ class SceneConfig:
 class Scene:
     config: SceneConfig
     annotations: PointAnnotations
-    observation: np.ndarray  # (2^obs_level, 2^obs_level), blurred points + noise
+    observation: np.ndarray  # (2^obs_level, 2^obs_level), blurred points + noise; read-only
     gt_map: DensityMap
-
-    def __post_init__(self):
-        obs = np.array(self.observation, dtype=np.float64, copy=True)
-        obs.setflags(write=False)
-        object.__setattr__(self, "observation", obs)
 
 
 def generate_scene(cfg: SceneConfig) -> Scene:
@@ -93,7 +88,7 @@ def generate_scene(cfg: SceneConfig) -> Scene:
     for (cx, cy), count in zip(centers, counts):
         for _ in range(count):
             while True:
-                dx, dy = draw(0.0, spread)
+                dx, dy = draw(spread)
                 x, y = cx + dx, cy + dy
                 if 0.0 <= x < size and 0.0 <= y < size:
                     flat += (x, y)
@@ -114,6 +109,7 @@ def generate_scene(cfg: SceneConfig) -> Scene:
         obs = np.zeros((side, side))
     if cfg.noise_std > 0:
         obs += rng.gaussian_block(side * side, std=cfg.noise_std).reshape(side, side)
+    obs.setflags(write=False)
     gt = rasterize(ann, cfg.obs_level)
     return Scene(config=cfg, annotations=ann, observation=obs, gt_map=gt)
 
@@ -379,16 +375,15 @@ class TrainResult:
         return "\n".join(lines) + "\n"
 
 
-SceneSource = Sequence[Scene] | Callable[[int], Sequence[Scene]]
-
-
 def predict_counts(model: TinyModel, scenes: Sequence[Scene],
                    work: Workspace | None = None) -> np.ndarray:
     """Predicted total count per scene, two scenes per forward.
 
     Two is the benchmark's training batch: a larger batch gives the same
-    counts but spills the forward's temporaries out of the L2 cache.
+    counts but spills the forward's temporaries out of the L2 cache. One
+    workspace (a fresh one when ``work`` is None) serves the whole pass.
     """
+    work = work or Workspace()
     counts = []
     for start in range(0, len(scenes), 2):
         obs = np.stack([s.observation for s in scenes[start:start + 2]])
@@ -397,15 +392,21 @@ def predict_counts(model: TinyModel, scenes: Sequence[Scene],
     return np.array(counts)
 
 
+def count_errors(est: np.ndarray, true: np.ndarray) -> tuple[float, float]:
+    """(MAE, root-mean-square error) of estimated against true counts."""
+    err = est - true
+    return float(np.mean(np.abs(err))), float(np.sqrt(np.mean(err * err)))
+
+
 def _counting_errors(model: TinyModel, scenes: Sequence[Scene],
                      work: Workspace | None = None) -> tuple[float, float]:
-    err = predict_counts(model, scenes, work) - np.array([s.gt_map.total() for s in scenes])
-    return float(np.mean(np.abs(err))), float(np.sqrt(np.mean(err * err)))
+    return count_errors(predict_counts(model, scenes, work),
+                        np.array([s.gt_map.total() for s in scenes]))
 
 
 def train(
     model: TinyModel,
-    scenes: SceneSource,
+    provider: Callable[[int], Sequence[Scene]],
     *,
     loss_kind: str = "pml",
     steps: int,
@@ -420,14 +421,14 @@ def train(
 ) -> TrainResult:
     """Run Adam on the chosen loss over a deterministic scene stream.
 
-    ``scenes`` is either a fixed list (cycled every epoch) or a callable
-    mapping the epoch index to that epoch's scene list. Batch order within
-    an epoch is shuffled from a stream keyed by (seed, epoch). ``val_every``
-    > 0 evaluates counting MAE/MSE on ``val_scenes`` every that many steps
-    and at the last step. One ``Workspace`` serves every forward, backward
-    and validation pass of the call and is dropped when it returns. The
-    benchmark's ``lr``, ``clip_norm``, ``batch`` and ``n`` are stated in
-    ``metrics.BenchmarkConfig``; the loss guard is ``loss.DEFAULT_EPSILON``.
+    ``provider`` maps the epoch index to that epoch's scene list, as
+    ``metrics.train_stream`` does. Batch order within an epoch is shuffled
+    from a stream keyed by (seed, epoch). ``val_every`` > 0 evaluates
+    counting MAE/MSE on ``val_scenes`` every that many steps and at the last
+    step. One ``Workspace`` serves every forward, backward and validation
+    pass of the call and is dropped when it returns. The benchmark's ``lr``,
+    ``clip_norm``, ``batch`` and ``n`` are stated in ``metrics.BenchmarkConfig``;
+    the loss guard is ``loss.DEFAULT_EPSILON``.
     """
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
@@ -436,7 +437,6 @@ def train(
     if loss_kind not in ("pml", "l2"):
         raise ValueError(f"loss_kind must be 'pml' or 'l2', got {loss_kind!r}")
     loss_mod._check_n(n, model.level)  # for both kinds, so a bad n fails before any step
-    provider = scenes if callable(scenes) else (lambda epoch: scenes)
 
     model = TinyModel(level=model.level, channels=model.channels, params=model.params.copy())
     opt = Adam(model.params.size, lr=lr)

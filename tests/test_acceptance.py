@@ -130,18 +130,18 @@ def test_criterion_4_variance_stationarity():
 def test_criterion_5_alpha_system():
     ok = True
     for n in range(1, 9):
-        coeffs = alpha_coefficients(n)
-        ok &= abs(sum(coeffs.alpha) - 1.0) < 1e-12
+        alpha = alpha_coefficients(n)
+        ok &= abs(sum(alpha) - 1.0) < 1e-12
         for j in range(1, n + 1):
-            ok &= abs((4.0 ** j - 4.0 ** (j - 1)) * sum(coeffs.alpha[j:]) - 1.0) < 1e-12
-        ok &= abs(coeffs.alpha[0] - 2.0 / 3.0) < 1e-12
+            ok &= abs((4.0 ** j - 4.0 ** (j - 1)) * sum(alpha[j:]) - 1.0) < 1e-12
+        ok &= abs(alpha[0] - 2.0 / 3.0) < 1e-12
     rng = SplitMix64(40_000)
     for n in range(1, 9):
-        coeffs = alpha_coefficients(n)
+        alpha = alpha_coefficients(n)
         log_base = math.log(rng.uniform(0.05, 20.0))
         log_diffs = [None] + [math.log(rng.uniform(0.05, 20.0)) for _ in range(n)]
         lhs = sum(
-            coeffs.alpha[k]
+            alpha[k]
             * (sum((4.0 ** j - 4.0 ** (j - 1)) * log_diffs[j] for j in range(1, k + 1)) + log_base)
             for k in range(n + 1)
         )
@@ -202,8 +202,7 @@ def test_criterion_8_training_benefit():
     per_seed = ", ".join(f"seed {r['seed']}: {r['mae_pml']:.2f} vs {r['mae_l2']:.2f}" for r in rows)
     print(f"\n  PML vs plain L2 test MAE -> {per_seed}")
 
-    sweep = ablation_run(base_seed=7, n_values=[0, 1, 2, 3, 4, 5], with_reg=(True, False),
-                         repeats=1, cfg=cfg)
+    sweep = ablation_run(base_seed=7, n_values=[0, 1, 2, 3, 4, 5], repeats=1, cfg=cfg)
     reg_mae = [r.mae for r in sweep.rows if r.with_regularizer]
     noreg_mae = [r.mae for r in sweep.rows if not r.with_regularizer]
     cells = {r.cell for r in sweep.rows}

@@ -148,10 +148,10 @@ def _residual_form_oracle(preds, gts, j1, j2):
 
 class TestAlphaCoefficients:
     def test_n1_by_hand(self):
-        assert alpha_coefficients(1).alpha == pytest.approx((2 / 3, 1 / 3), abs=1e-15)
+        assert alpha_coefficients(1) == pytest.approx((2 / 3, 1 / 3), abs=1e-15)
 
     def test_n2_by_back_substitution(self):
-        assert alpha_coefficients(2).alpha == pytest.approx((2 / 3, 1 / 4, 1 / 12), abs=1e-15)
+        assert alpha_coefficients(2) == pytest.approx((2 / 3, 1 / 4, 1 / 12), abs=1e-15)
 
     def test_matches_linear_solve_oracle(self):
         for n in (1, 2, 3, 5):
@@ -165,27 +165,27 @@ class TestAlphaCoefficients:
                 rows.append(row)
                 rhs.append(1.0)
             solved = np.linalg.lstsq(np.array(rows), np.array(rhs), rcond=None)[0]
-            assert alpha_coefficients(n).alpha == pytest.approx(tuple(solved), abs=1e-12)
+            assert alpha_coefficients(n) == pytest.approx(tuple(solved), abs=1e-12)
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_constraints(self, n):
-        coeffs = alpha_coefficients(n)
-        assert abs(sum(coeffs.alpha) - 1.0) < 1e-12
+        alpha = alpha_coefficients(n)
+        assert abs(sum(alpha) - 1.0) < 1e-12
         for j in range(1, n + 1):
-            assert abs((4.0 ** j - 4.0 ** (j - 1)) * sum(coeffs.alpha[j:]) - 1.0) < 1e-12
+            assert abs((4.0 ** j - 4.0 ** (j - 1)) * sum(alpha[j:]) - 1.0) < 1e-12
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_alpha0_is_two_thirds(self, n):
-        assert alpha_coefficients(n).alpha[0] == pytest.approx(2 / 3, abs=1e-13)
+        assert alpha_coefficients(n)[0] == pytest.approx(2 / 3, abs=1e-13)
 
     def test_reweighting_identity_on_random_losses(self):
         rng = SplitMix64(77)
         for n in (1, 2, 4, 6):
-            coeffs = alpha_coefficients(n)
+            alpha = alpha_coefficients(n)
             log_l2_0 = math.log(rng.uniform(0.1, 5.0))
             log_ldiff = [None] + [math.log(rng.uniform(0.1, 5.0)) for _ in range(n)]
             lhs = sum(
-                coeffs.alpha[k]
+                alpha[k]
                 * (sum((4.0 ** j - 4.0 ** (j - 1)) * log_ldiff[j] for j in range(1, k + 1)) + log_l2_0)
                 for k in range(n + 1)
             )

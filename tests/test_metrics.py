@@ -1,13 +1,17 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pml import metrics
 from pml.metrics import (
+    _TEST,
     _TRAIN,
     BenchmarkConfig,
+    _fixed_scenes,
     ablation_run,
     evaluate,
     run_benchmark_cell,
@@ -106,19 +110,21 @@ class TestStreams:
 
 class TestAblation:
     def test_single_cell_matches_direct_run(self):
-        table = ablation_run(3, [2], with_reg=(True,), repeats=1, cfg=TINY)
-        assert len(table.rows) == 1
-        direct = run_benchmark_cell(TINY, derive_seed(3, 0), "pml", with_regularizer=True, n=2)
-        assert table.rows[0].mae == direct.metrics.mae
-        assert table.rows[0].mse == direct.metrics.mse
+        table = ablation_run(3, [1], repeats=1, cfg=TINY)  # TINY.n is 2
+        assert len(table.rows) == 2
+        for row, reg in zip(table.rows, (True, False)):
+            direct = run_benchmark_cell(replace(TINY, n=1), derive_seed(3, 0), "pml",
+                                        with_regularizer=reg)
+            assert row.with_regularizer == reg
+            assert row.mae == direct.metrics.mae
+            assert row.mse == direct.metrics.mse
 
     def test_reg_on_and_off_cells_present(self):
-        table = ablation_run(4, [2], with_reg=(True, False), repeats=1, cfg=TINY)
-        cells = {r.cell for r in table.rows}
-        assert cells == {"n=2,reg=on", "n=2,reg=off"}
+        table = ablation_run(4, [2], repeats=1, cfg=TINY)
+        assert [r.cell for r in table.rows] == ["n=2,reg=on", "n=2,reg=off"]
 
     def test_stream_hash_identical_across_cells(self):
-        table = ablation_run(5, [1, 2], with_reg=(True, False), repeats=2, cfg=TINY)
+        table = ablation_run(5, [1, 2], repeats=2, cfg=TINY)
         by_repeat = {}
         for r in table.rows:
             by_repeat.setdefault(r.repeat, set()).add(r.stream_hash)
@@ -126,20 +132,20 @@ class TestAblation:
         assert by_repeat[0] != by_repeat[1]
 
     def test_deterministic(self):
-        a = ablation_run(6, [1], with_reg=(True,), repeats=1, cfg=TINY)
-        b = ablation_run(6, [1], with_reg=(True,), repeats=1, cfg=TINY)
+        a = ablation_run(6, [1], repeats=1, cfg=TINY)
+        b = ablation_run(6, [1], repeats=1, cfg=TINY)
         assert a == b
 
     def test_csv_layout(self):
-        table = ablation_run(7, [0], with_reg=(True, False), repeats=1, cfg=TINY)
+        table = ablation_run(7, [0], repeats=1, cfg=TINY)
         lines = table.to_csv().strip().splitlines()
         assert lines[0] == "cell,repeat,mae,mse"
         assert len(lines) == 3
 
     def test_summary_means(self):
-        table = ablation_run(8, [0], with_reg=(True,), repeats=2, cfg=TINY)
+        table = ablation_run(8, [0], repeats=2, cfg=TINY)
         summary = table.summary()
-        maes = [r.mae for r in table.rows]
+        maes = [r.mae for r in table.rows if r.with_regularizer]
         assert summary["n=0,reg=on"][0] == pytest.approx(np.mean(maes))
 
     def test_n_out_of_range_rejected(self):
@@ -163,3 +169,21 @@ class TestBenchmarkCell:
         a = run_benchmark_cell(TINY, 12, "pml")
         b = run_benchmark_cell(TINY, 12, "l2")
         assert a.stream_hash == b.stream_hash
+
+    def test_test_scores_equal_single_scene_evaluate(self):
+        # an odd count leaves a one-scene tail in the two-per-forward pass
+        cfg = replace(TINY, test_count=5)
+        run = run_benchmark_cell(cfg, 13, "pml")
+        scenes = _fixed_scenes(cfg, 13, _TEST, cfg.test_count)
+        want = evaluate([run.result.model.forward(s.observation) for s in scenes],
+                        [s.gt_map for s in scenes])
+        assert run.metrics == want
+
+    @pytest.mark.parametrize("test_count", [0, -1])
+    def test_empty_test_set_rejected_before_training(self, monkeypatch, test_count):
+        def no_training(*args, **kwargs):
+            raise AssertionError("the cell trained before checking its test set")
+
+        monkeypatch.setattr(metrics, "train", no_training)
+        with pytest.raises(ValueError, match=f"test_count must be >= 1, got {test_count}"):
+            run_benchmark_cell(replace(TINY, test_count=test_count), 14, "pml")

@@ -21,7 +21,7 @@ def _reference_uniform_block(rng, count, low=0.0, high=1.0):
     return low + (high - low) * ((z >> np.uint64(11)).astype(np.float64) * _INV_2_53)
 
 
-def _reference_gaussian_block(rng, count, mean=0.0, std=1.0):
+def _reference_gaussian_block(rng, count, std=1.0):
     pairs = (count + 1) // 2
     u = _reference_uniform_block(rng, 2 * pairs)
     u1 = u[0::2] + _INV_2_53
@@ -31,7 +31,7 @@ def _reference_gaussian_block(rng, count, mean=0.0, std=1.0):
     out = np.empty(2 * pairs)
     out[0::2] = r * np.cos(theta)
     out[1::2] = r * np.sin(theta)
-    return mean + std * out[:count]
+    return std * out[:count]
 
 
 COUNTS = (1, 2, 7, 4096, 4095)
@@ -67,9 +67,10 @@ def test_uniform_block_equals_scalar_draws():
 @pytest.mark.parametrize("count", COUNTS)
 @pytest.mark.parametrize("mean,std", [(0.0, 1.0), (0.5, 0.05), (-3.0, 2.0)])
 def test_gaussian_block_matches_reference(count, mean, std):
+    # a location is the caller's own add after the scaled block
     rng, ref = SplitMix64(43), SplitMix64(43)
-    got = rng.gaussian_block(count, mean, std)
-    want = _reference_gaussian_block(ref, count, mean, std)
+    got = mean + rng.gaussian_block(count, std)
+    want = mean + _reference_gaussian_block(ref, count, std)
     assert got.shape == (count,)
     assert np.array_equal(got, want)
     assert rng.next_u64() == ref.next_u64()  # an odd count still spends a whole pair
@@ -92,12 +93,12 @@ class _ScalarStream:
         span = high - low + 1
         return low + min(int(self.uniform() * span), span - 1)
 
-    def gaussian_pair(self, mean=0.0, std=1.0):
+    def gaussian_pair(self, std=1.0):
         u1 = ((self.next_u64() >> 11) + 1) * _INV_2_53
         u2 = (self.next_u64() >> 11) * _INV_2_53
         r = math.sqrt(-2.0 * math.log(u1))
         theta = 2.0 * math.pi * u2
-        return mean + std * r * math.cos(theta), mean + std * r * math.sin(theta)
+        return std * r * math.cos(theta), std * r * math.sin(theta)
 
     def uniform_block(self, count, low=0.0, high=1.0):
         return np.array([self.uniform(low, high) for _ in range(count)])
@@ -111,8 +112,8 @@ class TestGaussianPairLookahead:
         monkeypatch.setattr(rng_module, "_LOOKAHEAD", lookahead)
         rng, ref = SplitMix64(2024), _ScalarStream(2024)
         for k in range(600):
-            mean, std = (0.0, 1.0) if k % 3 else (k * 0.25, 0.5 + k)
-            assert rng.gaussian_pair(mean, std) == ref.gaussian_pair(mean, std)
+            std = 1.0 if k % 3 else 0.5 + k
+            assert rng.gaussian_pair(std) == ref.gaussian_pair(std)
             assert rng._state == ref._state
 
     _OPS = st.one_of(
@@ -132,7 +133,7 @@ class TestGaussianPairLookahead:
         for op, k in ops:
             if op == "gaussian_pair":
                 for _ in range(k):
-                    assert rng.gaussian_pair(1.0, 3.0) == ref.gaussian_pair(1.0, 3.0)
+                    assert rng.gaussian_pair(3.0) == ref.gaussian_pair(3.0)
                     assert rng._state == ref._state
                 continue
             if op == "uniform":

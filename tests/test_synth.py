@@ -36,6 +36,11 @@ def _small_scenes(base_seed, count):
             for i in range(count)]
 
 
+def _each_epoch(scenes):
+    """An epoch provider that hands ``train`` the same scenes every epoch."""
+    return lambda epoch: scenes
+
+
 class TestSceneConfig:
     def test_invalid_values_rejected(self):
         with pytest.raises(ValueError):
@@ -121,7 +126,7 @@ class TestGenerateScene:
             accepted = 0
             while accepted < count:
                 attempts += 1
-                dx, dy = rng.gaussian_pair(0.0, cfg.cluster_spread)
+                dx, dy = rng.gaussian_pair(cfg.cluster_spread)
                 accepted += 0.0 <= cx + dx < size and 0.0 <= cy + dy < size
         return attempts
 
@@ -360,8 +365,9 @@ class TestWorkspace:
         # workspace serves batch shapes 2 and 1 in both training and validation
         scenes = _small_scenes(30, 7)
         model = TinyModel.initialize(level=4, channels=3, seed=8)
-        runs = [train(model, scenes, loss_kind="pml", steps=9, lr=1e-2, clip_norm=10.0, batch=2,
-                      seed=4, n=2, val_scenes=scenes[:5], val_every=2) for _ in range(2)]
+        runs = [train(model, _each_epoch(scenes), loss_kind="pml", steps=9, lr=1e-2,
+                      clip_norm=10.0, batch=2, seed=4, n=2, val_scenes=scenes[:5], val_every=2)
+                for _ in range(2)]
         assert runs[0].trace_csv().encode() == runs[1].trace_csv().encode()
         assert np.array_equal(runs[0].model.params, runs[1].model.params)
 
@@ -409,8 +415,8 @@ class TestTrain:
     def test_zero_lr_keeps_parameters_and_metrics_constant(self):
         scenes = _small_scenes(0, 8)
         model = TinyModel.initialize(level=4, channels=2, seed=1)
-        result = train(model, scenes, loss_kind="pml", steps=6, lr=0.0, clip_norm=10.0, batch=2,
-                       seed=3, n=2, val_scenes=scenes[:4], val_every=2)
+        result = train(model, _each_epoch(scenes), loss_kind="pml", steps=6, lr=0.0,
+                       clip_norm=10.0, batch=2, seed=3, n=2, val_scenes=scenes[:4], val_every=2)
         assert np.array_equal(result.model.params, model.params)
         maes = [r.val_mae for r in result.rows if r.val_mae is not None]
         assert len(set(maes)) == 1
@@ -418,10 +424,10 @@ class TestTrain:
     def test_deterministic_given_seed(self):
         scenes = _small_scenes(5, 8)
         model = TinyModel.initialize(level=4, channels=2, seed=2)
-        a = train(model, scenes, loss_kind="pml", steps=10, lr=1e-3, clip_norm=10.0, batch=2,
-                  seed=9, n=2)
-        b = train(model, scenes, loss_kind="pml", steps=10, lr=1e-3, clip_norm=10.0, batch=2,
-                  seed=9, n=2)
+        a = train(model, _each_epoch(scenes), loss_kind="pml", steps=10, lr=1e-3,
+                  clip_norm=10.0, batch=2, seed=9, n=2)
+        b = train(model, _each_epoch(scenes), loss_kind="pml", steps=10, lr=1e-3,
+                  clip_norm=10.0, batch=2, seed=9, n=2)
         assert np.array_equal(a.model.params, b.model.params)
         assert a.rows == b.rows
 
@@ -429,7 +435,8 @@ class TestTrain:
         scenes = _small_scenes(6, 4)
         model = TinyModel.initialize(level=4, channels=2, seed=2)
         before = model.params.copy()
-        train(model, scenes, loss_kind="l2", steps=3, lr=1e-3, clip_norm=10.0, batch=2, seed=0, n=4)
+        train(model, _each_epoch(scenes), loss_kind="l2", steps=3, lr=1e-3, clip_norm=10.0,
+              batch=2, seed=0, n=4)
         assert np.array_equal(model.params, before)
 
     def test_epoch_provider_is_queried_per_epoch(self):
@@ -448,8 +455,8 @@ class TestTrain:
     def test_predictions_stay_positive_during_training(self):
         scenes = _small_scenes(7, 8)
         model = TinyModel.initialize(level=4, channels=2, seed=4)
-        result = train(model, scenes, loss_kind="pml", steps=15, lr=1e-2, clip_norm=10.0, batch=2,
-                       seed=1, n=2)
+        result = train(model, _each_epoch(scenes), loss_kind="pml", steps=15, lr=1e-2,
+                       clip_norm=10.0, batch=2, seed=1, n=2)
         for s in scenes:
             assert np.all(result.model.forward(s.observation).data > 0.0)
 
@@ -458,8 +465,8 @@ class TestTrain:
         model = TinyModel.initialize(level=4, channels=2, seed=5)
         model.params[-1] = np.nan
         with pytest.raises(TrainingDiverged) as info, np.errstate(invalid="ignore"):
-            train(model, scenes, loss_kind="l2", steps=3, lr=1e-3, clip_norm=10.0, batch=2,
-                  seed=0, n=4)
+            train(model, _each_epoch(scenes), loss_kind="l2", steps=3, lr=1e-3, clip_norm=10.0,
+                  batch=2, seed=0, n=4)
         assert info.value.step == 1
         assert "param_norm" in info.value.snapshot
 
@@ -467,8 +474,8 @@ class TestTrain:
         scenes = _small_scenes(9, 4)
         model = TinyModel.initialize(level=4, channels=2, seed=6)
         with pytest.raises(ValueError, match="loss_kind"):
-            train(model, scenes, loss_kind="huber", steps=1, lr=1e-3, clip_norm=10.0, batch=2,
-                  seed=0, n=4)
+            train(model, _each_epoch(scenes), loss_kind="huber", steps=1, lr=1e-3,
+                  clip_norm=10.0, batch=2, seed=0, n=4)
 
     @pytest.mark.parametrize("batch", [0, -1])
     def test_batch_below_one_rejected_before_any_epoch(self, batch):
@@ -504,8 +511,8 @@ class TestTrain:
     def test_trace_csv_layout(self):
         scenes = _small_scenes(10, 4)
         model = TinyModel.initialize(level=4, channels=2, seed=7)
-        result = train(model, scenes, loss_kind="pml", steps=4, lr=1e-3, clip_norm=10.0, batch=2,
-                       seed=0, n=1, val_scenes=scenes[:2], val_every=2)
+        result = train(model, _each_epoch(scenes), loss_kind="pml", steps=4, lr=1e-3,
+                       clip_norm=10.0, batch=2, seed=0, n=1, val_scenes=scenes[:2], val_every=2)
         lines = result.trace_csv().strip().splitlines()
         assert lines[0] == "step,loss,grad_norm,clipped,val_mae,val_mse"
         assert len(lines) == 5
