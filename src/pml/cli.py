@@ -1,8 +1,9 @@
 """Command-line surface: one binary, flag-configured subcommands.
 
 Exit codes: 0 success, 1 usage or input error, 2 validation/property failure
-(gradient check over tolerance, theorem violations). Every run echoes its
-fully resolved configuration before producing output.
+(gradient check over tolerance, theorem violations, a training run whose loss
+stops being finite). Every run echoes its fully resolved configuration before
+producing output.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from .loss import DEFAULT_EPSILON, fd_loss_gradient, loss_gradient, pml_loss, to
 from .metrics import BenchmarkConfig, ablation_run, compare_pml_vs_l2, evaluate, run_benchmark_cell
 from .pyramid import build_pyramid, lock, maps_from_batch, rasterize
 from .rng import SplitMix64
+from .synth import TrainingDiverged
 
 
 class _UsageError(Exception):
@@ -58,7 +60,6 @@ def _tolerance(text: str) -> float:
 
 
 def _cmd_rasterize(args) -> int:
-    _echo("rasterize", args)
     ann = dmapio.read_points_csv(args.points, args.scene_size)
     m = rasterize(ann, args.level)
     dmapio.write_dmap(args.out, m)
@@ -67,7 +68,6 @@ def _cmd_rasterize(args) -> int:
 
 
 def _cmd_pyramid(args) -> int:
-    _echo("pyramid", args)
     m = dmapio.read_dmap(args.map)
     pyr = build_pyramid(m, args.levels)
     outdir = Path(args.out_dir)
@@ -80,7 +80,6 @@ def _cmd_pyramid(args) -> int:
 
 
 def _cmd_loss(args) -> int:
-    _echo("loss", args)
     preds = dmapio.read_dmap_batch(args.pred)
     gts = [g.require_nonnegative() for g in dmapio.read_dmap_batch(args.gt)]
     if args.no_reg:
@@ -97,7 +96,6 @@ def _cmd_loss(args) -> int:
 
 
 def _cmd_grad_check(args) -> int:
-    _echo("grad-check", args)
     side = 1 << args.level
     rng = SplitMix64(args.seed)
     batch = 2
@@ -116,7 +114,6 @@ def _cmd_grad_check(args) -> int:
 
 
 def _cmd_verify_theorem(args) -> int:
-    _echo("verify-theorem", args)
     report = verify_theorem(args.trials, args.seed, args.level, args.nk)
     if args.out:
         with open(args.out, "w") as fh:
@@ -127,7 +124,6 @@ def _cmd_verify_theorem(args) -> int:
 
 
 def _cmd_train_demo(args) -> int:
-    _echo("train-demo", args)
     cfg = BenchmarkConfig(steps=args.steps, lr=args.lr, clip_norm=args.clip, n=args.n)
     run = run_benchmark_cell(cfg, args.seed, args.loss)
     with open(args.out, "w") as fh:
@@ -141,7 +137,6 @@ def _cmd_train_demo(args) -> int:
 
 
 def _cmd_ablate(args) -> int:
-    _echo("ablate", args)
     cfg = BenchmarkConfig(steps=args.steps)
     table = ablation_run(args.seed, args.n_values, repeats=args.repeats, cfg=cfg)
     with open(args.out, "w") as fh:
@@ -154,7 +149,6 @@ def _cmd_ablate(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    _echo("compare", args)
     cfg = BenchmarkConfig(steps=args.steps, n=args.n)
     rows = compare_pml_vs_l2(args.seeds, cfg)
     cols = ("mae_pml", "mse_pml", "mae_l2", "mse_l2")
@@ -172,7 +166,6 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    _echo("eval", args)
     preds = dmapio.read_dmap_batch(args.pred_dir)
     gts = [g.require_nonnegative() for g in dmapio.read_dmap_batch(args.gt_dir)]
     summary = evaluate(preds, gts)
@@ -230,8 +223,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--steps", type=int, required=True)
     p.add_argument("--loss", choices=("pml", "l2"), required=True)
     p.add_argument("--n", type=int, default=defaults.n)
-    p.add_argument("--lr", type=float, default=defaults.lr)
-    p.add_argument("--clip", type=float, default=defaults.clip_norm)
+    p.add_argument("--lr", type=_tolerance, default=defaults.lr)
+    p.add_argument("--clip", type=_tolerance, default=defaults.clip_norm, help="0 turns clipping off")
     p.add_argument("--out", required=True, help="metrics trace CSV")
     p.set_defaults(func=_cmd_train_demo)
 
@@ -267,11 +260,15 @@ def main(argv=None) -> int:
         return 1
     except SystemExit as exc:  # --help
         return int(exc.code or 0)
+    _echo(args.command, args)
     try:
         return args.func(args)
     except (dmapio.ParseError, OSError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except TrainingDiverged as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

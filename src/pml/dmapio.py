@@ -4,8 +4,9 @@ The .dmap format is line 1 ``<rows> <cols>`` followed by ``rows`` lines of
 ``cols`` space-separated decimal floats; rows and cols must be equal and a
 power of two, and only blank lines may follow the last row. Floats are read
 in numpy's ``loadtxt`` grammar, which unlike Python's ``float`` rejects ``1_0``
-and non-ASCII digits, and written with 17 significant digits, so a write/read
-round trip reproduces every float64 bit-for-bit.
+and non-ASCII digits. Both writers format each line with one ``%.17g`` format
+string (17 significant digits per float), so a write/read round trip
+reproduces every float64 bit-for-bit.
 """
 
 from __future__ import annotations
@@ -27,17 +28,12 @@ class ParseError(ValueError):
         self.line = line
 
 
-def format_float(x: float) -> str:
-    return f"{x:.17g}"
-
-
 def _is_power_of_two(v: int) -> bool:
     return v > 0 and (v & (v - 1)) == 0
 
 
 def write_dmap(path, m: DensityMap) -> None:
     side = m.side
-    # one format per row over Python floats: the same strings as format_float
     row_format = " ".join(["%.17g"] * side) + "\n"
     with open(path, "w") as fh:
         fh.write(f"{side} {side}\n")
@@ -108,8 +104,8 @@ def read_dmap(path) -> DensityMap:
 def write_points_csv(path, ann: PointAnnotations) -> None:
     with open(path, "w") as fh:
         fh.write("x,y\n")
-        for x, y in ann.points:
-            fh.write(f"{format_float(x)},{format_float(y)}\n")
+        for xy in ann.points.tolist():
+            fh.write("%.17g,%.17g\n" % tuple(xy))
 
 
 def read_points_csv(path, scene_size: float) -> PointAnnotations:

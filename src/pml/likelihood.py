@@ -18,11 +18,12 @@ simplified form evaluated by ``log_likelihood``:
                   * log( 4^{n_j} * l_diff(n_{j-1}, n_j) / (4^{n_j} - 4^{n_{j-1}}) + eps )
           - 1/2 * 4^{n_0} * log( l2(n_0) + eps )
 
-The guard ``eps`` is added to each complete log argument; that placement
-keeps the refinement comparison below exact. For the dense set {0..n, L}
-the sum collapses to ``special_case_likelihood``'s form with per-pair factor
-4/3 and base weight 1. Each form computes its own log arguments, so the two
-stay independent checks of each other, and ``_report`` assembles both reports.
+The guard ``eps`` is the constant ``DEFAULT_EPSILON``, the loss's default. It
+is added to each complete log argument; that placement keeps the refinement
+comparison below exact. For the dense set {0..n, L} the sum collapses to
+``special_case_likelihood``'s form with per-pair factor 4/3 and base weight 1.
+Each form computes its own log arguments, so the two stay independent checks
+of each other, and ``_report`` assembles both reports.
 
 Refining a resolution set (inserting intermediate levels, extending down to
 level 0) never lowers ll*: each insertion replaces one log term with a
@@ -39,7 +40,6 @@ from typing import Iterable, Mapping, Sequence
 
 from .loss import (
     DEFAULT_EPSILON,
-    _check_epsilon,
     _sigma_from_terms,
     _sq_norm,
     _stack,
@@ -79,12 +79,12 @@ def _checked_set(levels: ResolutionSet | Iterable[int], map_level: int) -> Resol
 
 
 def _report(levels: ResolutionSet, args: dict[tuple[int, int], float], base_weight: float,
-            base_arg: float, epsilon: float) -> LikelihoodReport:
+            base_arg: float) -> LikelihoodReport:
     """Profiled report from each pair's log argument and the base one, summed in pair order."""
     constant = -0.5 * (2.0 * math.pi - 1.0) * 4.0 ** levels.sub_levels[-1]
-    terms = {(a, b): -0.5 * (4.0 ** b - 4.0 ** a) * math.log(arg + epsilon)
+    terms = {(a, b): -0.5 * (4.0 ** b - 4.0 ** a) * math.log(arg + DEFAULT_EPSILON)
              for (a, b), arg in args.items()}
-    base = -0.5 * base_weight * math.log(base_arg + epsilon)
+    base = -0.5 * base_weight * math.log(base_arg + DEFAULT_EPSILON)
     total = constant + base
     for term in terms.values():
         total += term
@@ -95,31 +95,27 @@ def log_likelihood(
     preds: Sequence[DensityMap],
     gts: Sequence[DensityMap],
     levels: ResolutionSet | Iterable[int],
-    epsilon: float = DEFAULT_EPSILON,
 ) -> LikelihoodReport:
     """Variance-profiled relative log-likelihood for an arbitrary resolution set."""
-    _check_epsilon(epsilon)
     d, level = _stack(preds, gts)
     levels = _checked_set(levels, level)
     subs = levels.sub_levels
     pooled, diffs = _terms(d, level, subs)
     args = {(a, b): 4.0 ** b * _sq_norm(r) / (4.0 ** b - 4.0 ** a) for (a, b), r in diffs.items()}
-    return _report(levels, args, 4.0 ** subs[0], _sq_norm(pooled[subs[0]]), epsilon)
+    return _report(levels, args, 4.0 ** subs[0], _sq_norm(pooled[subs[0]]))
 
 
 def special_case_likelihood(
     preds: Sequence[DensityMap],
     gts: Sequence[DensityMap],
     n: int,
-    epsilon: float = DEFAULT_EPSILON,
 ) -> LikelihoodReport:
     """Collapsed form for the dense set {0..n} plus the prediction level."""
-    _check_epsilon(epsilon)
     d, level = _stack(preds, gts)
     levels = ResolutionSet.dense(n, level)
     pooled, diffs = _terms(d, level, levels.sub_levels)
     args = {pair: (4.0 / 3.0) * _sq_norm(r) for pair, r in diffs.items()}
-    return _report(levels, args, 1.0, _sq_norm(pooled[0]), epsilon)
+    return _report(levels, args, 1.0, _sq_norm(pooled[0]))
 
 
 def likelihood_with_variances(
@@ -161,19 +157,17 @@ def optimal_variances(
     preds: Sequence[DensityMap],
     gts: Sequence[DensityMap],
     levels: ResolutionSet | Iterable[int],
-    epsilon: float = DEFAULT_EPSILON,
 ) -> dict[int, float]:
     """Closed-form variance optimum for an arbitrary resolution set.
 
-    Terms below ``epsilon`` fall back to ``epsilon``, as in the loss's log guard.
+    Terms below ``DEFAULT_EPSILON`` fall back to it, as in the loss's log guard.
     """
-    _check_epsilon(epsilon)
     d, level = _stack(preds, gts)
     subs = _checked_set(levels, level).sub_levels
     pooled, diffs = _terms(d, level, subs)
     l2 = {subs[0]: _sq_norm(pooled[subs[0]])}
     ldiff = {pair: _sq_norm(r) for pair, r in diffs.items()}
-    return _sigma_from_terms(l2, ldiff, subs, epsilon)[0]
+    return _sigma_from_terms(l2, ldiff, subs, DEFAULT_EPSILON)[0]
 
 
 @dataclass(frozen=True)
@@ -211,8 +205,8 @@ def verify_theorem(
 
     Each trial draws a random batch of ``batch`` map pairs at ``level``, a
     random sparse sub-level set with maximum ``n_k``, and checks that the
-    dense set {0..n_k, level} never scores a lower ``log_likelihood`` (at
-    ``DEFAULT_EPSILON``) than the sparse one, beyond ``THEOREM_SLACK``.
+    dense set {0..n_k, level} never scores a lower ``log_likelihood`` than
+    the sparse one, beyond ``THEOREM_SLACK``.
     Trial t uses the stream seeded seed + t and draws its predictions, then
     its ground truths, as one block of uniforms.
     """

@@ -286,11 +286,10 @@ def loss_value_and_gradient(
     gts: Sequence[DensityMap],
     n: int,
     epsilon: float = DEFAULT_EPSILON,
-    include_regularizer: bool = True,
 ) -> tuple[LossBreakdown, list[DensityMap]]:
-    """Breakdown and per-cell gradient in one pass."""
+    """``total_loss``'s breakdown and its gradient per predicted cell, in one pass."""
     d, level = _stack(preds, gts)
-    breakdown, grad = _evaluate(d, level, n, epsilon, include_regularizer, want_gradient=True)
+    breakdown, grad = _evaluate(d, level, n, epsilon, include_regularizer=True, want_gradient=True)
     return breakdown, maps_from_batch(lock(grad), level)
 
 
@@ -299,9 +298,8 @@ def loss_gradient(
     gts: Sequence[DensityMap],
     n: int,
     epsilon: float = DEFAULT_EPSILON,
-    include_regularizer: bool = True,
 ) -> list[DensityMap]:
-    """Derivative of the (total) loss with respect to every predicted cell.
+    """Derivative of ``total_loss`` with respect to every predicted cell.
 
     Each log term contributes ``1 / (term + eps)`` times the gradient of its
     inner quadratic: ``(2/B)`` times the pooled residual (for ``l2_level``)
@@ -309,7 +307,7 @@ def loss_gradient(
     prediction grid. The weights reuse exactly the values the loss evaluation
     produces.
     """
-    return loss_value_and_gradient(preds, gts, n, epsilon, include_regularizer)[1]
+    return loss_value_and_gradient(preds, gts, n, epsilon)[1]
 
 
 def fd_loss_gradient(loss_of_preds, preds: Sequence[DensityMap], step_scale: float = 1e-6):

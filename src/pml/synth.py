@@ -212,29 +212,25 @@ class TinyModel:
     """Two-stage 3x3 conv regressor with positive (softplus) output."""
 
     OUTPUT_BIAS = -4.26
+    INIT_SCALE = 0.25
 
     level: int
     channels: int
     params: np.ndarray
 
     @classmethod
-    def param_count(cls, channels: int) -> int:
-        return 9 * channels + channels + 9 * channels + 1
-
-    @classmethod
-    def initialize(cls, level: int, channels: int, seed: int = 0,
-                   init_scale: float = 0.25) -> "TinyModel":
+    def initialize(cls, level: int, channels: int, seed: int = 0) -> "TinyModel":
         """Uniform fan-scaled weights, zero hidden bias, calibrated output bias.
 
         ``OUTPUT_BIAS`` sets the initial density scale: softplus(OUTPUT_BIAS)
         per cell. It puts the initial count on a 64x64 grid near the
         benchmark scenes' counts, so training starts roughly count-calibrated.
-        ``init_scale`` shrinks the fan-scaled weight range to keep the initial
+        ``INIT_SCALE`` shrinks the fan-scaled weight range to keep the initial
         output spread small around that calibration.
         """
         rng = SplitMix64(seed)
-        a1 = init_scale * math.sqrt(6.0 / (9 + 9 * channels))
-        a2 = init_scale * math.sqrt(6.0 / (9 * channels + 9))
+        a1 = cls.INIT_SCALE * math.sqrt(6.0 / (9 + 9 * channels))
+        a2 = cls.INIT_SCALE * math.sqrt(6.0 / (9 * channels + 9))
         w1 = rng.uniform_block(9 * channels, -a1, a1)
         w2 = rng.uniform_block(9 * channels, -a2, a2)
         params = np.concatenate([w1, np.zeros(channels), w2, np.array([cls.OUTPUT_BIAS])])

@@ -1,9 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import pml
 from pml.cli import main
 from pml.dmapio import read_dmap, write_dmap
 from pml.pyramid import DensityMap, PointAnnotations, rasterize
@@ -207,6 +212,34 @@ class TestTrainDemoCommand:
         assert not out.exists()
         assert "n = 99 exceeds prediction level 6" in capsys.readouterr().err
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_diverged_run_is_a_property_failure(self, tmp_path, capsys):
+        out = tmp_path / "t.csv"
+        assert main(["train-demo", "--seed", "1", "--steps", "3", "--loss", "pml", "--lr", "1e300",
+                     "--out", str(out)]) == 2
+        assert not out.exists()
+        assert "error: non-finite loss inf at step 2" in capsys.readouterr().err
+
+    def test_diverged_run_exits_2_without_a_traceback(self, tmp_path):
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(Path(pml.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "pml.cli", "train-demo", "--seed", "1", "--steps", "3",
+             "--loss", "pml", "--lr", "1e300", "--out", str(tmp_path / "t.csv")],
+            capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120)
+        assert proc.returncode == 2
+        assert "error: non-finite loss inf at step 2" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("flag", ["--lr", "--clip"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-1", "x"])
+    def test_non_finite_or_negative_lr_and_clip_are_usage_errors(self, tmp_path, capsys, flag, value):
+        out = tmp_path / "t.csv"
+        assert main(["train-demo", "--seed", "1", "--steps", "1", "--loss", "pml", flag, value,
+                     "--out", str(out)]) == 1
+        assert not out.exists()
+        assert f"argument {flag}: tolerance must be finite and >= 0" in capsys.readouterr().err
+
 
 class TestAblateCommand:
     def test_writes_table(self, tmp_path, capsys):
@@ -279,3 +312,19 @@ class TestUsageAndConfigEcho:
         first = capsys.readouterr().out.splitlines()[0]
         assert first.startswith("# pml loss ")
         assert "n=0" in first
+
+    @pytest.mark.parametrize("args", [
+        ["rasterize", "--points", "nope.csv", "--scene-size", "1", "--level", "2", "--out", "r.dmap"],
+        ["pyramid", "--map", "nope.dmap", "--levels", "0", "--out-dir", "out"],
+        ["loss", "--pred", "nope.dmap", "--gt", "nope.dmap"],
+        ["grad-check", "--seed", "1", "--level", "2", "--n", "1", "--eps", "inf"],
+        ["verify-theorem", "--trials", "0", "--seed", "1", "--level", "3", "--nk", "1"],
+        ["train-demo", "--seed", "1", "--steps", "0", "--loss", "pml", "--out", "t.csv"],
+        ["ablate", "--seed", "1", "--repeats", "0", "--out", "a.csv"],
+        ["compare", "--steps", "0"],
+        ["eval", "--pred-dir", "nope", "--gt-dir", "nope"],
+    ], ids=lambda args: args[0])
+    def test_echo_comes_before_the_command_checks(self, tmp_path, monkeypatch, capsys, args):
+        monkeypatch.chdir(tmp_path)
+        assert main(args) == 1
+        assert capsys.readouterr().out.splitlines()[0].startswith(f"# pml {args[0]} ")

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from pml.dmapio import (
     ParseError,
-    format_float,
     read_dmap,
     read_dmap_batch,
     read_points_csv,
@@ -287,13 +286,13 @@ class TestNumpyParseMatchesRowParser:
 
 
 class TestWriterBytes:
-    """write_dmap's one format per row writes what format_float writes value by value."""
+    """Each writer's one format per line writes what ``f"{x:.17g}"`` writes value by value."""
 
     @staticmethod
     def _per_value(m):
         side = m.side
         return (f"{side} {side}\n" + "".join(
-            " ".join(format_float(v) for v in row.tolist()) + "\n" for row in m.data)).encode()
+            " ".join(f"{v:.17g}" for v in row.tolist()) + "\n" for row in m.data)).encode()
 
     @pytest.mark.parametrize("level", [2, 5, 8])
     def test_random_bit_patterns(self, tmp_path, level):
@@ -319,6 +318,17 @@ class TestWriterBytes:
         path = tmp_path_factory.mktemp("w") / "m.dmap"
         write_dmap(path, m)
         assert path.read_bytes() == self._per_value(m)
+
+    def test_points_csv_random_bit_patterns(self, tmp_path):
+        bits = np.frombuffer(np.random.default_rng(9).bytes(8 * 4096), dtype=np.float64)
+        extremes = [0.0, -0.0, 5e-324, 1e308, 0.1, 1.0 / 3.0]
+        values = np.abs(bits[np.isfinite(bits)][:1000]).tolist() + extremes
+        ann = PointAnnotations(np.array(values).reshape(-1, 2), scene_size=1.7976931348623157e308)
+        path = tmp_path / "pts.csv"
+        write_points_csv(path, ann)
+        want = "x,y\n" + "".join(f"{x:.17g},{y:.17g}\n" for x, y in ann.points.tolist())
+        assert path.read_bytes() == want.encode()
+        assert read_points_csv(path, ann.scene_size).points.tobytes() == ann.points.tobytes()
 
 
 class TestBatchReader:

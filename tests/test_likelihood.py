@@ -16,12 +16,12 @@ from pml.likelihood import (
     special_case_likelihood,
     verify_theorem,
 )
-from pml.loss import l2_level
+from pml.loss import DEFAULT_EPSILON, l2_level
 from pml.metrics import _TEST, BenchmarkConfig, _fixed_scenes, run_benchmark_cell
 from pml.pyramid import ResolutionSet, maps_from_batch
 from pml.rng import SplitMix64
 
-EPS = 1e-12
+EPS = DEFAULT_EPSILON
 
 
 def _near_fit_batch(seed, level=6, batch=2, delta=1e-3):
@@ -66,7 +66,7 @@ def _from_scratch_oracle(preds, gts, sub_levels, eps):
 class TestLogLikelihood:
     def test_two_level_set_reduces_to_base_term(self):
         preds, gts = random_map_batch(30, 4, 2)
-        report = log_likelihood(preds, gts, ResolutionSet((0, 4)), EPS)
+        report = log_likelihood(preds, gts, ResolutionSet((0, 4)))
         expected = -0.5 * (2.0 * math.pi - 1.0) - 0.5 * math.log(l2_level(preds, gts, 0) + EPS)
         assert report.loglik == pytest.approx(expected, rel=1e-14)
         assert report.terms == {}
@@ -74,13 +74,13 @@ class TestLogLikelihood:
     def test_matches_from_scratch_oracle(self):
         preds, gts = random_map_batch(31, 4, 2)
         for subs in ((0, 2), (0, 1, 3), (1, 2), (2, 3)):
-            got = log_likelihood(preds, gts, ResolutionSet(subs + (4,)), EPS).loglik
+            got = log_likelihood(preds, gts, ResolutionSet(subs + (4,))).loglik
             oracle = _from_scratch_oracle(preds, gts, subs, EPS)
             assert got == pytest.approx(oracle, rel=1e-12)
 
     def test_report_parts_sum_to_total(self):
         preds, gts = random_map_batch(32, 5, 2)
-        report = log_likelihood(preds, gts, ResolutionSet((0, 2, 3, 5)), EPS)
+        report = log_likelihood(preds, gts, ResolutionSet((0, 2, 3, 5)))
         recomposed = report.constant_part + report.base_term + sum(report.terms.values())
         assert report.loglik == pytest.approx(recomposed, rel=1e-15)
         assert set(report.terms) == {(0, 2), (2, 3)}
@@ -88,16 +88,16 @@ class TestLogLikelihood:
     def test_no_sub_levels_rejected(self):
         preds, gts = random_map_batch(33, 3, 2)
         with pytest.raises(ValueError, match="sub-level"):
-            log_likelihood(preds, gts, ResolutionSet((3,)), EPS)
+            log_likelihood(preds, gts, ResolutionSet((3,)))
 
     def test_set_above_map_level_rejected(self):
         preds, gts = random_map_batch(34, 3, 2)
         with pytest.raises(ValueError, match="level"):
-            log_likelihood(preds, gts, ResolutionSet((0, 5)), EPS)
+            log_likelihood(preds, gts, ResolutionSet((0, 5)))
 
     def test_empty_batch_rejected(self):
         with pytest.raises(ValueError, match="non-empty"):
-            log_likelihood([], [], ResolutionSet((0, 3)), EPS)
+            log_likelihood([], [], ResolutionSet((0, 3)))
 
     def test_reports_are_pinned_through_the_strided_block_sums(self):
         # level 7, batch 3 pools through the strided block sums (7->5 by 4, 5->2 by 8,
@@ -124,15 +124,15 @@ def test_every_entry_point_rejects_a_set_above_the_map_level(evaluate):
 class TestSpecialCaseLikelihood:
     def test_n0_reduces_to_base_term(self):
         preds, gts = random_map_batch(35, 4, 2)
-        report = special_case_likelihood(preds, gts, 0, EPS)
+        report = special_case_likelihood(preds, gts, 0)
         expected = -0.5 * (2.0 * math.pi - 1.0) - 0.5 * math.log(l2_level(preds, gts, 0) + EPS)
         assert report.loglik == pytest.approx(expected, rel=1e-14)
 
     @pytest.mark.parametrize("n", range(6))
     def test_equals_general_form_on_dense_set(self, n):
         preds, gts = random_map_batch(36, 6, 2)
-        collapsed = special_case_likelihood(preds, gts, n, EPS).loglik
-        general = log_likelihood(preds, gts, ResolutionSet.dense(n, 6), EPS).loglik
+        collapsed = special_case_likelihood(preds, gts, n).loglik
+        general = log_likelihood(preds, gts, ResolutionSet.dense(n, 6)).loglik
         assert collapsed == pytest.approx(general, rel=1e-10)
 
     def test_monotone_refinement_near_fit(self):
@@ -141,7 +141,7 @@ class TestSpecialCaseLikelihood:
         # batches are in that regime
         for seed in range(100):
             preds, gts = _near_fit_batch(seed)
-            vals = [special_case_likelihood(preds, gts, n, EPS).loglik for n in range(6)]
+            vals = [special_case_likelihood(preds, gts, n).loglik for n in range(6)]
             assert np.all(np.diff(vals) >= -1e-9), f"seed {seed}: {vals}"
 
     def test_reports_are_pinned(self):
@@ -158,11 +158,11 @@ class TestSpecialCaseLikelihood:
     def test_negative_n_rejected(self):
         preds, gts = random_map_batch(37, 3, 2)
         with pytest.raises(ValueError):
-            special_case_likelihood(preds, gts, -1, EPS)
+            special_case_likelihood(preds, gts, -1)
 
     def test_empty_batch_rejected(self):
         with pytest.raises(ValueError, match="non-empty"):
-            special_case_likelihood([], [], 1, EPS)
+            special_case_likelihood([], [], 1)
 
 
 class TestVerifyTheorem:
@@ -180,8 +180,8 @@ class TestVerifyTheorem:
 
     def test_sparse_vs_dense_example(self):
         preds, gts = random_map_batch(38, 5, 2)
-        sparse = log_likelihood(preds, gts, ResolutionSet((3, 5)), EPS).loglik
-        dense = log_likelihood(preds, gts, ResolutionSet((0, 1, 2, 3, 5)), EPS).loglik
+        sparse = log_likelihood(preds, gts, ResolutionSet((3, 5))).loglik
+        dense = log_likelihood(preds, gts, ResolutionSet((0, 1, 2, 3, 5))).loglik
         assert dense >= sparse - 1e-9
 
     def test_deterministic_per_seed(self):
@@ -235,7 +235,7 @@ class TestVarianceStationarity:
         for seed in range(5):
             preds, gts = random_map_batch(500 + seed, 4, 2)
             levels = ResolutionSet(subs + (4,))
-            sigma = optimal_variances(preds, gts, levels, EPS)
+            sigma = optimal_variances(preds, gts, levels)
             base = likelihood_with_variances(preds, gts, levels, sigma)
             for j in sigma:
                 for factor in (0.9, 0.99, 1.01, 1.1):
@@ -250,7 +250,7 @@ class TestVarianceStationarity:
         # fixed resolution set; check stationarity connects them directionally
         preds, gts = random_map_batch(39, 4, 2)
         levels = ResolutionSet((0, 1, 4))
-        sigma = optimal_variances(preds, gts, levels, EPS)
+        sigma = optimal_variances(preds, gts, levels)
         at_opt = likelihood_with_variances(preds, gts, levels, sigma)
         worse = dict(sigma)
         worse[1] *= 2.0
@@ -258,23 +258,23 @@ class TestVarianceStationarity:
 
     def test_perfect_fit_falls_back_to_epsilon(self):
         preds, _ = random_map_batch(42, 3, 2)
-        sigma = optimal_variances(preds, preds, ResolutionSet((1, 2, 3)), EPS)
+        sigma = optimal_variances(preds, preds, ResolutionSet((1, 2, 3)))
         assert sigma == {0: EPS / 4.0, 1: EPS / 12.0}
 
-    @pytest.mark.parametrize("eps", [0.0, -1.0, math.nan, math.inf])
-    def test_non_finite_or_non_positive_epsilon_rejected(self, eps):
+    def test_perfect_fit_logs_the_guard(self):
         # a perfect fit makes every term zero, so only the guard stands
         # between the log and a bare math domain error
         preds, _ = random_map_batch(42, 3, 2)
-        levels = ResolutionSet((1, 2, 3))
-        calls = (
-            lambda: log_likelihood(preds, preds, levels, eps),
-            lambda: special_case_likelihood(preds, preds, 2, eps),
-            lambda: optimal_variances(preds, preds, levels, eps),
-        )
-        for call in calls:
-            with pytest.raises(ValueError, match="epsilon must be finite and > 0"):
-                call()
+        reports = (log_likelihood(preds, preds, ResolutionSet((1, 2, 3))),
+                   log_likelihood(preds, preds, ResolutionSet.dense(2, 3)),
+                   special_case_likelihood(preds, preds, 2))
+        for report in reports:
+            subs = report.resolution_set.sub_levels
+            want = -0.5 * (2.0 * math.pi - 1.0) * 4.0 ** subs[-1]
+            want += -0.5 * 4.0 ** subs[0] * math.log(EPS)
+            for a, b in zip(subs, subs[1:]):
+                want += -0.5 * (4.0 ** b - 4.0 ** a) * math.log(EPS)
+            assert report.loglik == want
 
     def test_invalid_sigma_rejected(self):
         preds, gts = random_map_batch(40, 3, 2)
@@ -284,7 +284,7 @@ class TestVarianceStationarity:
 
 def test_report_is_frozen():
     preds, gts = random_map_batch(41, 3, 2)
-    report = log_likelihood(preds, gts, ResolutionSet((0, 3)), EPS)
+    report = log_likelihood(preds, gts, ResolutionSet((0, 3)))
     assert isinstance(report, LikelihoodReport)
     with pytest.raises(AttributeError):
         report.loglik = 0.0

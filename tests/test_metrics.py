@@ -1,3 +1,4 @@
+import hashlib
 import json
 from dataclasses import replace
 
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import float64_dispatch
 from pml import metrics
 from pml.metrics import (
     _TEST,
@@ -178,6 +180,34 @@ class TestBenchmarkCell:
         want = evaluate([run.result.model.forward(s.observation) for s in scenes],
                         [s.gt_map for s in scenes])
         assert run.metrics == want
+
+    # sha256 of trace_csv() and repr of the test (MAE, MSE) of a short seed-3001 cell, per
+    # float64 dispatch: training bits are part of the determinism contract, so a change
+    # here is declared. The forward's softplus follows numpy's exp/log1p kernels
+    SHORT_CELL_BITS = {
+        "avx512": {
+            "pml": ("cdf99c6ed21cb36a3746bc47c046e2f5da541604ca513c829b45c7d9d03be7b0",
+                    "61.06167374890922", "61.189177838595946"),
+            "l2": ("a84bd200d56b1826b300ba2af8eb273e1491c17d4f171a41f97cdb7b83746bb3",
+                   "50.25522939498452", "50.325770667630636"),
+        },
+        "libm": {
+            "pml": ("d26be1c13d628194859a1a7a7de7bcadf4881507a64463648828a14bd9b87e68",
+                    "61.061673748909236", "61.18917783859596"),
+            "l2": ("42893f1c162b64566296ff8258cad7ebb41909da6cc2fb45992248a6cfeac68c",
+                   "50.25522939498452", "50.325770667630636"),
+        },
+    }
+
+    @pytest.mark.parametrize("loss_kind", ["pml", "l2"])
+    def test_short_cell_bits_are_pinned(self, loss_kind):
+        dispatch = float64_dispatch()
+        assert dispatch in self.SHORT_CELL_BITS, f"no pinned training bits for numpy's {dispatch}"
+        cfg = BenchmarkConfig(steps=60, scenes_per_epoch=8, val_count=4, test_count=6, val_every=20)
+        run = run_benchmark_cell(cfg, 3001, loss_kind)
+        got = (hashlib.sha256(run.result.trace_csv().encode()).hexdigest(),
+               repr(run.metrics.mae), repr(run.metrics.mse))
+        assert got == self.SHORT_CELL_BITS[dispatch][loss_kind], f"float64 dispatch: {dispatch}"
 
     @pytest.mark.parametrize("test_count", [0, -1])
     def test_empty_test_set_rejected_before_training(self, monkeypatch, test_count):

@@ -41,6 +41,17 @@ def _each_epoch(scenes):
     return lambda epoch: scenes
 
 
+def _initialized(level, channels, seed, scale=1.0):
+    """``TinyModel.initialize`` with weights ``scale / INIT_SCALE`` times as wide.
+
+    The benchmark's small initial weights leave the hidden layer near-linear;
+    the full fan-scaled range exercises the tanh and softplus curvature.
+    """
+    model = TinyModel.initialize(level, channels, seed)
+    model.params[:-1] *= scale / TinyModel.INIT_SCALE  # the weights and the zero hidden bias
+    return model
+
+
 class TestSceneConfig:
     def test_invalid_values_rejected(self):
         with pytest.raises(ValueError):
@@ -157,7 +168,8 @@ class TestGenerateScene:
 
 class TestTinyModel:
     def test_zero_parameters_give_constant_activation(self):
-        model = TinyModel(level=3, channels=2, params=np.zeros(TinyModel.param_count(2)))
+        model = TinyModel.initialize(level=3, channels=2)
+        model.params = np.zeros_like(model.params)
         out = model.forward(np.zeros((8, 8)))
         assert np.allclose(out.data, math.log(2.0))
         out2 = model.forward(SplitMix64(1).uniform_block(64).reshape(8, 8))
@@ -171,12 +183,12 @@ class TestTinyModel:
     def test_output_always_positive(self):
         rng = SplitMix64(2)
         for seed in range(5):
-            model = TinyModel.initialize(level=4, channels=3, seed=seed, init_scale=2.0)
+            model = _initialized(4, 3, seed, scale=2.0)
             obs = rng.uniform_block(256, -3, 3).reshape(16, 16)
             assert np.all(model.forward(obs).data > 0.0)
 
     def test_translation_equivariance_in_the_interior(self):
-        model = TinyModel.initialize(level=5, channels=4, seed=11, init_scale=1.0)
+        model = _initialized(5, 4, 11)
         obs = SplitMix64(12).uniform_block(1024).reshape(32, 32)
         shifted = np.zeros_like(obs)
         shifted[1:, 1:] = obs[:-1, :-1]
@@ -190,7 +202,7 @@ class TestTinyModel:
     @pytest.mark.parametrize("seed", range(10))
     def test_parameter_gradient_matches_finite_differences(self, seed):
         rng = SplitMix64(100 + seed)
-        model = TinyModel.initialize(level=4, channels=3, seed=seed, init_scale=1.0)
+        model = _initialized(4, 3, seed)
         obs = rng.uniform_block(2 * 256).reshape(2, 16, 16)
         gts = [DensityMap(4, rng.uniform_block(256).reshape(16, 16)) for _ in range(2)]
 
@@ -307,8 +319,7 @@ class TestPatchMatrixReference:
     @pytest.mark.parametrize("channels", [3, 6])
     def test_forward_and_gradient_match(self, batch, level, channels):
         side = 1 << level
-        model = TinyModel.initialize(level=level, channels=channels, seed=7 * level + channels,
-                                     init_scale=1.0)
+        model = _initialized(level, channels, 7 * level + channels)
         rng = SplitMix64(100 * batch + 10 * level + channels)
         obs = rng.uniform_block(batch * side * side).reshape(batch, side, side)
         dpreds = rng.uniform_block(batch * side * side, -1.0, 1.0).reshape(batch, side, side)
@@ -330,8 +341,7 @@ class TestWorkspace:
     @pytest.mark.parametrize("channels", [1, 3, 6])
     def test_reused_workspace_matches_fresh_path(self, level, channels):
         side = 1 << level
-        model = TinyModel.initialize(level=level, channels=channels, seed=level + channels,
-                                     init_scale=1.0)
+        model = _initialized(level, channels, level + channels)
         rng = SplitMix64(1000 + 10 * level + channels)
         work = Workspace()
         for _ in range(3):
@@ -348,7 +358,7 @@ class TestWorkspace:
             model.params = model.params + rng.uniform_block(model.params.size, -0.1, 0.1)
 
     def test_fresh_path_caches_are_independent(self):
-        model = TinyModel.initialize(level=4, channels=3, seed=1, init_scale=1.0)
+        model = _initialized(4, 3, 1)
         rng = SplitMix64(77)
         obs = rng.uniform_block(4 * 256).reshape(2, 2, 16, 16)
         dpreds = rng.uniform_block(2 * 256, -1.0, 1.0).reshape(2, 16, 16)
@@ -376,7 +386,7 @@ class TestPredictCounts:
     def test_equals_single_scene_forward_bit_for_bit(self):
         cfg = BenchmarkConfig()
         scenes = [generate_scene(cfg.scene_config(200 + i)) for i in range(65)]
-        model = TinyModel.initialize(cfg.level, cfg.channels, seed=3, init_scale=1.0)
+        model = _initialized(cfg.level, cfg.channels, 3)
         counts = predict_counts(model, scenes)
         assert counts.tolist() == [model.forward(s.observation).total() for s in scenes]
 
