@@ -223,8 +223,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--steps", type=int, required=True)
     p.add_argument("--loss", choices=("pml", "l2"), required=True)
     p.add_argument("--n", type=int, default=defaults.n)
-    p.add_argument("--lr", type=_tolerance, default=defaults.lr)
-    p.add_argument("--clip", type=_tolerance, default=defaults.clip_norm, help="0 turns clipping off")
+    p.add_argument("--lr", type=float, default=defaults.lr)
+    p.add_argument("--clip", type=float, default=defaults.clip_norm, help="0 turns clipping off")
     p.add_argument("--out", required=True, help="metrics trace CSV")
     p.set_defaults(func=_cmd_train_demo)
 

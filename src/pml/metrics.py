@@ -17,11 +17,13 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
 
+from .loss import _check_n
 from .pyramid import DensityMap
 from .rng import derive_seed
 from .synth import (Scene, SceneConfig, TinyModel, TrainResult, count_errors, generate_scene,
@@ -54,10 +56,11 @@ def _summary(est: np.ndarray, true: np.ndarray) -> MetricsSummary:
 
 @dataclass(frozen=True)
 class BenchmarkConfig:
-    """The benchmark's training set-up, each default stated only here: 64x64 grids.
+    """The benchmark's training set-up, each default and range rule stated only here.
 
-    Scenes follow ``SceneConfig``'s defaults at the prediction level, the model
-    ``TinyModel.initialize``'s, and the loss guard is ``loss.DEFAULT_EPSILON``.
+    Grids are 64x64. Scenes follow ``SceneConfig``'s defaults at the prediction level,
+    the model ``TinyModel.initialize``'s, and the loss guard is ``loss.DEFAULT_EPSILON``.
+    Construction and ``dataclasses.replace`` reject a set-up that cannot train.
     """
 
     level: int = 6
@@ -72,12 +75,22 @@ class BenchmarkConfig:
     test_count: int = 200
     val_every: int = 200
 
+    def __post_init__(self):
+        for name, low in (("steps", 1), ("batch", 1), ("scenes_per_epoch", 1), ("test_count", 1),
+                          ("val_count", 0), ("val_every", 0)):
+            if getattr(self, name) < low:
+                raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
+        for name in ("lr", "clip_norm"):
+            if not 0.0 <= getattr(self, name) < math.inf:  # NaN fails too
+                raise ValueError(f"{name} must be finite and >= 0, got {getattr(self, name)}")
+        _check_n(self.n, self.level)
+
     def scene_config(self, seed: int) -> SceneConfig:
         return SceneConfig(seed=seed, obs_level=self.level)
 
     @property
     def steps_per_epoch(self) -> int:
-        return max(1, -(-self.scenes_per_epoch // self.batch))
+        return -(-self.scenes_per_epoch // self.batch)
 
     @property
     def epochs(self) -> int:
@@ -140,23 +153,10 @@ def run_benchmark_cell(
     with_regularizer: bool = True,
 ) -> BenchmarkRun:
     """Train one model with one loss on the shared stream and score test MAE."""
-    if cfg.test_count < 1:
-        raise ValueError(f"test_count must be >= 1, got {cfg.test_count}")
     model = TinyModel.initialize(cfg.level, cfg.channels, seed=derive_seed(base_seed, _MODEL))
-    result = train(
-        model,
-        train_stream(cfg, base_seed),
-        loss_kind=loss_kind,
-        steps=cfg.steps,
-        lr=cfg.lr,
-        clip_norm=cfg.clip_norm,
-        batch=cfg.batch,
-        seed=derive_seed(base_seed, _TRAIN),
-        n=cfg.n,
-        with_regularizer=with_regularizer,
-        val_scenes=_fixed_scenes(cfg, base_seed, _VAL, cfg.val_count),
-        val_every=cfg.val_every,
-    )
+    result = train(model, train_stream(cfg, base_seed), cfg, loss_kind=loss_kind,
+                   seed=derive_seed(base_seed, _TRAIN), with_regularizer=with_regularizer,
+                   val_scenes=_fixed_scenes(cfg, base_seed, _VAL, cfg.val_count))
     test = _fixed_scenes(cfg, base_seed, _TEST, cfg.test_count)
     true = np.array([s.gt_map.total() for s in test])
     return BenchmarkRun(
@@ -231,17 +231,16 @@ def ablation_run(
     """Sweep n, each with the regularizer on then off, on identical per-repeat streams."""
     if repeats < 1:
         raise ValueError(f"repeats must be >= 1, got {repeats}")
-    if any(n < 0 or n > cfg.level for n in n_values):
-        raise ValueError(f"n values must lie in [0, {cfg.level}], got {list(n_values)}")
+    cfgs = [replace(cfg, n=n) for n in n_values]  # every n is checked before any training
     rows = []
     for repeat in range(repeats):
         seed = derive_seed(base_seed, repeat)
-        for n in n_values:
+        for cell_cfg in cfgs:
             for reg in (True, False):
-                run = run_benchmark_cell(replace(cfg, n=n), seed, "pml", with_regularizer=reg)
+                run = run_benchmark_cell(cell_cfg, seed, "pml", with_regularizer=reg)
                 rows.append(
                     AblationRow(
-                        n=n,
+                        n=cell_cfg.n,
                         with_regularizer=reg,
                         repeat=repeat,
                         mae=run.metrics.mae,

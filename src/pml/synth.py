@@ -31,13 +31,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 
 from . import loss as loss_mod
 from .pyramid import DensityMap, PointAnnotations, rasterize
 from .rng import SplitMix64, derive_seed
+
+if TYPE_CHECKING:  # metrics imports this module
+    from .metrics import BenchmarkConfig
 
 
 @dataclass(frozen=True)
@@ -403,39 +406,33 @@ def _counting_errors(model: TinyModel, scenes: Sequence[Scene],
 def train(
     model: TinyModel,
     provider: Callable[[int], Sequence[Scene]],
+    cfg: BenchmarkConfig,
     *,
-    loss_kind: str = "pml",
-    steps: int,
-    lr: float,
-    clip_norm: float,
-    batch: int,
-    seed: int = 0,
-    n: int,
-    with_regularizer: bool = True,
+    loss_kind: str,
+    seed: int,
+    with_regularizer: bool,
     val_scenes: Sequence[Scene] = (),
-    val_every: int = 0,
 ) -> TrainResult:
     """Run Adam on the chosen loss over a deterministic scene stream.
 
+    ``cfg``, valid by construction, gives ``steps``, ``lr``, ``clip_norm``,
+    ``batch``, ``n`` and ``val_every``; the model must be at ``cfg.level``.
     ``provider`` maps the epoch index to that epoch's scene list, as
     ``metrics.train_stream`` does. Batch order within an epoch is shuffled
     from a stream keyed by (seed, epoch). ``val_every`` > 0 evaluates
     counting MAE/MSE on ``val_scenes`` every that many steps and at the last
     step. One ``Workspace`` serves every forward, backward and validation
-    pass of the call and is dropped when it returns. The benchmark's ``lr``,
-    ``clip_norm``, ``batch`` and ``n`` are stated in ``metrics.BenchmarkConfig``;
-    the loss guard is ``loss.DEFAULT_EPSILON``.
+    pass of the call and is dropped when it returns. The loss guard is
+    ``loss.DEFAULT_EPSILON``.
     """
-    if steps < 1:
-        raise ValueError(f"steps must be >= 1, got {steps}")
-    if batch < 1:
-        raise ValueError(f"batch must be >= 1, got {batch}")
     if loss_kind not in ("pml", "l2"):
         raise ValueError(f"loss_kind must be 'pml' or 'l2', got {loss_kind!r}")
-    loss_mod._check_n(n, model.level)  # for both kinds, so a bad n fails before any step
+    if model.level != cfg.level:
+        raise ValueError(f"model level {model.level} != config level {cfg.level}")
+    steps, batch, n, val_every = cfg.steps, cfg.batch, cfg.n, cfg.val_every
 
     model = TinyModel(level=model.level, channels=model.channels, params=model.params.copy())
-    opt = Adam(model.params.size, lr=lr)
+    opt = Adam(model.params.size, lr=cfg.lr)
     work = Workspace()
     rows: list[TraceRow] = []
     step = 0
@@ -457,19 +454,20 @@ def train(
                 raise TrainingDiverged(step, float("nan"), _snapshot(model, rows))
 
             d = pred_arr - gt_arr
-            if loss_kind == "pml":
-                bd, dpred = loss_mod._evaluate(d, model.level, n, loss_mod.DEFAULT_EPSILON,
-                                               with_regularizer, want_gradient=True)
-                loss_value = bd.total
-            else:
-                loss_value = loss_mod._sq_norm(d)
-                dpred = (2.0 / len(group)) * d
+            with np.errstate(over="ignore", invalid="ignore"):  # a non-finite loss raises below
+                if loss_kind == "pml":
+                    bd, dpred = loss_mod._evaluate(d, model.level, n, loss_mod.DEFAULT_EPSILON,
+                                                   with_regularizer, want_gradient=True)
+                    loss_value = bd.total
+                else:
+                    loss_value = loss_mod._sq_norm(d)
+                    dpred = (2.0 / len(group)) * d
 
             if not math.isfinite(loss_value):
                 raise TrainingDiverged(step, loss_value, _snapshot(model, rows))
 
             grad = model._backward(cache, dpred)
-            grad, norm, clipped = clip_by_global_norm(grad, clip_norm)
+            grad, norm, clipped = clip_by_global_norm(grad, cfg.clip_norm)
             model.params = opt.step(model.params, grad)
 
             val_mae = val_mse = None
@@ -491,9 +489,10 @@ def _epoch_order(count: int, seed: int, epoch: int) -> list[int]:
 
 def _snapshot(model: TinyModel, rows: Sequence[TraceRow]) -> dict:
     s, c = 1 << model.level, model.channels
-    return {
-        "param_norm": float(np.linalg.norm(model.params)),
-        "param_max": float(np.max(np.abs(model.params))),
-        "recent_losses": [r.loss for r in rows[-5:]],
-        "architecture": f"in {s}x{s} -> conv3x3(1->{c}) tanh -> conv3x3({c}->1) softplus",
-    }
+    with np.errstate(over="ignore"):  # the norm of diverged parameters may overflow to inf
+        return {
+            "param_norm": float(np.linalg.norm(model.params)),
+            "param_max": float(np.max(np.abs(model.params))),
+            "recent_losses": [r.loss for r in rows[-5:]],
+            "architecture": f"in {s}x{s} -> conv3x3(1->{c}) tanh -> conv3x3({c}->1) softplus",
+        }

@@ -212,7 +212,6 @@ class TestTrainDemoCommand:
         assert not out.exists()
         assert "n = 99 exceeds prediction level 6" in capsys.readouterr().err
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_diverged_run_is_a_property_failure(self, tmp_path, capsys):
         out = tmp_path / "t.csv"
         assert main(["train-demo", "--seed", "1", "--steps", "3", "--loss", "pml", "--lr", "1e300",
@@ -224,8 +223,9 @@ class TestTrainDemoCommand:
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             [str(Path(pml.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]))
         proc = subprocess.run(
-            [sys.executable, "-m", "pml.cli", "train-demo", "--seed", "1", "--steps", "3",
-             "--loss", "pml", "--lr", "1e300", "--out", str(tmp_path / "t.csv")],
+            [sys.executable, "-W", "error::RuntimeWarning", "-m", "pml.cli", "train-demo",
+             "--seed", "1", "--steps", "3", "--loss", "pml", "--lr", "1e300",
+             "--out", str(tmp_path / "t.csv")],
             capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120)
         assert proc.returncode == 2
         assert "error: non-finite loss inf at step 2" in proc.stderr
@@ -238,7 +238,12 @@ class TestTrainDemoCommand:
         assert main(["train-demo", "--seed", "1", "--steps", "1", "--loss", "pml", flag, value,
                      "--out", str(out)]) == 1
         assert not out.exists()
-        assert f"argument {flag}: tolerance must be finite and >= 0" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        if value == "x":
+            assert f"argument {flag}: invalid float value: 'x'" in err
+        else:
+            name = {"--lr": "lr", "--clip": "clip_norm"}[flag]
+            assert f"error: {name} must be finite and >= 0, got {float(value)}" in err
 
 
 class TestAblateCommand:

@@ -1,5 +1,7 @@
 import hashlib
 import json
+import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -85,6 +87,31 @@ class TestEvaluate:
         assert shuffled.mse == pytest.approx(base.mse, rel=1e-12)
 
 
+class TestBenchmarkConfig:
+    @pytest.mark.parametrize("build", [lambda **c: BenchmarkConfig(**c),
+                                       lambda **c: replace(BenchmarkConfig(), **c)],
+                             ids=["constructor", "replace"])
+    @pytest.mark.parametrize("changes,message", [
+        *(({name: value}, f"{name} must be finite and >= 0, got {value}")
+          for name in ("lr", "clip_norm") for value in (math.nan, math.inf, -1.0)),
+        *(({name: value}, f"{name} must be >= 1, got {value}")
+          for name in ("steps", "batch", "scenes_per_epoch", "test_count") for value in (0, -1)),
+        *(({name: -1}, f"{name} must be >= 0, got -1") for name in ("val_count", "val_every")),
+        ({"n": -1}, "n must be >= 0, got -1"),
+        ({"n": 7}, "n = 7 exceeds prediction level 6"),
+        # a NaN clip_norm once turned clipping off without a word
+        ({"steps": 20, "clip_norm": math.nan, "val_count": 2, "test_count": 2},
+         "clip_norm must be finite and >= 0, got nan"),
+    ])
+    def test_invalid_set_up_rejected(self, build, changes, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            build(**changes)
+
+    def test_boundary_values_accepted(self):
+        cfg = BenchmarkConfig(lr=0.0, clip_norm=0.0, val_count=0, val_every=0, n=6)
+        assert replace(cfg, n=0, steps=1, batch=1, scenes_per_epoch=1, test_count=1).n == 0
+
+
 class TestStreams:
     def test_manifest_covers_planned_epochs(self):
         manifest = stream_manifest(TINY, 5)
@@ -150,9 +177,14 @@ class TestAblation:
         maes = [r.mae for r in table.rows if r.with_regularizer]
         assert summary["n=0,reg=on"][0] == pytest.approx(np.mean(maes))
 
-    def test_n_out_of_range_rejected(self):
-        with pytest.raises(ValueError):
-            ablation_run(9, [TINY.level + 1], cfg=TINY)
+    def test_n_out_of_range_rejected(self, monkeypatch):
+        def no_training(*args, **kwargs):
+            raise AssertionError("the sweep trained before checking every n")
+
+        monkeypatch.setattr(metrics, "train", no_training)
+        message = f"n = {TINY.level + 1} exceeds prediction level {TINY.level}"
+        with pytest.raises(ValueError, match=message):
+            ablation_run(9, [1, TINY.level + 1], cfg=TINY)
 
     @pytest.mark.parametrize("repeats", [0, -1])
     def test_fewer_than_one_repeat_rejected(self, repeats):

@@ -36,6 +36,11 @@ def _small_scenes(base_seed, count):
             for i in range(count)]
 
 
+def _cfg(**changes):
+    """The ``train`` tests' set-up: level-4 scenes, two channels, the rest the benchmark's."""
+    return BenchmarkConfig(**{"level": 4, "channels": 2, **changes})
+
+
 def _each_epoch(scenes):
     """An epoch provider that hands ``train`` the same scenes every epoch."""
     return lambda epoch: scenes
@@ -375,8 +380,9 @@ class TestWorkspace:
         # workspace serves batch shapes 2 and 1 in both training and validation
         scenes = _small_scenes(30, 7)
         model = TinyModel.initialize(level=4, channels=3, seed=8)
-        runs = [train(model, _each_epoch(scenes), loss_kind="pml", steps=9, lr=1e-2,
-                      clip_norm=10.0, batch=2, seed=4, n=2, val_scenes=scenes[:5], val_every=2)
+        cfg = _cfg(channels=3, steps=9, lr=1e-2, n=2, val_every=2)
+        runs = [train(model, _each_epoch(scenes), cfg, loss_kind="pml", seed=4,
+                      with_regularizer=True, val_scenes=scenes[:5])
                 for _ in range(2)]
         assert runs[0].trace_csv().encode() == runs[1].trace_csv().encode()
         assert np.array_equal(runs[0].model.params, runs[1].model.params)
@@ -425,8 +431,8 @@ class TestTrain:
     def test_zero_lr_keeps_parameters_and_metrics_constant(self):
         scenes = _small_scenes(0, 8)
         model = TinyModel.initialize(level=4, channels=2, seed=1)
-        result = train(model, _each_epoch(scenes), loss_kind="pml", steps=6, lr=0.0,
-                       clip_norm=10.0, batch=2, seed=3, n=2, val_scenes=scenes[:4], val_every=2)
+        result = train(model, _each_epoch(scenes), _cfg(steps=6, lr=0.0, n=2, val_every=2),
+                       loss_kind="pml", seed=3, with_regularizer=True, val_scenes=scenes[:4])
         assert np.array_equal(result.model.params, model.params)
         maes = [r.val_mae for r in result.rows if r.val_mae is not None]
         assert len(set(maes)) == 1
@@ -434,10 +440,8 @@ class TestTrain:
     def test_deterministic_given_seed(self):
         scenes = _small_scenes(5, 8)
         model = TinyModel.initialize(level=4, channels=2, seed=2)
-        a = train(model, _each_epoch(scenes), loss_kind="pml", steps=10, lr=1e-3,
-                  clip_norm=10.0, batch=2, seed=9, n=2)
-        b = train(model, _each_epoch(scenes), loss_kind="pml", steps=10, lr=1e-3,
-                  clip_norm=10.0, batch=2, seed=9, n=2)
+        a, b = (train(model, _each_epoch(scenes), _cfg(steps=10, n=2), loss_kind="pml", seed=9,
+                      with_regularizer=True) for _ in range(2))
         assert np.array_equal(a.model.params, b.model.params)
         assert a.rows == b.rows
 
@@ -445,8 +449,8 @@ class TestTrain:
         scenes = _small_scenes(6, 4)
         model = TinyModel.initialize(level=4, channels=2, seed=2)
         before = model.params.copy()
-        train(model, _each_epoch(scenes), loss_kind="l2", steps=3, lr=1e-3, clip_norm=10.0,
-              batch=2, seed=0, n=4)
+        train(model, _each_epoch(scenes), _cfg(steps=3), loss_kind="l2", seed=0,
+              with_regularizer=True)
         assert np.array_equal(model.params, before)
 
     def test_epoch_provider_is_queried_per_epoch(self):
@@ -457,16 +461,15 @@ class TestTrain:
             return _small_scenes(50 + epoch, 4)
 
         model = TinyModel.initialize(level=4, channels=2, seed=3)
-        train(model, provider, loss_kind="l2", steps=5, lr=1e-3, clip_norm=10.0, batch=2,
-              seed=0, n=4)
+        train(model, provider, _cfg(steps=5), loss_kind="l2", seed=0, with_regularizer=True)
         # 4 scenes / batch 2 -> 2 steps per epoch -> epochs 0, 1, 2
         assert seen == [0, 1, 2]
 
     def test_predictions_stay_positive_during_training(self):
         scenes = _small_scenes(7, 8)
         model = TinyModel.initialize(level=4, channels=2, seed=4)
-        result = train(model, _each_epoch(scenes), loss_kind="pml", steps=15, lr=1e-2,
-                       clip_norm=10.0, batch=2, seed=1, n=2)
+        result = train(model, _each_epoch(scenes), _cfg(steps=15, lr=1e-2, n=2), loss_kind="pml",
+                       seed=1, with_regularizer=True)
         for s in scenes:
             assert np.all(result.model.forward(s.observation).data > 0.0)
 
@@ -475,8 +478,8 @@ class TestTrain:
         model = TinyModel.initialize(level=4, channels=2, seed=5)
         model.params[-1] = np.nan
         with pytest.raises(TrainingDiverged) as info, np.errstate(invalid="ignore"):
-            train(model, _each_epoch(scenes), loss_kind="l2", steps=3, lr=1e-3, clip_norm=10.0,
-                  batch=2, seed=0, n=4)
+            train(model, _each_epoch(scenes), _cfg(steps=3), loss_kind="l2", seed=0,
+                  with_regularizer=True)
         assert info.value.step == 1
         assert "param_norm" in info.value.snapshot
 
@@ -484,8 +487,8 @@ class TestTrain:
         scenes = _small_scenes(9, 4)
         model = TinyModel.initialize(level=4, channels=2, seed=6)
         with pytest.raises(ValueError, match="loss_kind"):
-            train(model, _each_epoch(scenes), loss_kind="huber", steps=1, lr=1e-3,
-                  clip_norm=10.0, batch=2, seed=0, n=4)
+            train(model, _each_epoch(scenes), _cfg(steps=1), loss_kind="huber", seed=0,
+                  with_regularizer=True)
 
     @pytest.mark.parametrize("batch", [0, -1])
     def test_batch_below_one_rejected_before_any_epoch(self, batch):
@@ -501,8 +504,8 @@ class TestTrain:
 
         model = TinyModel.initialize(level=4, channels=2, seed=8)
         with pytest.raises(ValueError, match=f"batch must be >= 1, got {batch}"):
-            train(model, provider, loss_kind="l2", steps=2, lr=1e-3, clip_norm=10.0,
-                  batch=batch, seed=0, n=4)
+            train(model, provider, _cfg(steps=2, batch=batch), loss_kind="l2", seed=0,
+                  with_regularizer=True)
         assert seen == []
 
     @pytest.mark.parametrize("loss_kind", ["pml", "l2"])
@@ -515,14 +518,25 @@ class TestTrain:
             raise AssertionError("n was not checked before the first epoch")
 
         with pytest.raises(ValueError, match=message):
-            train(model, provider, loss_kind=loss_kind, steps=1, lr=1e-3, clip_norm=10.0,
-                  batch=2, seed=0, n=n)
+            train(model, provider, _cfg(steps=1, n=n), loss_kind=loss_kind, seed=0,
+                  with_regularizer=True)
+
+    def test_model_level_other_than_the_config_level_rejected_before_any_epoch(self):
+        # n is checked against cfg.level, so a model at another level must not train
+        model = TinyModel.initialize(level=3, channels=2, seed=9)
+
+        def provider(epoch):
+            raise AssertionError("the model level was not checked before the first epoch")
+
+        with pytest.raises(ValueError, match="model level 3 != config level 4"):
+            train(model, provider, _cfg(steps=1, n=2), loss_kind="pml", seed=0,
+                  with_regularizer=True)
 
     def test_trace_csv_layout(self):
         scenes = _small_scenes(10, 4)
         model = TinyModel.initialize(level=4, channels=2, seed=7)
-        result = train(model, _each_epoch(scenes), loss_kind="pml", steps=4, lr=1e-3,
-                       clip_norm=10.0, batch=2, seed=0, n=1, val_scenes=scenes[:2], val_every=2)
+        result = train(model, _each_epoch(scenes), _cfg(steps=4, n=1, val_every=2),
+                       loss_kind="pml", seed=0, with_regularizer=True, val_scenes=scenes[:2])
         lines = result.trace_csv().strip().splitlines()
         assert lines[0] == "step,loss,grad_norm,clipped,val_mae,val_mse"
         assert len(lines) == 5
