@@ -18,7 +18,7 @@ import numpy as np
 
 from . import dmapio
 from .likelihood import verify_theorem
-from .loss import DEFAULT_EPSILON, fd_loss_gradient, loss_gradient, pml_loss, total_loss
+from .loss import fd_loss_gradient, loss_gradient, pml_loss, total_loss
 from .metrics import BenchmarkConfig, ablation_run, compare_pml_vs_l2, evaluate, run_benchmark_cell
 from .pyramid import build_pyramid, lock, maps_from_batch, rasterize
 from .rng import SplitMix64
@@ -83,9 +83,9 @@ def _cmd_loss(args) -> int:
     preds = dmapio.read_dmap_batch(args.pred)
     gts = [g.require_nonnegative() for g in dmapio.read_dmap_batch(args.gt)]
     if args.no_reg:
-        bd = pml_loss(preds, gts, args.n, args.eps)
+        bd = pml_loss(preds, gts, args.n)
     else:
-        bd = total_loss(preds, gts, args.n, args.eps)
+        bd = total_loss(preds, gts, args.n)
     flat = bd.to_flat_dict()
     if args.json:
         print(json.dumps(flat, sort_keys=True))
@@ -97,12 +97,12 @@ def _cmd_loss(args) -> int:
 
 def _cmd_grad_check(args) -> int:
     side = 1 << args.level
-    rng = SplitMix64(args.seed)
     batch = 2
-    preds = maps_from_batch(lock(rng.uniform_block(batch * side * side)).reshape(batch, side, side), args.level)
-    gts = maps_from_batch(lock(rng.uniform_block(batch * side * side)).reshape(batch, side, side), args.level)
-    analytic = loss_gradient(preds, gts, args.n, args.eps)
-    numeric = fd_loss_gradient(lambda ps: total_loss(ps, gts, args.n, args.eps).total, preds)
+    rng = SplitMix64(args.seed)
+    pred, gt = lock(rng.uniform_block(2 * batch * side * side)).reshape(2, batch, side, side)
+    preds, gts = maps_from_batch(pred, args.level), maps_from_batch(gt, args.level)
+    analytic = loss_gradient(preds, gts, args.n)
+    numeric = fd_loss_gradient(lambda ps: total_loss(ps, gts, args.n).total, preds)
     num_scale = max(float(np.max(np.abs(g))) for g in numeric)
     err = max(float(np.max(np.abs(a.data - g))) for a, g in zip(analytic, numeric)) / num_scale
     print(f"max relative error: {err:.6e} (tolerance {args.tol:g})")
@@ -198,7 +198,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--gt", required=True)
     p.add_argument("--n", type=int, default=defaults.n)
     p.add_argument("--no-reg", action="store_true", help="drop the full-resolution L2 term")
-    p.add_argument("--eps", type=float, default=DEFAULT_EPSILON)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_loss)
 
@@ -207,7 +206,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--level", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--tol", type=_tolerance, default=1e-5)
-    p.add_argument("--eps", type=float, default=DEFAULT_EPSILON)
     p.set_defaults(func=_cmd_grad_check)
 
     p = sub.add_parser("verify-theorem", help="randomized sparse-vs-dense likelihood comparison")

@@ -18,7 +18,7 @@ simplified form evaluated by ``log_likelihood``:
                   * log( 4^{n_j} * l_diff(n_{j-1}, n_j) / (4^{n_j} - 4^{n_{j-1}}) + eps )
           - 1/2 * 4^{n_0} * log( l2(n_0) + eps )
 
-The guard ``eps`` is the constant ``DEFAULT_EPSILON``, the loss's default. It
+The guard ``eps`` is the constant ``DEFAULT_EPSILON``, the loss's guard. It
 is added to each complete log argument; that placement keeps the refinement
 comparison below exact. For the dense set {0..n, L} the sum collapses to
 ``special_case_likelihood``'s form with per-pair factor 4/3 and base weight 1.
@@ -167,7 +167,7 @@ def optimal_variances(
     pooled, diffs = _terms(d, level, subs)
     l2 = {subs[0]: _sq_norm(pooled[subs[0]])}
     ldiff = {pair: _sq_norm(r) for pair, r in diffs.items()}
-    return _sigma_from_terms(l2, ldiff, subs, DEFAULT_EPSILON)[0]
+    return _sigma_from_terms(l2, ldiff, subs)[0]
 
 
 @dataclass(frozen=True)

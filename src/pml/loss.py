@@ -16,9 +16,10 @@ multi-resolution loss over levels 0..n is
 
 and the total training loss adds the full-resolution squared error as a
 plain (un-logged) regularizer: ``total = pml + l2_level(L)``. With n = 0 the
-total degenerates to the single-resolution L2 setting. ``eps`` guards every
-logarithm against a perfect fit. Batch means are computed before the log, in
-batch-index order, so results are reproducible.
+total degenerates to the single-resolution L2 setting. ``eps``, the constant
+``DEFAULT_EPSILON``, guards every logarithm against a perfect fit. Batch
+means are computed before the log, in batch-index order, so results are
+reproducible.
 
 The public functions take ``DensityMap`` batches; ``_stack`` validates them
 and forms ``d`` once. ``_terms`` pools ``d`` to each requested level, each
@@ -56,6 +57,7 @@ import numpy as np
 from .pyramid import DensityMap, _pool_sum, _replicate, lock, maps_from_batch
 
 DEFAULT_EPSILON = 1e-12
+FD_STEP_SCALE = 1e-6  # fd_loss_gradient's step per unit of a map's largest |value|
 
 
 def alpha_coefficients(n: int) -> tuple[float, ...]:
@@ -84,7 +86,6 @@ class LossBreakdown:
     regularizer: float
     total: float
     sigma_sq: dict[int, float]
-    epsilon: float
     sigma_guarded: bool = False
 
     def to_flat_dict(self) -> dict[str, float]:
@@ -99,7 +100,6 @@ class LossBreakdown:
         out["pml"] = self.pml
         out["regularizer"] = self.regularizer
         out["total"] = self.total
-        out["epsilon"] = self.epsilon
         return out
 
 
@@ -180,27 +180,20 @@ def _sigma_from_terms(
     l2_vals: Mapping[int, float],
     ldiff_vals: Mapping[tuple[int, int], float],
     sub_levels: Sequence[int],
-    epsilon: float,
 ) -> tuple[dict[int, float], bool]:
     guarded = False
     n0 = sub_levels[0]
     base = l2_vals[n0]
-    if base < epsilon:
-        base, guarded = epsilon, True
+    if base < DEFAULT_EPSILON:
+        base, guarded = DEFAULT_EPSILON, True
     sigma = {0: 4.0 ** (-n0) * base}
     for j in range(1, len(sub_levels)):
         a, b = sub_levels[j - 1], sub_levels[j]
         v = ldiff_vals[(a, b)]
-        if v < epsilon:
-            v, guarded = epsilon, True
+        if v < DEFAULT_EPSILON:
+            v, guarded = DEFAULT_EPSILON, True
         sigma[j] = v / (4.0 ** b - 4.0 ** a)
     return sigma, guarded
-
-
-def _check_epsilon(epsilon: float) -> None:
-    """Reject a log guard ``eps`` that is not a finite number above zero."""
-    if not 0.0 < epsilon < math.inf:
-        raise ValueError(f"epsilon must be finite and > 0, got {epsilon}")
 
 
 def _check_n(n: int, level: int) -> None:
@@ -211,28 +204,27 @@ def _check_n(n: int, level: int) -> None:
         raise ValueError(f"n = {n} exceeds prediction level {level}")
 
 
-def _evaluate(d, level, n, epsilon, include_regularizer, want_gradient):
+def _evaluate(d, level, n, include_regularizer, want_gradient):
     """The loss core on a stacked (B, side, side) residual at map level ``level``.
 
     Returns the breakdown and, when ``want_gradient``, the gradient with
     respect to the prediction as one array of the same shape (else None).
     """
     _check_n(n, level)
-    _check_epsilon(epsilon)
 
     levels = tuple(range(n + 1))
     pooled, diffs = _terms(d, level, levels)
     l2_vals = {i: _sq_norm(pooled[i]) for i in levels}
     ldiff_vals = {pair: _sq_norm(r) for pair, r in diffs.items()}
-    pml = math.log(l2_vals[0] + epsilon)
+    pml = math.log(l2_vals[0] + DEFAULT_EPSILON)
     for j in range(1, n + 1):
-        pml += math.log(ldiff_vals[(j - 1, j)] + epsilon)
+        pml += math.log(ldiff_vals[(j - 1, j)] + DEFAULT_EPSILON)
 
     regularizer = 0.0
     if include_regularizer:
         regularizer = l2_vals[level] = _sq_norm(d)
 
-    sigma, guarded = _sigma_from_terms(l2_vals, ldiff_vals, levels, epsilon)
+    sigma, guarded = _sigma_from_terms(l2_vals, ldiff_vals, levels)
     breakdown = LossBreakdown(
         l2_per_level=l2_vals,
         ldiff_per_pair=ldiff_vals,
@@ -240,7 +232,6 @@ def _evaluate(d, level, n, epsilon, include_regularizer, want_gradient):
         regularizer=regularizer,
         total=pml + regularizer,
         sigma_sq=sigma,
-        epsilon=epsilon,
         sigma_guarded=guarded,
     )
     if not want_gradient:
@@ -248,10 +239,10 @@ def _evaluate(d, level, n, epsilon, include_regularizer, want_gradient):
 
     # sum of rep(pooled_0)/(l2_0+eps) and rep(r_j)/(l_diff_j+eps), replicated
     # up one level at a time so only the last step touches the full grid
-    grad = pooled[0] / (l2_vals[0] + epsilon)
+    grad = pooled[0] / (l2_vals[0] + DEFAULT_EPSILON)
     for j in range(1, n + 1):
         grad = _replicate(grad, j - 1, j)
-        grad += diffs[(j - 1, j)] / (ldiff_vals[(j - 1, j)] + epsilon)
+        grad += diffs[(j - 1, j)] / (ldiff_vals[(j - 1, j)] + DEFAULT_EPSILON)
     grad = _replicate(grad, n, level)
     if include_regularizer:
         grad += d
@@ -259,46 +250,26 @@ def _evaluate(d, level, n, epsilon, include_regularizer, want_gradient):
     return breakdown, grad
 
 
-def pml_loss(
-    preds: Sequence[DensityMap],
-    gts: Sequence[DensityMap],
-    n: int,
-    epsilon: float = DEFAULT_EPSILON,
-) -> LossBreakdown:
+def pml_loss(preds: Sequence[DensityMap], gts: Sequence[DensityMap], n: int) -> LossBreakdown:
     """Log-sum loss over levels 0..n, without the full-resolution regularizer."""
-    return _evaluate(*_stack(preds, gts), n, epsilon,
-                     include_regularizer=False, want_gradient=False)[0]
+    return _evaluate(*_stack(preds, gts), n, include_regularizer=False, want_gradient=False)[0]
 
 
-def total_loss(
-    preds: Sequence[DensityMap],
-    gts: Sequence[DensityMap],
-    n: int,
-    epsilon: float = DEFAULT_EPSILON,
-) -> LossBreakdown:
+def total_loss(preds: Sequence[DensityMap], gts: Sequence[DensityMap], n: int) -> LossBreakdown:
     """Log-sum loss over levels 0..n plus the plain full-resolution squared error."""
-    return _evaluate(*_stack(preds, gts), n, epsilon,
-                     include_regularizer=True, want_gradient=False)[0]
+    return _evaluate(*_stack(preds, gts), n, include_regularizer=True, want_gradient=False)[0]
 
 
 def loss_value_and_gradient(
-    preds: Sequence[DensityMap],
-    gts: Sequence[DensityMap],
-    n: int,
-    epsilon: float = DEFAULT_EPSILON,
+    preds: Sequence[DensityMap], gts: Sequence[DensityMap], n: int
 ) -> tuple[LossBreakdown, list[DensityMap]]:
     """``total_loss``'s breakdown and its gradient per predicted cell, in one pass."""
     d, level = _stack(preds, gts)
-    breakdown, grad = _evaluate(d, level, n, epsilon, include_regularizer=True, want_gradient=True)
+    breakdown, grad = _evaluate(d, level, n, include_regularizer=True, want_gradient=True)
     return breakdown, maps_from_batch(lock(grad), level)
 
 
-def loss_gradient(
-    preds: Sequence[DensityMap],
-    gts: Sequence[DensityMap],
-    n: int,
-    epsilon: float = DEFAULT_EPSILON,
-) -> list[DensityMap]:
+def loss_gradient(preds: Sequence[DensityMap], gts: Sequence[DensityMap], n: int) -> list[DensityMap]:
     """Derivative of ``total_loss`` with respect to every predicted cell.
 
     Each log term contributes ``1 / (term + eps)`` times the gradient of its
@@ -307,20 +278,21 @@ def loss_gradient(
     prediction grid. The weights reuse exactly the values the loss evaluation
     produces.
     """
-    return loss_value_and_gradient(preds, gts, n, epsilon)[1]
+    return loss_value_and_gradient(preds, gts, n)[1]
 
 
-def fd_loss_gradient(loss_of_preds, preds: Sequence[DensityMap], step_scale: float = 1e-6):
+def fd_loss_gradient(loss_of_preds, preds: Sequence[DensityMap]):
     """Central finite differences of a scalar loss over every predicted cell.
 
     ``loss_of_preds`` maps a prediction batch to a float. The step for map b
-    is ``step_scale * max(1, max |map b|)``. Returns one array per map.
+    is ``FD_STEP_SCALE`` (1e-6) times ``max(1, max |map b|)``. Returns one
+    array per map.
     """
     grads = []
     for b in range(len(preds)):
         data = preds[b].data.copy()
         g = np.zeros_like(data)
-        h = step_scale * max(1.0, float(np.max(np.abs(data))))
+        h = FD_STEP_SCALE * max(1.0, float(np.max(np.abs(data))))
         for idx in np.ndindex(data.shape):
             orig = data[idx]
             data[idx] = orig + h

@@ -456,8 +456,7 @@ def train(
             d = pred_arr - gt_arr
             with np.errstate(over="ignore", invalid="ignore"):  # a non-finite loss raises below
                 if loss_kind == "pml":
-                    bd, dpred = loss_mod._evaluate(d, model.level, n, loss_mod.DEFAULT_EPSILON,
-                                                   with_regularizer, want_gradient=True)
+                    bd, dpred = loss_mod._evaluate(d, model.level, n, with_regularizer, want_gradient=True)
                     loss_value = bd.total
                 else:
                     loss_value = loss_mod._sq_norm(d)

@@ -82,8 +82,8 @@ def test_criterion_2_gradient_correctness():
         level, n = cases[i % len(cases)]
         rng = SplitMix64(20_000 + i)
         preds, gts = _random_batch(rng, level, 2)
-        analytic = loss_gradient(preds, gts, n, 1e-12)
-        numeric = fd_loss_gradient(lambda ps: total_loss(ps, gts, n, 1e-12).total, preds)
+        analytic = loss_gradient(preds, gts, n)
+        numeric = fd_loss_gradient(lambda ps: total_loss(ps, gts, n).total, preds)
         scale = max(np.max(np.abs(g)) for g in numeric)
         err = max(np.max(np.abs(a.data - g)) for a, g in zip(analytic, numeric)) / scale
         worst = max(worst, err)

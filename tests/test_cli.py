@@ -26,7 +26,7 @@ class TestLossCommand:
         m = _write_map(tmp_path / "p.dmap", 2, 1)
         write_dmap(tmp_path / "g.dmap", m)
         code = main(["loss", "--pred", str(tmp_path / "p.dmap"), "--gt", str(tmp_path / "g.dmap"),
-                     "--n", "0", "--eps", "1e-12"])
+                     "--n", "0"])
         assert code == 0
         out = capsys.readouterr().out
         total = next(float(l.split("=")[1]) for l in out.splitlines() if l.startswith("total ="))
@@ -60,15 +60,6 @@ class TestLossCommand:
                      "--n", "2"])
         assert code == 0
 
-    @pytest.mark.parametrize("eps", ["nan", "inf", "0", "-1"])
-    def test_bad_eps_is_an_input_error(self, tmp_path, capsys, eps):
-        _write_map(tmp_path / "p.dmap", 2, 2)
-        _write_map(tmp_path / "g.dmap", 2, 3)
-        code = main(["loss", "--pred", str(tmp_path / "p.dmap"), "--gt", str(tmp_path / "g.dmap"),
-                     "--n", "1", "--eps", eps])
-        assert code == 1
-        assert "epsilon must be finite and > 0" in capsys.readouterr().err
-
     def test_negative_gt_rejected(self, tmp_path, capsys):
         _write_map(tmp_path / "p.dmap", 1, 1)
         write_dmap(tmp_path / "g.dmap", DensityMap(1, [[-1.0, 0.0], [0.0, 0.0]]))
@@ -98,13 +89,6 @@ class TestGradCheckCommand:
         assert "max relative error: nan" in captured.out
         assert "OK" not in captured.out
         assert "FAIL" in captured.err
-
-    def test_infinite_eps_is_an_input_error(self, capsys):
-        code = main(["grad-check", "--seed", "7", "--level", "3", "--n", "2", "--eps", "inf"])
-        captured = capsys.readouterr()
-        assert code == 1
-        assert "OK" not in captured.out
-        assert "epsilon must be finite and > 0" in captured.err
 
     @pytest.mark.parametrize("tol", ["nan", "inf", "-0.5", "x"])
     def test_bad_tolerance_is_a_usage_error(self, capsys, tol):
@@ -306,6 +290,17 @@ class TestUsageAndConfigEcho:
         assert main(["loss", "--pred", str(tmp_path / "nope.dmap"),
                      "--gt", str(tmp_path / "nope.dmap"), "--n", "0"]) == 1
 
+    @pytest.mark.parametrize("args", [
+        ["loss", "--pred", "p.dmap", "--gt", "g.dmap", "--n", "1", "--eps", "1e-12"],
+        ["grad-check", "--seed", "7", "--level", "3", "--n", "2", "--eps", "1e-12"],
+    ], ids=lambda args: args[0])
+    def test_eps_flag_is_gone(self, capsys, args):
+        # the log guard is the constant loss.DEFAULT_EPSILON, not a setting
+        assert main(args) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "usage error: unrecognized arguments: --eps 1e-12\n"
+
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
 
@@ -322,7 +317,7 @@ class TestUsageAndConfigEcho:
         ["rasterize", "--points", "nope.csv", "--scene-size", "1", "--level", "2", "--out", "r.dmap"],
         ["pyramid", "--map", "nope.dmap", "--levels", "0", "--out-dir", "out"],
         ["loss", "--pred", "nope.dmap", "--gt", "nope.dmap"],
-        ["grad-check", "--seed", "1", "--level", "2", "--n", "1", "--eps", "inf"],
+        ["grad-check", "--seed", "1", "--level", "2", "--n", "5"],
         ["verify-theorem", "--trials", "0", "--seed", "1", "--level", "3", "--nk", "1"],
         ["train-demo", "--seed", "1", "--steps", "0", "--loss", "pml", "--out", "t.csv"],
         ["ablate", "--seed", "1", "--repeats", "0", "--out", "a.csv"],

@@ -200,19 +200,19 @@ class TestAlphaCoefficients:
 class TestPmlLoss:
     def test_degenerate_n0(self):
         preds, gts = random_map_batch(8, 3, 2)
-        bd = pml_loss(preds, gts, 0, 1e-12)
+        bd = pml_loss(preds, gts, 0)
         assert bd.pml == pytest.approx(math.log(l2_level(preds, gts, 0) + 1e-12), rel=1e-15)
 
     def test_perfect_fit_hits_the_guard(self):
         preds, _ = random_map_batch(9, 4, 2)
         for n in (0, 2, 4):
-            bd = pml_loss(preds, preds, n, 1e-12)
+            bd = pml_loss(preds, preds, n)
             assert bd.pml == pytest.approx((n + 1) * math.log(1e-12), rel=1e-15)
 
     def test_term_by_term_oracle(self):
         preds, gts = random_map_batch(10, 5, 3)
         n, eps = 4, 1e-12
-        bd = pml_loss(preds, gts, n, eps)
+        bd = pml_loss(preds, gts, n)
         expected = math.log(l2_level(preds, gts, 0) + eps)
         for j in range(1, n + 1):
             expected += math.log(l_diff(preds, gts, j) + eps)
@@ -223,70 +223,62 @@ class TestPmlLoss:
     def test_n_above_level_rejected(self):
         preds, gts = random_map_batch(11, 2, 2)
         with pytest.raises(ValueError, match="exceeds"):
-            pml_loss(preds, gts, 3, 1e-12)
-
-    def test_invalid_epsilon_rejected(self):
-        preds, gts = random_map_batch(11, 2, 2)
-        with pytest.raises(ValueError, match="epsilon"):
-            pml_loss(preds, gts, 1, 0.0)
-
-    @pytest.mark.parametrize("eps", [0.0, -1.0, math.nan, math.inf, -math.inf])
-    def test_non_finite_or_non_positive_epsilon_rejected(self, eps):
-        preds, gts = random_map_batch(11, 2, 2)
-        for fn in (pml_loss, total_loss, loss_gradient):
-            with pytest.raises(ValueError, match="epsilon must be finite and > 0"):
-                fn(preds, gts, 1, eps)
+            pml_loss(preds, gts, 3)
 
 
 class TestTotalLoss:
     def test_perfect_fit(self):
         preds, _ = random_map_batch(12, 4, 2)
-        bd = total_loss(preds, preds, 3, 1e-12)
+        bd = total_loss(preds, preds, 3)
         assert bd.total == pytest.approx(4 * math.log(1e-12), rel=1e-15)
         assert bd.regularizer == 0.0
 
     def test_single_resolution_structure_at_n0(self):
         preds, gts = random_map_batch(13, 4, 2)
-        bd = total_loss(preds, gts, 0, 1e-12)
+        bd = total_loss(preds, gts, 0)
         expected = math.log(l2_level(preds, gts, 0) + 1e-12) + l2_level(preds, gts, 4)
         assert bd.total == pytest.approx(expected, rel=1e-14)
 
     def test_recomposition_is_exact(self):
         preds, gts = random_map_batch(14, 5, 3)
-        bd = total_loss(preds, gts, 4, 1e-12)
+        bd = total_loss(preds, gts, 4)
         assert bd.total == bd.pml + bd.regularizer
         assert bd.regularizer == l2_level(preds, gts, 5)
 
     def test_every_term_nonnegative(self):
         preds, gts = random_map_batch(15, 4, 2, low=-3, high=3)
-        bd = total_loss(preds, gts, 3, 1e-12)
+        bd = total_loss(preds, gts, 3)
         assert all(v >= 0.0 for v in bd.l2_per_level.values())
         assert all(v >= 0.0 for v in bd.ldiff_per_pair.values())
 
     def test_flat_report_keys(self):
         preds, gts = random_map_batch(16, 3, 2)
-        flat = total_loss(preds, gts, 2, 1e-12).to_flat_dict()
+        flat = total_loss(preds, gts, 2).to_flat_dict()
         for key in ("l2_level_0", "l2_level_3", "ldiff_1_2", "sigma_sq_0", "pml",
-                    "regularizer", "total", "epsilon"):
+                    "regularizer", "total"):
             assert key in flat
+        assert "epsilon" not in flat
 
 
 class TestLossGradient:
-    def test_zero_at_perfect_fit_with_large_guard(self):
+    def test_zero_at_perfect_fit(self):
         preds, _ = random_map_batch(17, 3, 2)
-        grads = loss_gradient(preds, preds, 2, epsilon=1.0)
+        grads = loss_gradient(preds, preds, 2)
         assert all(np.array_equal(g.data, np.zeros_like(g.data)) for g in grads)
 
-    def test_plain_quadratic_part_dominates_under_huge_guard(self):
+    def test_regularizer_adds_the_plain_quadratic_gradient(self):
+        # total minus the log terms' own gradient is (2/B) * d, up to rounding
         preds, gts = random_map_batch(18, 3, 2)
-        grads = loss_gradient(preds, gts, 0, epsilon=1e12)
-        for g, p, t in zip(grads, preds, gts):
-            np.testing.assert_allclose(g.data, 2.0 * (p.data - t.data) / 2.0, atol=1e-9)
+        d, level = _stack(preds, gts)
+        log_part = _evaluate(d, level, 2, include_regularizer=False, want_gradient=True)[1]
+        grads = loss_gradient(preds, gts, 2)
+        for b, g in enumerate(grads):
+            np.testing.assert_allclose(g.data - log_part[b], 2.0 * d[b] / len(grads), rtol=0, atol=1e-14)
 
     def test_matches_finite_differences(self):
         preds, gts = random_map_batch(19, 5, 2)
-        analytic = loss_gradient(preds, gts, 4, 1e-12)
-        numeric = fd_loss_gradient(lambda ps: total_loss(ps, gts, 4, 1e-12).total, preds)
+        analytic = loss_gradient(preds, gts, 4)
+        numeric = fd_loss_gradient(lambda ps: total_loss(ps, gts, 4).total, preds)
         scale = max(np.max(np.abs(g)) for g in numeric)
         err = max(np.max(np.abs(a.data - g)) for a, g in zip(analytic, numeric)) / scale
         assert err < 1e-5
@@ -294,17 +286,17 @@ class TestLossGradient:
     def test_matches_finite_differences_without_regularizer(self):
         # training's unregularized gradient comes straight from the core
         preds, gts = random_map_batch(20, 4, 2)
-        analytic = _evaluate(*_stack(preds, gts), 3, 1e-12, False, True)[1]
-        numeric = fd_loss_gradient(lambda ps: pml_loss(ps, gts, 3, 1e-12).pml, preds)
+        analytic = _evaluate(*_stack(preds, gts), 3, False, True)[1]
+        numeric = fd_loss_gradient(lambda ps: pml_loss(ps, gts, 3).pml, preds)
         scale = max(np.max(np.abs(g)) for g in numeric)
         err = max(np.max(np.abs(a - g)) for a, g in zip(analytic, numeric)) / scale
         assert err < 1e-5
 
     def test_value_and_gradient_agree_with_separate_calls(self):
         preds, gts = random_map_batch(21, 4, 2)
-        bd, grads = loss_value_and_gradient(preds, gts, 3, 1e-12)
-        assert bd.total == total_loss(preds, gts, 3, 1e-12).total
-        separate = loss_gradient(preds, gts, 3, 1e-12)
+        bd, grads = loss_value_and_gradient(preds, gts, 3)
+        assert bd.total == total_loss(preds, gts, 3).total
+        separate = loss_gradient(preds, gts, 3)
         for a, b in zip(grads, separate):
             assert np.array_equal(a.data, b.data)
 
@@ -315,7 +307,7 @@ class TestLossGradient:
         bd, grads = loss_value_and_gradient(preds, gts, 5)
         batch = grads[0].data.base
         assert batch is not None and not batch.flags.writeable
-        core = _evaluate(*_stack(preds, gts), 5, bd.epsilon, True, True)[1]
+        core = _evaluate(*_stack(preds, gts), 5, True, True)[1]
         for b, g in enumerate(grads):
             assert g.data.base is batch and not g.data.flags.writeable
             assert np.array_equal(g.data, core[b])
@@ -329,24 +321,24 @@ class TestOptimalSigma:
 
     def test_base_level_zero(self):
         preds, gts = random_map_batch(22, 3, 2)
-        bd = total_loss(preds, gts, 2, 1e-12)
+        bd = total_loss(preds, gts, 2)
         sigma = optimal_variances(preds, gts, ResolutionSet.dense(2, 3))
         assert sigma[0] == pytest.approx(bd.l2_per_level[0], rel=1e-15)
 
     def test_pair_zero_one(self):
         preds, gts = random_map_batch(23, 3, 2)
-        bd = total_loss(preds, gts, 1, 1e-12)
+        bd = total_loss(preds, gts, 1)
         sigma = optimal_variances(preds, gts, ResolutionSet((0, 1, 3)))
         assert sigma[1] == pytest.approx(bd.ldiff_per_pair[(0, 1)] / 3.0, rel=1e-15)
 
     def test_matches_breakdown_sigma(self):
         preds, gts = random_map_batch(24, 4, 2)
-        bd = total_loss(preds, gts, 3, 1e-12)
+        bd = total_loss(preds, gts, 3)
         assert optimal_variances(preds, gts, ResolutionSet.dense(3, 4)) == bd.sigma_sq
 
     def test_perfect_fit_uses_guard_and_flags(self):
         preds, _ = random_map_batch(25, 3, 2)
-        bd = total_loss(preds, preds, 2, 1e-12)
+        bd = total_loss(preds, preds, 2)
         assert bd.sigma_guarded
         assert bd.sigma_sq[0] == 1e-12
         assert optimal_variances(preds, preds, ResolutionSet.dense(2, 3)) == bd.sigma_sq
@@ -380,25 +372,25 @@ class TestPointsTrainingReaches:
 
     def test_near_fit_ldiff_matches_residual_form(self):
         preds, gts = self._batch(2, 1e-7)
-        bd = total_loss(preds, gts, self.N, 1e-12)
+        bd = total_loss(preds, gts, self.N)
         for (a, b), got in bd.ldiff_per_pair.items():
             oracle = _residual_form_oracle(preds, gts, a, b)
             assert oracle > 1e-12  # above eps, so the log guard does not mask the term
             assert got == pytest.approx(oracle, rel=1e-6), (a, b)
 
-    def test_near_fit_gradient_matches_finite_differences(self):
+    def test_near_fit_gradient_matches_finite_differences(self, monkeypatch):
         preds, gts = self._batch(1, 1e-7)
-        analytic = loss_gradient(preds, gts, self.N, 1e-12)
+        analytic = loss_gradient(preds, gts, self.N)
         # a step well below the 1e-7 residual, so each log term stays locally quadratic
-        numeric = fd_loss_gradient(lambda ps: total_loss(ps, gts, self.N, 1e-12).total, preds,
-                                   step_scale=1e-9)
+        monkeypatch.setattr("pml.loss.FD_STEP_SCALE", 1e-9)
+        numeric = fd_loss_gradient(lambda ps: total_loss(ps, gts, self.N).total, preds)
         scale = max(np.max(np.abs(g)) for g in numeric)
         err = max(np.max(np.abs(a.data - g)) for a, g in zip(analytic, numeric)) / scale
         assert err < 1e-5
 
     def test_pure_count_offset(self):
         preds, gts = self._batch(1, 0.0)
-        bd, grads = loss_value_and_gradient(preds, gts, self.N, 1e-12)
+        bd, grads = loss_value_and_gradient(preds, gts, self.N)
         # the residual is flat, so every difference term is zero up to float dust
         assert all(v < 1e-20 for v in bd.ldiff_per_pair.values())
         # what remains is the count term and the regularizer:
@@ -421,6 +413,6 @@ class TestSingleResolutionReduction:
         totals, plain = [], []
         for t in ts:
             preds = [DensityMap(2, gt_arr + t * direction)]
-            totals.append(total_loss(preds, gts, 0, 1e-12).total)
+            totals.append(total_loss(preds, gts, 0).total)
             plain.append(l2_level(preds, gts, 0) + l2_level(preds, gts, 2))
         assert int(np.argmin(totals)) == int(np.argmin(plain))

@@ -240,12 +240,3 @@ class TestBenchmarkCell:
         got = (hashlib.sha256(run.result.trace_csv().encode()).hexdigest(),
                repr(run.metrics.mae), repr(run.metrics.mse))
         assert got == self.SHORT_CELL_BITS[dispatch][loss_kind], f"float64 dispatch: {dispatch}"
-
-    @pytest.mark.parametrize("test_count", [0, -1])
-    def test_empty_test_set_rejected_before_training(self, monkeypatch, test_count):
-        def no_training(*args, **kwargs):
-            raise AssertionError("the cell trained before checking its test set")
-
-        monkeypatch.setattr(metrics, "train", no_training)
-        with pytest.raises(ValueError, match=f"test_count must be >= 1, got {test_count}"):
-            run_benchmark_cell(replace(TINY, test_count=test_count), 14, "pml")
