@@ -90,6 +90,20 @@ class TestGradCheckCommand:
         assert "OK" not in captured.out
         assert "FAIL" in captured.err
 
+    @pytest.mark.parametrize("seed, level, error", [
+        (1, 2, "1.121846e-10"), (1, 3, "2.121045e-09"), (1, 4, "4.385494e-09"),
+        (1, 5, "2.209440e-08"), (7, 2, "1.933250e-10"), (7, 3, "1.678474e-09"),
+        (7, 4, "4.870514e-09"), (7, 5, "3.283249e-08"),
+    ])
+    def test_printed_error_is_pinned(self, capsys, seed, level, error):
+        # both batches come from one locked draw of 2 * batch * side**2 values;
+        # the same on both float64 dispatch levels
+        code = main(["grad-check", "--seed", str(seed), "--level", str(level),
+                     "--n", str(level - 1)])
+        assert code == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[1] == f"max relative error: {error} (tolerance 1e-05)"
+
     @pytest.mark.parametrize("tol", ["nan", "inf", "-0.5", "x"])
     def test_bad_tolerance_is_a_usage_error(self, capsys, tol):
         code = main(["grad-check", "--seed", "7", "--level", "3", "--n", "2", "--tol", tol])

@@ -225,6 +225,16 @@ class TestPmlLoss:
         with pytest.raises(ValueError, match="exceeds"):
             pml_loss(preds, gts, 3)
 
+    @pytest.mark.parametrize(
+        "fn", [pml_loss, total_loss, loss_value_and_gradient, loss_gradient],
+        ids=lambda fn: fn.__name__,
+    )
+    def test_guard_is_not_a_parameter(self, fn):
+        # the log guard is the constant DEFAULT_EPSILON, not a setting
+        preds, gts = random_map_batch(11, 2, 2)
+        with pytest.raises(TypeError, match="epsilon"):
+            fn(preds, gts, 1, epsilon=1e-12)
+
 
 class TestTotalLoss:
     def test_perfect_fit(self):
