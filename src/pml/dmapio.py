@@ -97,7 +97,6 @@ def read_dmap(path) -> DensityMap:
     for k in range(1 + rows, len(lines)):
         if lines[k].strip():
             raise ParseError(path, k + 1, f"unexpected data after the {rows} declared rows")
-    data.setflags(write=False)  # fresh and unshared, so DensityMap adopts it without a copy
     return DensityMap(rows.bit_length() - 1, data)
 
 

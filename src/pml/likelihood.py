@@ -23,7 +23,9 @@ is added to each complete log argument; that placement keeps the refinement
 comparison below exact. For the dense set {0..n, L} the sum collapses to
 ``special_case_likelihood``'s form with per-pair factor 4/3 and base weight 1.
 Each form computes its own log arguments, so the two stay independent checks
-of each other, and ``_report`` assembles both reports.
+of each other, and ``_report`` assembles both reports. Every function takes
+its batches as the loss does: a ``(B, side, side)`` array or a sequence of
+square maps, validated by ``loss._stack``.
 
 Refining a resolution set (inserting intermediate levels, extending down to
 level 0) never lowers ll*: each insertion replaces one log term with a
@@ -36,10 +38,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 from .loss import (
     DEFAULT_EPSILON,
+    Batch,
     _sigma_from_terms,
     _sq_norm,
     _stack,
@@ -47,7 +50,7 @@ from .loss import (
     l2_level,
     l_diff_pair,
 )
-from .pyramid import DensityMap, ResolutionSet, lock, maps_from_batch
+from .pyramid import ResolutionSet
 from .rng import SplitMix64
 
 THEOREM_SLACK = 1e-9  # how far below the sparse set rounding may put the dense one
@@ -92,8 +95,8 @@ def _report(levels: ResolutionSet, args: dict[tuple[int, int], float], base_weig
 
 
 def log_likelihood(
-    preds: Sequence[DensityMap],
-    gts: Sequence[DensityMap],
+    preds: Batch,
+    gts: Batch,
     levels: ResolutionSet | Iterable[int],
 ) -> LikelihoodReport:
     """Variance-profiled relative log-likelihood for an arbitrary resolution set."""
@@ -106,8 +109,8 @@ def log_likelihood(
 
 
 def special_case_likelihood(
-    preds: Sequence[DensityMap],
-    gts: Sequence[DensityMap],
+    preds: Batch,
+    gts: Batch,
     n: int,
 ) -> LikelihoodReport:
     """Collapsed form for the dense set {0..n} plus the prediction level."""
@@ -119,8 +122,8 @@ def special_case_likelihood(
 
 
 def likelihood_with_variances(
-    preds: Sequence[DensityMap],
-    gts: Sequence[DensityMap],
+    preds: Batch,
+    gts: Batch,
     levels: ResolutionSet | Iterable[int],
     sigma_sq: Mapping[int, float],
 ) -> float:
@@ -154,8 +157,8 @@ def likelihood_with_variances(
 
 
 def optimal_variances(
-    preds: Sequence[DensityMap],
-    gts: Sequence[DensityMap],
+    preds: Batch,
+    gts: Batch,
     levels: ResolutionSet | Iterable[int],
 ) -> dict[int, float]:
     """Closed-form variance optimum for an arbitrary resolution set.
@@ -220,13 +223,11 @@ def verify_theorem(
     violations = 0
     for t in range(trials):
         rng = SplitMix64(seed + t)
-        pred, gt = lock(rng.uniform_block(2 * batch * side * side)).reshape(2, batch, side, side)
+        pred, gt = rng.uniform_block(2 * batch * side * side).reshape(2, batch, side, side)
         subs = [i for i in range(n_k) if rng.uniform() < 0.5] + [n_k]
         sparse = ResolutionSet(tuple(subs) + (level,))
-        preds = maps_from_batch(pred, level)
-        gts = maps_from_batch(gt, level)
-        ll_sparse = log_likelihood(preds, gts, sparse).loglik
-        ll_dense = log_likelihood(preds, gts, dense).loglik
+        ll_sparse = log_likelihood(pred, gt, sparse).loglik
+        ll_dense = log_likelihood(pred, gt, dense).loglik
         diff = ll_dense - ll_sparse
         violated = diff < -THEOREM_SLACK
         violations += violated

@@ -21,13 +21,14 @@ total degenerates to the single-resolution L2 setting. ``eps``, the constant
 means are computed before the log, in batch-index order, so results are
 reproducible.
 
-The public functions take ``DensityMap`` batches; ``_stack`` validates them
-and forms ``d`` once. ``_terms`` pools ``d`` to each requested level, each
-from the next finer one, and forms the residual differences; each caller
-takes the norms of just the maps it reads (``_evaluate`` all of them, the
-likelihood only the base level and the pairs). ``_evaluate`` adds the log
-terms, the variances and the gradient. Training calls this core directly on
-its arrays.
+The public functions take a batch as a ``(B, side, side)`` array or as a
+sequence of square maps (``DensityMap``s or arrays); ``_stack`` validates it
+and forms ``d`` once, and gradients come back as one array of that shape.
+``_terms`` pools ``d`` to each requested level, each from the next finer
+one, and forms the residual differences; each caller takes the norms of just
+the maps it reads (``_evaluate`` all of them, the likelihood only the base
+level and the pairs). ``_evaluate`` adds the log terms, the variances and the
+gradient. Training calls this core directly on its arrays.
 
 Replication is the adjoint of sum pooling, and the coarse part of ``r``
 pools to zero, so the gradient is the replicated residuals:
@@ -54,7 +55,10 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .pyramid import DensityMap, _pool_sum, _replicate, lock, maps_from_batch
+from .pyramid import DensityMap, _pool_sum, _replicate
+
+# a (B, side, side) array, or a sequence of square 2^level x 2^level maps
+Batch = np.ndarray | Sequence[DensityMap | np.ndarray]
 
 DEFAULT_EPSILON = 1e-12
 FD_STEP_SCALE = 1e-6  # fd_loss_gradient's step per unit of a map's largest |value|
@@ -103,27 +107,37 @@ class LossBreakdown:
         return out
 
 
-def _stack(preds: Sequence[DensityMap], gts: Sequence[DensityMap]):
+def _level(m) -> int:
+    """The level of a square map with a power-of-two side, read from its shape."""
+    shape = np.shape(m)
+    side = shape[-1] if shape else 0
+    if shape != (side, side) or side < 1 or side & (side - 1):
+        raise ValueError(f"a map must be square with a power-of-two side, got shape {shape}")
+    return side.bit_length() - 1
+
+
+def _stack(preds: Batch, gts: Batch):
     """Validate a prediction/ground-truth batch and form its residual once.
 
-    This is the boundary between ``DensityMap`` batches and the array core:
-    both batches non-empty and of equal length, every map at one level.
+    This is the boundary between batches and the array core: both batches
+    non-empty and of equal length, every map square and at one level.
     Returns ``(d, level)`` with ``d = pred - gt`` of shape (B, side, side).
     """
     if len(preds) == 0 or len(gts) == 0:
         raise ValueError("batches must be non-empty")
     if len(preds) != len(gts):
         raise ValueError(f"batch sizes differ: {len(preds)} predictions vs {len(gts)} ground truths")
-    level = preds[0].level
+    level = _level(preds[0])
     side = 1 << level
     d = np.empty((len(preds), side, side))
     for k, (p, g) in enumerate(zip(preds, gts)):
-        if p.level != level or g.level != level:
+        p_level, g_level = _level(p), _level(g)
+        if p_level != level or g_level != level:
             raise ValueError(
-                f"pair {k}: prediction level {p.level}, ground truth level {g.level}; "
+                f"pair {k}: prediction level {p_level}, ground truth level {g_level}; "
                 f"a batch needs a single map level ({level})"
             )
-        np.subtract(p.data, g.data, out=d[k])
+        np.subtract(p, g, out=d[k])
     return d, level
 
 
@@ -157,19 +171,19 @@ def _terms(d, level: int, levels: Sequence[int]):
     return pooled, diffs
 
 
-def l2_level(preds: Sequence[DensityMap], gts: Sequence[DensityMap], i: int) -> float:
+def l2_level(preds: Batch, gts: Batch, i: int) -> float:
     """Batch-mean squared error between sum-downsamples at level ``i``."""
     return _sq_norm(_terms(*_stack(preds, gts), (i,))[0][i])
 
 
-def l_diff_pair(preds: Sequence[DensityMap], gts: Sequence[DensityMap], j1: int, j2: int) -> float:
+def l_diff_pair(preds: Batch, gts: Batch, j1: int, j2: int) -> float:
     """Difference loss for an arbitrary level pair j1 < j2."""
     if not 0 <= j1 < j2:
         raise ValueError(f"need 0 <= coarse < fine, got ({j1}, {j2})")
     return _sq_norm(_terms(*_stack(preds, gts), (j1, j2))[1][(j1, j2)])
 
 
-def l_diff(preds: Sequence[DensityMap], gts: Sequence[DensityMap], j: int) -> float:
+def l_diff(preds: Batch, gts: Batch, j: int) -> float:
     """Difference loss for the consecutive pair (j-1, j)."""
     if j < 1:
         raise ValueError(f"j must be >= 1 (level {j} has no coarser neighbour)")
@@ -250,62 +264,52 @@ def _evaluate(d, level, n, include_regularizer, want_gradient):
     return breakdown, grad
 
 
-def pml_loss(preds: Sequence[DensityMap], gts: Sequence[DensityMap], n: int) -> LossBreakdown:
+def pml_loss(preds: Batch, gts: Batch, n: int) -> LossBreakdown:
     """Log-sum loss over levels 0..n, without the full-resolution regularizer."""
     return _evaluate(*_stack(preds, gts), n, include_regularizer=False, want_gradient=False)[0]
 
 
-def total_loss(preds: Sequence[DensityMap], gts: Sequence[DensityMap], n: int) -> LossBreakdown:
+def total_loss(preds: Batch, gts: Batch, n: int) -> LossBreakdown:
     """Log-sum loss over levels 0..n plus the plain full-resolution squared error."""
     return _evaluate(*_stack(preds, gts), n, include_regularizer=True, want_gradient=False)[0]
 
 
-def loss_value_and_gradient(
-    preds: Sequence[DensityMap], gts: Sequence[DensityMap], n: int
-) -> tuple[LossBreakdown, list[DensityMap]]:
-    """``total_loss``'s breakdown and its gradient per predicted cell, in one pass."""
-    d, level = _stack(preds, gts)
-    breakdown, grad = _evaluate(d, level, n, include_regularizer=True, want_gradient=True)
-    return breakdown, maps_from_batch(lock(grad), level)
+def loss_value_and_gradient(preds: Batch, gts: Batch, n: int) -> tuple[LossBreakdown, np.ndarray]:
+    """``total_loss``'s breakdown and its (B, side, side) gradient per predicted cell, in one pass."""
+    return _evaluate(*_stack(preds, gts), n, include_regularizer=True, want_gradient=True)
 
 
-def loss_gradient(preds: Sequence[DensityMap], gts: Sequence[DensityMap], n: int) -> list[DensityMap]:
+def loss_gradient(preds: Batch, gts: Batch, n: int) -> np.ndarray:
     """Derivative of ``total_loss`` with respect to every predicted cell.
 
     Each log term contributes ``1 / (term + eps)`` times the gradient of its
     inner quadratic: ``(2/B)`` times the pooled residual (for ``l2_level``)
     or the residual difference (for ``l_diff``), replicated up to the
     prediction grid. The weights reuse exactly the values the loss evaluation
-    produces.
+    produces. Returns one (B, side, side) array.
     """
     return loss_value_and_gradient(preds, gts, n)[1]
 
 
-def fd_loss_gradient(loss_of_preds, preds: Sequence[DensityMap]):
+def fd_loss_gradient(loss_of_preds, preds: Batch) -> np.ndarray:
     """Central finite differences of a scalar loss over every predicted cell.
 
-    ``loss_of_preds`` maps a prediction batch to a float. The step for map b
-    is ``FD_STEP_SCALE`` (1e-6) times ``max(1, max |map b|)``. Returns one
-    array per map.
+    ``loss_of_preds`` maps a (B, side, side) prediction batch to a float; it is
+    handed one float64 copy of ``preds``, perturbed one cell at a time in place.
+    The step for map b is ``FD_STEP_SCALE`` (1e-6) times ``max(1, max |map b|)``.
+    Returns the gradient as one array of the batch's shape.
     """
-    grads = []
-    for b in range(len(preds)):
-        data = preds[b].data.copy()
-        g = np.zeros_like(data)
-        h = FD_STEP_SCALE * max(1.0, float(np.max(np.abs(data))))
-        for idx in np.ndindex(data.shape):
-            orig = data[idx]
-            data[idx] = orig + h
-            hi = loss_of_preds(_with_map(preds, b, data))
-            data[idx] = orig - h
-            lo = loss_of_preds(_with_map(preds, b, data))
-            data[idx] = orig
-            g[idx] = (hi - lo) / (2.0 * h)
-        grads.append(g)
-    return grads
-
-
-def _with_map(preds, b, data):
-    out = list(preds)
-    out[b] = DensityMap(preds[b].level, data)
-    return out
+    data = np.array(preds, dtype=np.float64)
+    grad = np.zeros_like(data)
+    for b in range(len(data)):
+        h = FD_STEP_SCALE * max(1.0, float(np.max(np.abs(data[b]))))
+        for idx in np.ndindex(data[b].shape):
+            cell = (b,) + idx
+            orig = data[cell]
+            data[cell] = orig + h
+            hi = loss_of_preds(data)
+            data[cell] = orig - h
+            lo = loss_of_preds(data)
+            data[cell] = orig
+            grad[cell] = (hi - lo) / (2.0 * h)
+    return grad

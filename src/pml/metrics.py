@@ -76,8 +76,8 @@ class BenchmarkConfig:
     val_every: int = 200
 
     def __post_init__(self):
-        for name, low in (("steps", 1), ("batch", 1), ("scenes_per_epoch", 1), ("test_count", 1),
-                          ("val_count", 0), ("val_every", 0)):
+        for name, low in (("steps", 1), ("channels", 1), ("batch", 1), ("scenes_per_epoch", 1),
+                          ("test_count", 1), ("val_count", 0), ("val_every", 0)):
             if getattr(self, name) < low:
                 raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
         for name in ("lr", "clip_norm"):

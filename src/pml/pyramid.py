@@ -32,13 +32,10 @@ strided adds, because numpy's multi-axis reduction calls its inner loop once
 per block row. Pooling to level 0 (one pairwise sum over all ``f^2`` cells),
 ``f >= 16``, small inputs and non-contiguous ones keep numpy's expression.
 
-All operations are pure; map data is locked read-only after construction. A
-``DensityMap`` copies its data unless that data is a C-contiguous float64
-array that neither it nor any array it views (every ``.base``) can write:
-such an array is adopted as is. The finiteness check still runs. So
-``maps_from_batch`` wraps views of the rows of a batch that its maker has
-locked with ``lock`` (on the array that owns the memory, before any reshape)
-instead of copying them.
+All operations are pure. A ``DensityMap`` copies its data, checks it and
+makes the copy read-only, so a map never shares memory with its source. The
+loss and likelihood take a batch as a ``(B, side, side)`` array or as a
+sequence of maps; ``np.asarray(m)`` of a map is its data, without a copy.
 """
 
 from __future__ import annotations
@@ -49,29 +46,12 @@ from typing import Iterable, Iterator
 import numpy as np
 
 
-def _is_locked(a) -> bool:
-    """Whether ``a`` is a C-contiguous float64 ndarray that no one can write.
-
-    Both ``a`` and every array it views must be read-only, and the chain must
-    end in an array that owns its memory; a read-only view of a writable array
-    (``np.broadcast_to``, a locked slice) or of a foreign buffer does not count.
-    """
-    if type(a) is not np.ndarray or a.dtype != np.float64 or not a.flags.c_contiguous:
-        return False
-    while isinstance(a, np.ndarray):
-        if a.flags.writeable:
-            return False
-        a = a.base
-    return a is None
-
-
 @dataclass(frozen=True)
 class DensityMap:
     """Square 2^level x 2^level grid of float64 densities.
 
     ``data`` may be given flat (length 4^level) or square; it is copied,
-    coerced to float64, and locked read-only. Data that nobody can write (see
-    ``_is_locked``) is adopted without a copy.
+    coerced to float64, and made read-only.
     """
 
     level: int
@@ -81,9 +61,7 @@ class DensityMap:
         if self.level < 0:
             raise ValueError(f"level must be >= 0, got {self.level}")
         side = 1 << self.level
-        arr = self.data
-        if not _is_locked(arr):
-            arr = np.array(arr, dtype=np.float64, copy=True)
+        arr = np.array(self.data, dtype=np.float64, copy=True)
         if arr.ndim == 1:
             if arr.size != side * side:
                 raise ValueError(
@@ -96,6 +74,9 @@ class DensityMap:
             raise ValueError("density map contains non-finite entries")
         arr.setflags(write=False)
         object.__setattr__(self, "data", arr)
+
+    def __array__(self, dtype=None, copy=None):
+        return np.array(self.data, dtype=dtype, copy=copy)
 
     @property
     def side(self) -> int:
@@ -277,22 +258,3 @@ def build_pyramid(m: DensityMap, levels: ResolutionSet | Iterable[int]) -> tuple
     if levels.prediction_level > m.level:
         raise ValueError(f"requested level {levels.prediction_level} exceeds map level {m.level}")
     return tuple(downsample_sum(m, i) for i in levels)
-
-
-def lock(a: np.ndarray) -> np.ndarray:
-    """Make ``a`` read-only in place and return it.
-
-    Lock a fresh batch this way, on the array that owns its memory and before
-    any reshape, and ``maps_from_batch`` wraps views of its rows instead of
-    copying them.
-    """
-    a.setflags(write=False)
-    return a
-
-
-def maps_from_batch(batch: np.ndarray, level: int) -> list[DensityMap]:
-    """Wrap a (B, 2^level, 2^level) array as a list of density maps.
-
-    The maps share the rows of a locked batch (see ``lock``) and copy any other.
-    """
-    return [DensityMap(level, batch[b]) for b in range(batch.shape[0])]

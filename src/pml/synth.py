@@ -57,17 +57,16 @@ class SceneConfig:
     obs_level: int = 6
 
     def __post_init__(self):
-        if self.scene_size <= 0:
-            raise ValueError(f"scene_size must be > 0, got {self.scene_size}")
+        for name in ("scene_size", "cluster_spread", "blob_sigma"):
+            if not 0.0 < getattr(self, name) < math.inf:  # NaN fails too
+                raise ValueError(f"{name} must be finite and > 0, got {getattr(self, name)}")
+        if not 0.0 <= self.noise_std < math.inf:
+            raise ValueError(f"noise_std must be finite and >= 0, got {self.noise_std}")
         if self.num_clusters < 0:
             raise ValueError(f"num_clusters must be >= 0, got {self.num_clusters}")
         lo, hi = self.points_per_cluster
         if not 0 <= lo <= hi:
             raise ValueError(f"invalid points_per_cluster range {self.points_per_cluster}")
-        if self.cluster_spread <= 0 or self.blob_sigma <= 0:
-            raise ValueError("cluster_spread and blob_sigma must be > 0")
-        if self.noise_std < 0:
-            raise ValueError(f"noise_std must be >= 0, got {self.noise_std}")
         if self.obs_level < 0:
             raise ValueError(f"obs_level must be >= 0, got {self.obs_level}")
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from pml.loss import fd_loss_gradient  # noqa: F401  (shared with the acceptance tests)
-from pml.pyramid import maps_from_batch
+from pml.pyramid import DensityMap
 from pml.rng import SplitMix64
 
 
@@ -26,8 +26,8 @@ def random_map_batch(seed: int, level: int, batch: int, low: float = 0.0, high: 
     """Platform-independent random prediction/ground-truth batches."""
     side = 1 << level
     rng = SplitMix64(seed)
-    preds = maps_from_batch(rng.uniform_block(batch * side * side, low, high).reshape(batch, side, side), level)
-    gts = maps_from_batch(rng.uniform_block(batch * side * side, low, high).reshape(batch, side, side), level)
+    preds = [DensityMap(level, rng.uniform_block(side * side, low, high)) for _ in range(batch)]
+    gts = [DensityMap(level, rng.uniform_block(side * side, low, high)) for _ in range(batch)]
     return preds, gts
 
 

@@ -81,7 +81,7 @@ class TestGradCheckCommand:
 
     def test_nan_error_fails_with_code_2(self, capsys, monkeypatch):
         monkeypatch.setattr(
-            "pml.cli.fd_loss_gradient", lambda f, preds: [np.full_like(p.data, np.nan) for p in preds]
+            "pml.cli.fd_loss_gradient", lambda f, preds: np.full_like(preds, np.nan)
         )
         code = main(["grad-check", "--seed", "7", "--level", "3", "--n", "2", "--tol", "1e-5"])
         captured = capsys.readouterr()
@@ -96,7 +96,7 @@ class TestGradCheckCommand:
         (7, 4, "4.870514e-09"), (7, 5, "3.283249e-08"),
     ])
     def test_printed_error_is_pinned(self, capsys, seed, level, error):
-        # both batches come from one locked draw of 2 * batch * side**2 values;
+        # both batches come from one draw of 2 * batch * side**2 values;
         # the same on both float64 dispatch levels
         code = main(["grad-check", "--seed", str(seed), "--level", str(level),
                      "--n", str(level - 1)])

@@ -18,7 +18,7 @@ from pml.likelihood import (
 )
 from pml.loss import DEFAULT_EPSILON, l2_level
 from pml.metrics import _TEST, BenchmarkConfig, _fixed_scenes, run_benchmark_cell
-from pml.pyramid import ResolutionSet, maps_from_batch
+from pml.pyramid import DensityMap, ResolutionSet
 from pml.rng import SplitMix64
 
 EPS = DEFAULT_EPSILON
@@ -29,7 +29,7 @@ def _near_fit_batch(seed, level=6, batch=2, delta=1e-3):
     side = 1 << level
     gt = rng.uniform_block(batch * side * side).reshape(batch, side, side)
     noise = rng.uniform_block(batch * side * side, -1.0, 1.0).reshape(batch, side, side)
-    return maps_from_batch(gt + delta * noise, level), maps_from_batch(gt, level)
+    return [DensityMap(level, p) for p in gt + delta * noise], [DensityMap(level, g) for g in gt]
 
 
 def _from_scratch_oracle(preds, gts, sub_levels, eps):

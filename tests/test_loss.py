@@ -1,5 +1,6 @@
 import hashlib
 import math
+import re
 
 import numpy as np
 import pytest
@@ -7,7 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import fd_loss_gradient, random_map_batch
-from pml.likelihood import likelihood_with_variances, optimal_variances
+from pml.likelihood import (
+    likelihood_with_variances,
+    log_likelihood,
+    optimal_variances,
+    special_case_likelihood,
+)
 from pml.loss import (
     _evaluate,
     _sq_norm,
@@ -21,7 +27,7 @@ from pml.loss import (
     pml_loss,
     total_loss,
 )
-from pml.pyramid import DensityMap, ResolutionSet, downsample_sum, maps_from_batch, residual
+from pml.pyramid import DensityMap, ResolutionSet, downsample_sum, residual
 from pml.rng import SplitMix64
 
 
@@ -44,6 +50,64 @@ class TestStack:
             assert got_level == level
             assert d.shape == want.shape and d.dtype == want.dtype
             assert np.array_equal(d, want)
+
+
+_SET = ResolutionSet((0, 2, 3, 4))
+
+# every loss and likelihood entry point, on a level-4 batch
+ENTRY_POINTS = {
+    "l2_level": lambda p, g: l2_level(p, g, 2),
+    "l_diff_pair": lambda p, g: l_diff_pair(p, g, 1, 3),
+    "l_diff": lambda p, g: l_diff(p, g, 2),
+    "pml_loss": lambda p, g: pml_loss(p, g, 3),
+    "total_loss": lambda p, g: total_loss(p, g, 3),
+    "loss_value_and_gradient": lambda p, g: loss_value_and_gradient(p, g, 3),
+    "loss_gradient": lambda p, g: loss_gradient(p, g, 3),
+    "log_likelihood": lambda p, g: log_likelihood(p, g, _SET),
+    "special_case_likelihood": lambda p, g: special_case_likelihood(p, g, 2),
+    "optimal_variances": lambda p, g: optimal_variances(p, g, _SET),
+    "likelihood_with_variances":
+        lambda p, g: likelihood_with_variances(p, g, _SET, {0: 0.5, 1: 0.25, 2: 0.125}),
+}
+
+
+def _same(a, b) -> bool:
+    """Exact equality of breakdowns, reports, floats and (tuples holding) arrays."""
+    if isinstance(a, tuple):
+        return type(b) is tuple and len(a) == len(b) and all(map(_same, a, b))
+    if isinstance(a, np.ndarray):
+        return isinstance(b, np.ndarray) and a.shape == b.shape and np.array_equal(a, b)
+    return type(a) is type(b) and a == b
+
+
+class TestBatchForms:
+    @pytest.mark.parametrize("name", ENTRY_POINTS)
+    def test_array_and_map_batches_agree(self, name):
+        fn = ENTRY_POINTS[name]
+        preds, gts = random_map_batch(70, 4, 3, -2.0, 2.0)
+        pred, gt = np.array(preds), np.array(gts)
+        assert pred.shape == (3, 16, 16)
+        from_maps = fn(preds, gts)
+        assert _same(fn(pred, gt), from_maps)
+        assert _same(fn(list(pred), list(gt)), from_maps)
+
+    @pytest.mark.parametrize("shape", [(2, 4, 2), (2, 3, 3), (2, 0, 0), (2, 2, 2, 2), (4, 4)])
+    def test_maps_must_be_square_with_a_power_of_two_side(self, shape):
+        x = np.zeros(shape)
+        message = f"a map must be square with a power-of-two side, got shape {shape[1:]}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            l2_level(x, x, 0)
+
+    def test_array_pairs_at_two_levels_rejected(self):
+        message = "pair 0: prediction level 1, ground truth level 2; a batch needs a single map level (1)"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            l2_level(np.zeros((1, 2, 2)), np.zeros((1, 4, 4)), 0)
+
+    def test_fd_gradient_leaves_its_input_alone(self):
+        pred, gt = np.array(random_map_batch(71, 2, 2))
+        before = pred.copy()
+        numeric = fd_loss_gradient(lambda ps: total_loss(ps, gt, 1).total, pred)
+        assert numeric.shape == pred.shape and np.array_equal(pred, before)
 
 
 class TestL2Level:
@@ -274,7 +338,7 @@ class TestLossGradient:
     def test_zero_at_perfect_fit(self):
         preds, _ = random_map_batch(17, 3, 2)
         grads = loss_gradient(preds, preds, 2)
-        assert all(np.array_equal(g.data, np.zeros_like(g.data)) for g in grads)
+        assert grads.shape == (2, 8, 8) and np.array_equal(grads, np.zeros_like(grads))
 
     def test_regularizer_adds_the_plain_quadratic_gradient(self):
         # total minus the log terms' own gradient is (2/B) * d, up to rounding
@@ -283,14 +347,14 @@ class TestLossGradient:
         log_part = _evaluate(d, level, 2, include_regularizer=False, want_gradient=True)[1]
         grads = loss_gradient(preds, gts, 2)
         for b, g in enumerate(grads):
-            np.testing.assert_allclose(g.data - log_part[b], 2.0 * d[b] / len(grads), rtol=0, atol=1e-14)
+            np.testing.assert_allclose(g - log_part[b], 2.0 * d[b] / len(grads), rtol=0, atol=1e-14)
 
     def test_matches_finite_differences(self):
         preds, gts = random_map_batch(19, 5, 2)
         analytic = loss_gradient(preds, gts, 4)
         numeric = fd_loss_gradient(lambda ps: total_loss(ps, gts, 4).total, preds)
-        scale = max(np.max(np.abs(g)) for g in numeric)
-        err = max(np.max(np.abs(a.data - g)) for a, g in zip(analytic, numeric)) / scale
+        scale = np.max(np.abs(numeric))
+        err = np.max(np.abs(analytic - numeric)) / scale
         assert err < 1e-5
 
     def test_matches_finite_differences_without_regularizer(self):
@@ -298,31 +362,25 @@ class TestLossGradient:
         preds, gts = random_map_batch(20, 4, 2)
         analytic = _evaluate(*_stack(preds, gts), 3, False, True)[1]
         numeric = fd_loss_gradient(lambda ps: pml_loss(ps, gts, 3).pml, preds)
-        scale = max(np.max(np.abs(g)) for g in numeric)
-        err = max(np.max(np.abs(a - g)) for a, g in zip(analytic, numeric)) / scale
+        scale = np.max(np.abs(numeric))
+        err = np.max(np.abs(analytic - numeric)) / scale
         assert err < 1e-5
 
     def test_value_and_gradient_agree_with_separate_calls(self):
         preds, gts = random_map_batch(21, 4, 2)
         bd, grads = loss_value_and_gradient(preds, gts, 3)
         assert bd.total == total_loss(preds, gts, 3).total
-        separate = loss_gradient(preds, gts, 3)
-        for a, b in zip(grads, separate):
-            assert np.array_equal(a.data, b.data)
+        assert np.array_equal(grads, loss_gradient(preds, gts, 3))
 
-    def test_maps_view_one_locked_batch_with_pinned_bits(self):
+    def test_gradient_is_the_core_batch_with_pinned_bits(self):
         # level 7, batch 3 pools through the strided block sums (7->5 by 4, 5->4 by 2);
-        # the digest is the one the gradient had when each map copied its row
+        # the digest is the one the gradient had when it came back as one map per row
         preds, gts = random_map_batch(31, 7, 3, -1.0, 1.0)
         bd, grads = loss_value_and_gradient(preds, gts, 5)
-        batch = grads[0].data.base
-        assert batch is not None and not batch.flags.writeable
-        core = _evaluate(*_stack(preds, gts), 5, True, True)[1]
-        for b, g in enumerate(grads):
-            assert g.data.base is batch and not g.data.flags.writeable
-            assert np.array_equal(g.data, core[b])
+        assert grads.shape == (3, 128, 128) and grads.dtype == np.float64
+        assert np.array_equal(grads, _evaluate(*_stack(preds, gts), 5, True, True)[1])
         assert bd.total == 10959.98393355991
-        assert hashlib.sha256(b"".join(g.data.tobytes() for g in grads)).hexdigest() == (
+        assert hashlib.sha256(b"".join(g.tobytes() for g in grads)).hexdigest() == (
             "02983fee146bcf61fd66ff33be37e8b6f4f905543fa2aebeb4effaaf1548d8c1")
 
 
@@ -378,7 +436,8 @@ class TestPointsTrainingReaches:
         gt = rng.uniform_block(batch * side * side).reshape(batch, side, side)
         noise = rng.uniform_block(batch * side * side, -1.0, 1.0).reshape(batch, side, side)
         pred = gt + self.OFFSET + noise_scale * noise
-        return maps_from_batch(pred, self.LEVEL), maps_from_batch(gt, self.LEVEL)
+        return ([DensityMap(self.LEVEL, p) for p in pred],
+                [DensityMap(self.LEVEL, g) for g in gt])
 
     def test_near_fit_ldiff_matches_residual_form(self):
         preds, gts = self._batch(2, 1e-7)
@@ -394,8 +453,8 @@ class TestPointsTrainingReaches:
         # a step well below the 1e-7 residual, so each log term stays locally quadratic
         monkeypatch.setattr("pml.loss.FD_STEP_SCALE", 1e-9)
         numeric = fd_loss_gradient(lambda ps: total_loss(ps, gts, self.N).total, preds)
-        scale = max(np.max(np.abs(g)) for g in numeric)
-        err = max(np.max(np.abs(a.data - g)) for a, g in zip(analytic, numeric)) / scale
+        scale = np.max(np.abs(numeric))
+        err = np.max(np.abs(analytic - numeric)) / scale
         assert err < 1e-5
 
     def test_pure_count_offset(self):
@@ -407,7 +466,7 @@ class TestPointsTrainingReaches:
         # (2/B) * (1 / (c 4^L) + c) per cell; dust over eps moves it by a few percent
         c = self.OFFSET
         expected = 2.0 * (1.0 / (c * 4.0 ** self.LEVEL) + c)
-        np.testing.assert_allclose(grads[0].data, expected, rtol=0.05)
+        np.testing.assert_allclose(grads[0], expected, rtol=0.05)
 
 
 class TestSingleResolutionReduction:

@@ -95,7 +95,8 @@ class TestBenchmarkConfig:
         *(({name: value}, f"{name} must be finite and >= 0, got {value}")
           for name in ("lr", "clip_norm") for value in (math.nan, math.inf, -1.0)),
         *(({name: value}, f"{name} must be >= 1, got {value}")
-          for name in ("steps", "batch", "scenes_per_epoch", "test_count") for value in (0, -1)),
+          for name in ("steps", "channels", "batch", "scenes_per_epoch", "test_count")
+          for value in (0, -1)),
         *(({name: -1}, f"{name} must be >= 0, got -1") for name in ("val_count", "val_every")),
         ({"n": -1}, "n must be >= 0, got -1"),
         ({"n": 7}, "n = 7 exceeds prediction level 6"),

@@ -14,8 +14,6 @@ from pml.pyramid import (
     build_pyramid,
     downsample_avg,
     downsample_sum,
-    lock,
-    maps_from_batch,
     rasterize,
     residual,
     upsample_replicate,
@@ -56,41 +54,30 @@ class TestDensityMap:
 
     def test_writable_source_is_copied(self):
         src = np.arange(16.0).reshape(4, 4)
-        m, = maps_from_batch(src.reshape(1, 4, 4), 2)
+        m = DensityMap(2, src)
         src[0, 0] = 99.0
         assert m.data[0, 0] == 0.0
-        assert src.flags.writeable  # maps_from_batch leaves its argument alone
+        assert src.flags.writeable  # DensityMap leaves its argument alone
 
-    @pytest.mark.parametrize("view", [
-        lambda base: np.broadcast_to(base, base.shape),
-        lambda base: lock(base.reshape(4)),  # locks the view only, not its base
-    ])
-    def test_read_only_view_of_writable_base_is_copied(self, view):
-        base = np.arange(4.0).reshape(2, 2)
-        data = view(base)
-        assert not data.flags.writeable and data.flags.c_contiguous
-        m = DensityMap(1, data)
-        base[0, 0] = 99.0
-        assert m.data[0, 0] == 0.0
-        assert not np.shares_memory(m.data, base)
-
-    def test_locked_batch_rows_are_shared_and_stay_read_only(self):
-        batch = lock(np.arange(48.0)).reshape(3, 4, 4)
-        maps = maps_from_batch(batch, 2)
-        for b, m in enumerate(maps):
-            assert np.shares_memory(m.data, batch[b])
-            assert np.array_equal(m.data, batch[b])
-            assert not m.data.flags.writeable
-            with pytest.raises(ValueError):
-                m.data[0, 0] = 5.0
-            with pytest.raises(ValueError):
-                m.data.setflags(write=True)
-
-    def test_locked_data_is_still_checked(self):
+    def test_read_only_c_contiguous_input_is_still_copied_and_checked(self):
+        src = np.arange(16.0).reshape(4, 4)
+        src.setflags(write=False)
+        m = DensityMap(2, src)
+        assert not np.shares_memory(m.data, src)
+        assert np.array_equal(m.data, src) and not m.data.flags.writeable
+        bad = np.array([[0.0, 1.0], [np.inf, 2.0]])
+        bad.setflags(write=False)
         with pytest.raises(ValueError, match="non-finite"):
-            DensityMap(1, lock(np.array([[0.0, 1.0], [np.inf, 2.0]])))
+            DensityMap(1, bad)
         with pytest.raises(ValueError, match="expected shape"):
-            DensityMap(1, lock(np.zeros((4, 4))))
+            DensityMap(1, src)
+
+    def test_array_is_the_data_without_a_copy(self):
+        m = DensityMap(1, [[1.0, 2.0], [3.0, 4.0]])
+        assert np.asarray(m) is m.data
+        assert np.array_equal(np.array(m, dtype=np.float32), m.data)
+        with pytest.raises(ValueError):
+            np.array(m, dtype=np.float32, copy=False)
 
 
 class TestPointAnnotations:

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import math
+import re
 
 import numpy as np
 import pytest
@@ -67,6 +68,19 @@ class TestSceneConfig:
             SceneConfig(seed=0, points_per_cluster=(5, 2))
         with pytest.raises(ValueError):
             SceneConfig(seed=0, noise_std=-0.1)
+
+    # a non-finite size or spread once made generate_scene's rejection loop spin
+    # forever, and a NaN noise_std silently turned the noise off
+    @pytest.mark.parametrize("changes,message", [
+        *(({name: value}, f"{name} must be finite and > 0, got {value}")
+          for name in ("scene_size", "cluster_spread", "blob_sigma")
+          for value in (math.nan, math.inf, -math.inf)),
+        *(({"noise_std": value}, f"noise_std must be finite and >= 0, got {value}")
+          for value in (math.nan, math.inf, -math.inf)),
+    ])
+    def test_non_finite_values_rejected(self, changes, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            SceneConfig(seed=0, **changes)
 
 
 class TestGenerateScene:
@@ -214,11 +228,10 @@ class TestTinyModel:
         def loss_of(params):
             m = TinyModel(4, 3, params)
             preds, _ = m._forward_cache(obs)
-            return total_loss([DensityMap(4, preds[i]) for i in range(2)], gts, 2).total
+            return total_loss(preds, gts, 2).total
 
         preds, cache = model._forward_cache(obs)
-        dpreds = loss_gradient([DensityMap(4, preds[i]) for i in range(2)], gts, 2)
-        analytic = model._backward(cache, np.stack([d.data for d in dpreds]))
+        analytic = model._backward(cache, loss_gradient(preds, gts, 2))
         fd = np.zeros_like(model.params)
         for i in range(model.params.size):
             h = 1e-6 * (1.0 + abs(model.params[i]))
