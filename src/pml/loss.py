@@ -137,7 +137,7 @@ def _stack(preds: Batch, gts: Batch):
                 f"pair {k}: prediction level {p_level}, ground truth level {g_level}; "
                 f"a batch needs a single map level ({level})"
             )
-        np.subtract(p, g, out=d[k])
+        np.subtract(p, g, out=d[k], dtype=np.float64)
     return d, level
 
 

@@ -76,6 +76,9 @@ class DensityMap:
         object.__setattr__(self, "data", arr)
 
     def __array__(self, dtype=None, copy=None):
+        # numpy 1.x calls this with no ``copy`` and rejects ``copy=None``
+        if copy is None:
+            return np.asarray(self.data, dtype=dtype)
         return np.array(self.data, dtype=dtype, copy=copy)
 
     @property

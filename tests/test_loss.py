@@ -90,6 +90,10 @@ class TestBatchForms:
         from_maps = fn(preds, gts)
         assert _same(fn(pred, gt), from_maps)
         assert _same(fn(list(pred), list(gt)), from_maps)
+        # a float32 batch is subtracted in float64, as its maps would be
+        pred32, gt32 = pred.astype(np.float32), gt.astype(np.float32)
+        from_maps32 = fn([DensityMap(4, p) for p in pred32], [DensityMap(4, g) for g in gt32])
+        assert _same(fn(pred32, gt32), from_maps32)
 
     @pytest.mark.parametrize("shape", [(2, 4, 2), (2, 3, 3), (2, 0, 0), (2, 2, 2, 2), (4, 4)])
     def test_maps_must_be_square_with_a_power_of_two_side(self, shape):

@@ -78,6 +78,8 @@ class TestDensityMap:
         assert np.array_equal(np.array(m, dtype=np.float32), m.data)
         with pytest.raises(ValueError):
             np.array(m, dtype=np.float32, copy=False)
+        # numpy 1.x passes no copy keyword
+        assert m.__array__() is m.data
 
 
 class TestPointAnnotations:
