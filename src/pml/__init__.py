@@ -28,7 +28,6 @@ from .likelihood import (
     verify_theorem,
 )
 from .metrics import (
-    AblationTable,
     BenchmarkConfig,
     MetricsSummary,
     ablation_run,

@@ -41,12 +41,10 @@ def _echo(name: str, args: argparse.Namespace) -> None:
 
 def _int_list(text: str) -> list[int]:
     try:
-        values = [int(p) for p in text.split(",") if p != ""]
+        return [int(p) for p in text.split(",")]  # an empty item fails int too
     except ValueError:
-        values = []
-    if not values:
-        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
-    return values
+        message = f"expected comma-separated integers, got {text!r}"
+        raise argparse.ArgumentTypeError(message) from None
 
 
 def _tolerance(text: str) -> float:
@@ -134,31 +132,43 @@ def _cmd_train_demo(args) -> int:
     return 0
 
 
+def _cell(run) -> str:
+    return f"n={run.n},reg={'on' if run.with_regularizer else 'off'}"
+
+
 def _cmd_ablate(args) -> int:
     cfg = BenchmarkConfig(steps=args.steps)
-    table = ablation_run(args.seed, args.n_values, repeats=args.repeats, cfg=cfg)
+    sweep = ablation_run(args.seed, args.n_values, repeats=args.repeats, cfg=cfg)
+    by_cell: dict[str, list[float]] = {}
     with open(args.out, "w") as fh:
-        fh.write(table.to_csv())
+        fh.write("cell,repeat,mae,mse\n")
+        for repeat, runs in enumerate(sweep):
+            for run in runs:
+                fh.write(f"{_cell(run)},{repeat},{run.metrics.mae:.17g},{run.metrics.mse:.17g}\n")
+                by_cell.setdefault(_cell(run), []).append(run.metrics.mae)
     print(f"wrote {args.out}")
     print(f"{'cell':<14} {'mean MAE':>12} {'std MAE':>12}")
-    for cell, (mean, std) in table.summary().items():
-        print(f"{cell:<14} {mean:>12.4f} {std:>12.4f}")
+    for cell, maes in sorted(by_cell.items()):
+        print(f"{cell:<14} {np.mean(maes):>12.4f} {np.std(maes):>12.4f}")
     return 0
 
 
 def _cmd_compare(args) -> int:
     cfg = BenchmarkConfig(steps=args.steps, n=args.n)
-    rows = compare_pml_vs_l2(args.seeds, cfg)
+    pairs = compare_pml_vs_l2(args.seeds, cfg)
     cols = ("mae_pml", "mse_pml", "mae_l2", "mse_l2")
+    rows = [(pml.base_seed, (pml.metrics.mae, pml.metrics.mse, l2.metrics.mae, l2.metrics.mse))
+            for pml, l2 in pairs]
     print(f"{'seed':>8} " + " ".join(f"{c:>10}" for c in cols))
-    for r in rows:
-        print(f"{r['seed']:>8} " + " ".join(f"{r[c]:>10.3f}" for c in cols))
-    print(f"{'mean':>8} " + " ".join(f"{np.mean([r[c] for r in rows]):>10.3f}" for c in cols))
+    for seed, values in rows:
+        print(f"{seed:>8} " + " ".join(f"{v:>10.3f}" for v in values))
+    means = [np.mean(column) for column in zip(*(values for _, values in rows))]
+    print(f"{'mean':>8} " + " ".join(f"{m:>10.3f}" for m in means))
     if args.out:
         with open(args.out, "w") as fh:
             fh.write("seed," + ",".join(cols) + "\n")
-            for r in rows:
-                fh.write(f"{r['seed']}," + ",".join(f"{r[c]:.17g}" for c in cols) + "\n")
+            for seed, values in rows:
+                fh.write(f"{seed}," + ",".join(f"{v:.17g}" for v in values) + "\n")
         print(f"wrote {args.out}")
     return 0
 

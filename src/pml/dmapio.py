@@ -1,12 +1,14 @@
 """Plain-text file formats: .dmap matrices and point CSVs.
 
-The .dmap format is line 1 ``<rows> <cols>`` followed by ``rows`` lines of
-``cols`` space-separated decimal floats; rows and cols must be equal and a
-power of two, and only blank lines may follow the last row. Floats are read
-in numpy's ``loadtxt`` grammar, which unlike Python's ``float`` rejects ``1_0``
-and non-ASCII digits. Both writers format each line with one ``%.17g`` format
-string (17 significant digits per float), so a write/read round trip
-reproduces every float64 bit-for-bit.
+The .dmap format is line 1 ``<rows> <cols>`` (ASCII digits) followed by
+``rows`` lines of ``cols`` space-separated decimal floats; rows and cols must
+be equal and a power of two, and only blank lines may follow the last row. A
+points CSV is one ``x,y`` pair per line, with blank lines and an optional
+``x,y`` header line allowed. Both readers parse floats in numpy's ``loadtxt``
+grammar, which unlike Python's ``float`` rejects ``1_0`` and non-ASCII digits.
+Both writers format each line with one ``%.17g`` format string (17 significant
+digits per float), so a write/read round trip reproduces every float64
+bit-for-bit.
 """
 
 from __future__ import annotations
@@ -41,33 +43,51 @@ def write_dmap(path, m: DensityMap) -> None:
             fh.write(row_format % tuple(row.tolist()))
 
 
-def _loads(text: str) -> bool:
-    """Whether ``np.loadtxt`` reads ``text`` as one row of floats."""
+def _loads(text: str, delimiter: str | None) -> bool:
+    """Whether ``np.loadtxt`` reads ``text`` as one row of floats (blank text is none)."""
+    if not text.strip():
+        return False
     try:
-        np.loadtxt([text], dtype=np.float64, comments=None)
+        np.loadtxt([text], dtype=np.float64, comments=None, delimiter=delimiter)
     except ValueError:
         return False
     return True
 
 
-def _parse_rows(path, body: list[str], cols: int) -> np.ndarray:
-    """Parse the data rows in one ``np.loadtxt`` call, the format's one number grammar.
+# per delimiter: the messages for a line with a wrong value count and with a rejected value
+_MESSAGES = {
+    None: ("expected {cols} values, found {found}",
+           "bad float: could not convert string to float: {bad!r}"),
+    ",": ("expected 'x,y', got {line!r}", "bad coordinate in {line!r}"),
+}
 
-    Where it rejects them, name the first line with a wrong value count or a token
-    it rejects. Blank rows never reach ``loadtxt``, which would warn and skip them.
+
+def _parse_rows(path, rows: list[tuple[int, str]], cols: int, delimiter: str | None) -> np.ndarray:
+    """Parse the numbered rows in one ``np.loadtxt`` call, the formats' one number grammar.
+
+    ``rows`` holds (1-based line number, line) pairs; a ``.dmap`` splits values on
+    whitespace (``delimiter`` None), a points CSV on ``","``. Where ``loadtxt`` rejects
+    the rows, name the first line with a wrong value count or a value it rejects.
+    Blank rows never reach ``loadtxt``, which would warn and skip them.
     """
+    lines = [line for _, line in rows]
+    if not lines:
+        return np.empty((0, cols))
     with suppress(ValueError):
-        if all(map(str.strip, body)):
-            data = np.loadtxt(body, dtype=np.float64, comments=None, ndmin=2, max_rows=len(body))
-            if data.shape == (len(body), cols):
+        if all(map(str.strip, lines)):
+            data = np.loadtxt(lines, dtype=np.float64, comments=None, delimiter=delimiter,
+                              ndmin=2, max_rows=len(lines))
+            if data.shape == (len(lines), cols):
                 return data
-    for r, line in enumerate(body):
-        parts = line.split()
+    count_message, value_message = _MESSAGES[delimiter]
+    for lineno, line in rows:
+        parts = line.split(delimiter)
         if len(parts) != cols:
-            raise ParseError(path, 2 + r, f"expected {cols} values, found {len(parts)}")
-        if not _loads(line):
-            bad = next((p for p in parts if not _loads(p)), line)
-            raise ParseError(path, 2 + r, f"bad float: could not convert string to float: {bad!r}")
+            raise ParseError(path, lineno, count_message.format(cols=cols, found=len(parts),
+                                                                line=line))
+        if not _loads(line, delimiter):
+            bad = next((p for p in parts if not _loads(p, delimiter)), line)
+            raise ParseError(path, lineno, value_message.format(bad=bad, line=line))
     raise AssertionError("np.loadtxt rejected rows that it reads one at a time")
 
 
@@ -80,6 +100,8 @@ def read_dmap(path) -> DensityMap:
     if len(header) != 2:
         raise ParseError(path, 1, f"expected '<rows> <cols>', got {lines[0]!r}")
     try:
+        if not all(h.isascii() and h.isdigit() for h in header):
+            raise ValueError  # int alone also takes a sign, 1_6 and non-ASCII digits
         rows, cols = int(header[0]), int(header[1])
     except ValueError:
         raise ParseError(path, 1, f"non-integer dimensions in {lines[0]!r}") from None
@@ -89,8 +111,7 @@ def read_dmap(path) -> DensityMap:
         raise ParseError(path, 1, f"side {rows} is not a power of two")
     if len(lines) < 1 + rows:
         raise ParseError(path, len(lines) + 1, f"expected {rows} data rows, found {len(lines) - 1}")
-    body = lines[1:1 + rows]
-    data = _parse_rows(path, body, cols)
+    data = _parse_rows(path, list(enumerate(lines[1:1 + rows], start=2)), cols, None)
     bad_rows = np.flatnonzero(~np.isfinite(data).all(axis=1))
     if bad_rows.size:
         raise ParseError(path, 2 + int(bad_rows[0]), "non-finite value")
@@ -108,25 +129,16 @@ def write_points_csv(path, ann: PointAnnotations) -> None:
 
 
 def read_points_csv(path, scene_size: float) -> PointAnnotations:
-    pts: list[tuple[float, float]] = []
     with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            if lineno == 1 and line.lower().replace(" ", "") == "x,y":
-                continue
-            parts = line.split(",")
-            if len(parts) != 2:
-                raise ParseError(path, lineno, f"expected 'x,y', got {line!r}")
-            try:
-                x, y = float(parts[0]), float(parts[1])
-            except ValueError:
-                raise ParseError(path, lineno, f"bad coordinate in {line!r}") from None
-            if not (0.0 <= x < scene_size and 0.0 <= y < scene_size):
-                raise ParseError(path, lineno, f"point ({x}, {y}) lies outside [0, {scene_size})^2")
-            pts.append((x, y))
-    points = np.array(pts, dtype=np.float64).reshape(-1, 2)
+        lines = [line.strip() for line in fh.read().split("\n")]
+    rows = [(lineno, line) for lineno, line in enumerate(lines, start=1)
+            if line and not (lineno == 1 and line.lower().replace(" ", "") == "x,y")]
+    points = _parse_rows(path, rows, 2, ",")
+    outside = np.flatnonzero(~((points >= 0.0) & (points < scene_size)).all(axis=1))
+    if outside.size:
+        x, y = points[outside[0]].tolist()
+        raise ParseError(path, rows[outside[0]][0],
+                         f"point ({x}, {y}) lies outside [0, {scene_size})^2")
     return PointAnnotations(points=points, scene_size=scene_size)
 
 

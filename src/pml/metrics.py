@@ -5,9 +5,12 @@ absolute error and the root-mean-square error of the counts. The RMS value
 is reported under the conventional name MSE used by counting benchmarks.
 
 The benchmark harness trains the small conv regressor on deterministic scene
-streams and compares loss variants. All cell runs for a given (base seed,
-repeat) share the model init and the scene stream; only the loss differs, so
-ablation differences are attributable to the loss alone. Training scenes are
+streams and compares loss variants. Every cell is one ``BenchmarkRun``, also
+inside the sweeps: ``compare_pml_vs_l2`` returns a (pml, l2) pair of runs per
+seed and ``ablation_run`` a list of runs per repeat, and the CLI formats their
+tables from the runs. All cell runs for a given (base seed, repeat) share the
+model init and the scene stream; only the loss differs, so ablation
+differences are attributable to the loss alone. Training scenes are
 regenerated every epoch from an epoch-indexed seed instead of augmenting a
 fixed set. A cell scores its test scenes as validation does, with
 ``predict_counts`` and the count reduction ``count_errors`` that ``evaluate`` uses.
@@ -170,56 +173,12 @@ def run_benchmark_cell(
     )
 
 
-def compare_pml_vs_l2(base_seeds: Sequence[int], cfg: BenchmarkConfig = BenchmarkConfig()):
-    """Per-seed test MAE of the regularized multi-resolution loss vs plain L2."""
-    rows = []
-    for s in base_seeds:
-        pml_run = run_benchmark_cell(cfg, s, "pml")
-        l2_run = run_benchmark_cell(cfg, s, "l2")
-        rows.append(
-            {
-                "seed": s,
-                "mae_pml": pml_run.metrics.mae,
-                "mse_pml": pml_run.metrics.mse,
-                "mae_l2": l2_run.metrics.mae,
-                "mse_l2": l2_run.metrics.mse,
-            }
-        )
-    return rows
-
-
-@dataclass(frozen=True)
-class AblationRow:
-    n: int
-    with_regularizer: bool
-    repeat: int
-    mae: float
-    mse: float
-    stream_hash: str
-
-    @property
-    def cell(self) -> str:
-        return f"n={self.n},reg={'on' if self.with_regularizer else 'off'}"
-
-
-@dataclass(frozen=True)
-class AblationTable:
-    rows: tuple[AblationRow, ...]
-
-    def to_csv(self) -> str:
-        lines = ["cell,repeat,mae,mse"]
-        for r in self.rows:
-            lines.append(f"{r.cell},{r.repeat},{r.mae:.17g},{r.mse:.17g}")
-        return "\n".join(lines) + "\n"
-
-    def summary(self) -> dict[str, tuple[float, float]]:
-        """Cell -> (mean MAE, stddev MAE) over repeats."""
-        by_cell: dict[str, list[float]] = {}
-        for r in self.rows:
-            by_cell.setdefault(r.cell, []).append(r.mae)
-        return {
-            cell: (float(np.mean(v)), float(np.std(v))) for cell, v in sorted(by_cell.items())
-        }
+def compare_pml_vs_l2(
+    base_seeds: Sequence[int], cfg: BenchmarkConfig = BenchmarkConfig()
+) -> list[tuple[BenchmarkRun, BenchmarkRun]]:
+    """Per seed, the (pml, l2) pair of runs: the regularized multi-resolution loss vs plain L2."""
+    return [(run_benchmark_cell(cfg, s, "pml"), run_benchmark_cell(cfg, s, "l2"))
+            for s in base_seeds]
 
 
 def ablation_run(
@@ -227,25 +186,17 @@ def ablation_run(
     n_values: Sequence[int],
     repeats: int = 1,
     cfg: BenchmarkConfig = BenchmarkConfig(),
-) -> AblationTable:
-    """Sweep n, each with the regularizer on then off, on identical per-repeat streams."""
+) -> list[list[BenchmarkRun]]:
+    """Per repeat, the runs of the sweep over n, each with the regularizer on then off.
+
+    Repeat ``r`` trains every cell on base seed ``derive_seed(base_seed, r)``, so the
+    cells of one repeat share the model init and the scene stream.
+    """
     if repeats < 1:
         raise ValueError(f"repeats must be >= 1, got {repeats}")
     cfgs = [replace(cfg, n=n) for n in n_values]  # every n is checked before any training
-    rows = []
-    for repeat in range(repeats):
-        seed = derive_seed(base_seed, repeat)
-        for cell_cfg in cfgs:
-            for reg in (True, False):
-                run = run_benchmark_cell(cell_cfg, seed, "pml", with_regularizer=reg)
-                rows.append(
-                    AblationRow(
-                        n=cell_cfg.n,
-                        with_regularizer=reg,
-                        repeat=repeat,
-                        mae=run.metrics.mae,
-                        mse=run.metrics.mse,
-                        stream_hash=run.stream_hash,
-                    )
-                )
-    return AblationTable(rows=tuple(rows))
+    return [
+        [run_benchmark_cell(cell_cfg, derive_seed(base_seed, repeat), "pml", with_regularizer=reg)
+         for cell_cfg in cfgs for reg in (True, False)]
+        for repeat in range(repeats)
+    ]

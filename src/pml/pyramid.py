@@ -46,7 +46,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DensityMap:
     """Square 2^level x 2^level grid of float64 densities.
 
@@ -95,7 +95,7 @@ class DensityMap:
         return self
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PointAnnotations:
     """2-D point annotations in the square scene [0, scene_size)^2.
 

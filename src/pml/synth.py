@@ -71,7 +71,7 @@ class SceneConfig:
             raise ValueError(f"obs_level must be >= 0, got {self.obs_level}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Scene:
     config: SceneConfig
     annotations: PointAnnotations
@@ -209,7 +209,7 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return 0.5 * (1.0 + np.tanh(0.5 * z))
 
 
-@dataclass
+@dataclass(eq=False)
 class TinyModel:
     """Two-stage 3x3 conv regressor with positive (softplus) output."""
 

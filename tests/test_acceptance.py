@@ -194,17 +194,19 @@ def test_criterion_8_training_benefit():
     cfg = BenchmarkConfig()
     assert cfg.level == 6 and cfg.steps == 2000 and cfg.test_count == 200
 
-    rows = compare_pml_vs_l2([101, 202, 303], cfg)
-    mean_pml = float(np.mean([r["mae_pml"] for r in rows]))
-    mean_l2 = float(np.mean([r["mae_l2"] for r in rows]))
-    per_seed = ", ".join(f"seed {r['seed']}: {r['mae_pml']:.2f} vs {r['mae_l2']:.2f}" for r in rows)
+    pairs = compare_pml_vs_l2([101, 202, 303], cfg)
+    assert [(p.loss_kind, q.loss_kind) for p, q in pairs] == [("pml", "l2")] * 3
+    mean_pml = float(np.mean([p.metrics.mae for p, _ in pairs]))
+    mean_l2 = float(np.mean([q.metrics.mae for _, q in pairs]))
+    per_seed = ", ".join(f"seed {p.base_seed}: {p.metrics.mae:.2f} vs {q.metrics.mae:.2f}"
+                         for p, q in pairs)
     print(f"\n  PML vs plain L2 test MAE -> {per_seed}")
 
-    sweep = ablation_run(base_seed=7, n_values=[0, 1, 2, 3, 4, 5], repeats=1, cfg=cfg)
-    reg_mae = [r.mae for r in sweep.rows if r.with_regularizer]
-    noreg_mae = [r.mae for r in sweep.rows if not r.with_regularizer]
-    cells = {r.cell for r in sweep.rows}
-    assert "n=4,reg=on" in cells and "n=4,reg=off" in cells
+    [sweep] = ablation_run(base_seed=7, n_values=[0, 1, 2, 3, 4, 5], repeats=1, cfg=cfg)
+    reg_mae = [r.metrics.mae for r in sweep if r.with_regularizer]
+    noreg_mae = [r.metrics.mae for r in sweep if not r.with_regularizer]
+    cells = {(r.n, r.with_regularizer) for r in sweep}
+    assert (4, True) in cells and (4, False) in cells
     mean_reg = float(np.mean(reg_mae))
     mean_noreg = float(np.mean(noreg_mae))
     print(f"  n-sweep mean MAE -> regularized {mean_reg:.2f}, unregularized {mean_noreg:.2f}")

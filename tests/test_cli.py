@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -11,8 +12,9 @@ import pytest
 import pml
 from pml.cli import main
 from pml.dmapio import read_dmap, write_dmap
+from pml.metrics import BenchmarkConfig, run_benchmark_cell
 from pml.pyramid import DensityMap, PointAnnotations, rasterize
-from pml.rng import SplitMix64
+from pml.rng import SplitMix64, derive_seed
 
 
 def _write_map(path, level, seed):
@@ -246,13 +248,26 @@ class TestTrainDemoCommand:
 
 class TestAblateCommand:
     def test_writes_table(self, tmp_path, capsys):
+        # the CSV and the summary hold exactly the metrics of the matching direct cells
         out = tmp_path / "ablate.csv"
-        code = main(["ablate", "--seed", "3", "--n-values", "0,1", "--repeats", "1",
+        code = main(["ablate", "--seed", "3", "--n-values", "2,1", "--repeats", "2",
                      "--steps", "4", "--out", str(out)])
         assert code == 0
-        lines = out.read_text().strip().splitlines()
-        assert lines[0] == "cell,repeat,mae,mse"
-        assert len(lines) == 5  # 2 n-values x reg on/off
+        cfg = BenchmarkConfig(steps=4)
+        csv = ["cell,repeat,mae,mse"]
+        maes = {}
+        for repeat in range(2):
+            for n in (2, 1):
+                for reg, flag in ((True, "on"), (False, "off")):
+                    metrics = run_benchmark_cell(replace(cfg, n=n), derive_seed(3, repeat), "pml",
+                                                 with_regularizer=reg).metrics
+                    csv.append(f"n={n},reg={flag},{repeat},{metrics.mae:.17g},{metrics.mse:.17g}")
+                    maes.setdefault(f"n={n},reg={flag}", []).append(metrics.mae)
+        assert out.read_text() == "\n".join(csv) + "\n"
+        summary = [f"{'cell':<14} {'mean MAE':>12} {'std MAE':>12}"]
+        for cell in ("n=1,reg=off", "n=1,reg=on", "n=2,reg=off", "n=2,reg=on"):
+            summary.append(f"{cell:<14} {np.mean(maes[cell]):>12.4f} {np.std(maes[cell]):>12.4f}")
+        assert capsys.readouterr().out.splitlines()[1:] == [f"wrote {out}"] + summary
 
     def test_zero_repeats_is_input_error(self, tmp_path, capsys):
         out = tmp_path / "ablate.csv"
@@ -265,14 +280,24 @@ class TestAblateCommand:
 
 class TestCompareCommand:
     def test_writes_per_seed_table(self, tmp_path, capsys):
+        # the CSV and the table hold exactly the metrics of the matching direct cells
         out = tmp_path / "compare.csv"
-        code = main(["compare", "--seeds", "3,4", "--steps", "4", "--n", "2", "--out", str(out)])
+        code = main(["compare", "--seeds", "4,3", "--steps", "4", "--n", "2", "--out", str(out)])
         assert code == 0
-        lines = out.read_text().strip().splitlines()
-        assert lines[0] == "seed,mae_pml,mse_pml,mae_l2,mse_l2"
-        assert [ln.split(",")[0] for ln in lines[1:]] == ["3", "4"]
-        assert all(math.isfinite(float(v)) for ln in lines[1:] for v in ln.split(",")[1:])
-        assert "mean" in capsys.readouterr().out
+        cfg = BenchmarkConfig(steps=4, n=2)
+        rows = {}
+        for seed in (4, 3):
+            pml_metrics, l2_metrics = (run_benchmark_cell(cfg, seed, kind).metrics
+                                       for kind in ("pml", "l2"))
+            rows[seed] = (pml_metrics.mae, pml_metrics.mse, l2_metrics.mae, l2_metrics.mse)
+        csv = ["seed,mae_pml,mse_pml,mae_l2,mse_l2"]
+        csv += [f"{seed}," + ",".join(f"{v:.17g}" for v in rows[seed]) for seed in (4, 3)]
+        assert out.read_text() == "\n".join(csv) + "\n"
+        table = ["    seed    mae_pml    mse_pml     mae_l2     mse_l2"]
+        table += [f"{seed:>8} " + " ".join(f"{v:>10.3f}" for v in rows[seed]) for seed in (4, 3)]
+        table.append("    mean " + " ".join(f"{np.mean([rows[4][k], rows[3][k]]):>10.3f}"
+                                          for k in range(4)))
+        assert capsys.readouterr().out.splitlines()[1:] == table + [f"wrote {out}"]
 
 
 class TestEvalCommand:
@@ -293,6 +318,22 @@ class TestEvalCommand:
 class TestUsageAndConfigEcho:
     def test_unknown_flag_rejected(self, capsys):
         assert main(["loss", "--pred", "x", "--gt", "y", "--frobnicate"]) == 1
+
+    @pytest.mark.parametrize("command, flag, value", [
+        (["pyramid", "--map", "m.dmap", "--out-dir", "out"], "--levels", "0,,2"),
+        (["ablate", "--seed", "1", "--out", "a.csv"], "--n-values", "0,1,"),
+        (["compare"], "--seeds", ",101"),
+        (["compare"], "--seeds", ""),
+    ], ids=["inner", "trailing", "leading", "only"])
+    def test_empty_list_item_is_usage_error(self, tmp_path, monkeypatch, capsys, command, flag,
+                                            value):
+        monkeypatch.chdir(tmp_path)
+        assert main(command + [flag, value]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"usage error: argument {flag}: expected comma-separated integers, got {value!r}\n")
+        assert list(tmp_path.iterdir()) == []
 
     def test_missing_subcommand(self, capsys):
         assert main([]) == 1

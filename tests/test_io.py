@@ -103,6 +103,19 @@ class TestDmapParseErrors:
         with pytest.raises(ParseError, match=":4: non-finite"):
             read_dmap(self._write(tmp_path, text))
 
+    @pytest.mark.parametrize("dims, side", [
+        ("1_6", 16), ("\u0664", 4), ("\uff14", 4), ("+2", 2), ("-2", 2), ("2.0", 2), ("0x2", 2),
+    ])
+    def test_dimensions_are_ascii_digits(self, tmp_path, dims, side):
+        # the body fits the side Python's int would read, so only the header is at fault
+        text = f"{dims} {dims}\n" + ("0 " * side + "\n") * side
+        message = re.escape(f"non-integer dimensions in {f'{dims} {dims}'!r}")
+        with pytest.raises(ParseError, match=f":1: {message}$"):
+            read_dmap(self._write(tmp_path, text))
+
+    def test_dimensions_may_have_leading_zeros(self, tmp_path):
+        assert read_dmap(self._write(tmp_path, "02 2\n1 2\n3 4\n")).level == 1
+
 
 class TestPointsCsv:
     def test_round_trip(self, tmp_path):
@@ -139,6 +152,25 @@ class TestPointsCsv:
         with pytest.raises(ParseError, match=":4: point"):
             read_points_csv(p, 1.0)
 
+    def test_blank_lines_and_any_header_spelling_allowed(self, tmp_path):
+        p = tmp_path / "pts.csv"
+        p.write_text(" X, Y \n\n0.25,0.5\n \t \n 0.75 , 0.125\n\n")
+        assert read_points_csv(p, 1.0).points.tolist() == [[0.25, 0.5], [0.75, 0.125]]
+        p.write_text("")
+        assert read_points_csv(p, 1.0).points.shape == (0, 2)
+
+    def test_malformed_line_outranks_an_earlier_point_outside(self, tmp_path):
+        # every line parses before any point is placed in the scene
+        p = tmp_path / "pts.csv"
+        p.write_text("0.5,1.5\n0.5,x\n")
+        with pytest.raises(ParseError, match=r":2: bad coordinate in '0\.5,x'$"):
+            read_points_csv(p, 1.0)
+
+    def test_wrong_value_count_message(self, tmp_path):
+        p = tmp_path / "pts.csv"
+        p.write_text("0.5,0.5\n0.5,0.5,\n")
+        with pytest.raises(ParseError, match=r":2: expected 'x,y', got '0\.5,0\.5,'$"):
+            read_points_csv(p, 1.0)
 
 class TestSceneFiles:
     def _write(self, directory, scene):
@@ -197,7 +229,7 @@ LINE_BREAKS = {"\x0b", "\x0c", "\x1c"}  # str.splitlines ends a line at these
 
 
 class TestNumpyParseMatchesRowParser:
-    """read_dmap's one numpy grammar, and the row loop that names the first line it rejects."""
+    """The readers' one numpy grammar, and the row loop that names the first line it rejects."""
 
     @given(st.integers(0, 3), st.data())
     @settings(max_examples=80, deadline=None)
@@ -223,6 +255,19 @@ class TestNumpyParseMatchesRowParser:
             assert value == expected and np.signbit(value) == np.signbit(expected)
         else:
             assert got[:2] == ("error", 3) and re.search(f"^ {expected}", got[2])
+
+    @pytest.mark.parametrize("token, expected", [t for t in TOKEN_OUTCOMES if "," not in t[0]])
+    def test_points_csv_token(self, tmp_path, token, expected):
+        # a coordinate reads as the same token in a .dmap does; a non-finite one lies outside
+        p = tmp_path / "pts.csv"
+        p.write_text(f"x,y\n1,1\n0.5,{token}\n")
+        if isinstance(expected, float):
+            y = read_points_csv(p, 10.0).points[1, 1]
+            assert y == expected and np.signbit(y) == np.signbit(expected)
+        else:
+            message = "point" if expected.startswith("non-finite") else "bad coordinate in"
+            with pytest.raises(ParseError, match=f":3: {message} "):
+                read_points_csv(p, 10.0)
 
     @pytest.mark.parametrize("sep", SEPARATORS)
     def test_separator(self, tmp_path, sep):

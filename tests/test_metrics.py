@@ -140,43 +140,34 @@ class TestStreams:
 
 class TestAblation:
     def test_single_cell_matches_direct_run(self):
-        table = ablation_run(3, [1], repeats=1, cfg=TINY)  # TINY.n is 2
-        assert len(table.rows) == 2
-        for row, reg in zip(table.rows, (True, False)):
+        [runs] = ablation_run(3, [1], repeats=1, cfg=TINY)  # TINY.n is 2
+        assert len(runs) == 2
+        for run, reg in zip(runs, (True, False)):
             direct = run_benchmark_cell(replace(TINY, n=1), derive_seed(3, 0), "pml",
                                         with_regularizer=reg)
-            assert row.with_regularizer == reg
-            assert row.mae == direct.metrics.mae
-            assert row.mse == direct.metrics.mse
+            assert (run.loss_kind, run.n, run.base_seed) == ("pml", 1, derive_seed(3, 0))
+            assert run.with_regularizer == reg
+            assert run.metrics.mae == direct.metrics.mae
+            assert run.metrics.mse == direct.metrics.mse
 
     def test_reg_on_and_off_cells_present(self):
-        table = ablation_run(4, [2], repeats=1, cfg=TINY)
-        assert [r.cell for r in table.rows] == ["n=2,reg=on", "n=2,reg=off"]
+        [runs] = ablation_run(4, [2], repeats=1, cfg=TINY)
+        assert [(r.n, r.with_regularizer) for r in runs] == [(2, True), (2, False)]
 
     def test_stream_hash_identical_across_cells(self):
-        table = ablation_run(5, [1, 2], repeats=2, cfg=TINY)
-        by_repeat = {}
-        for r in table.rows:
-            by_repeat.setdefault(r.repeat, set()).add(r.stream_hash)
-        assert all(len(hashes) == 1 for hashes in by_repeat.values())
+        sweep = ablation_run(5, [1, 2], repeats=2, cfg=TINY)
+        by_repeat = [{r.stream_hash for r in runs} for runs in sweep]
+        assert all(len(hashes) == 1 for hashes in by_repeat)
         assert by_repeat[0] != by_repeat[1]
 
     def test_deterministic(self):
-        a = ablation_run(6, [1], repeats=1, cfg=TINY)
-        b = ablation_run(6, [1], repeats=1, cfg=TINY)
-        assert a == b
-
-    def test_csv_layout(self):
-        table = ablation_run(7, [0], repeats=1, cfg=TINY)
-        lines = table.to_csv().strip().splitlines()
-        assert lines[0] == "cell,repeat,mae,mse"
-        assert len(lines) == 3
-
-    def test_summary_means(self):
-        table = ablation_run(8, [0], repeats=2, cfg=TINY)
-        summary = table.summary()
-        maes = [r.mae for r in table.rows if r.with_regularizer]
-        assert summary["n=0,reg=on"][0] == pytest.approx(np.mean(maes))
+        [a] = ablation_run(6, [1], repeats=1, cfg=TINY)
+        [b] = ablation_run(6, [1], repeats=1, cfg=TINY)
+        assert len(a) == len(b) == 2
+        for x, y in zip(a, b):
+            assert x.metrics == y.metrics
+            assert x.stream_hash == y.stream_hash
+            assert x.result.trace_csv() == y.result.trace_csv()
 
     def test_n_out_of_range_rejected(self, monkeypatch):
         def no_training(*args, **kwargs):

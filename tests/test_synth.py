@@ -9,7 +9,7 @@ import pytest
 from conftest import float64_dispatch
 from pml.loss import total_loss, loss_gradient
 from pml.metrics import BenchmarkConfig
-from pml.pyramid import DensityMap
+from pml.pyramid import DensityMap, PointAnnotations
 from pml.rng import SplitMix64
 from pml.synth import (
     Adam,
@@ -56,6 +56,22 @@ def _initialized(level, channels, seed, scale=1.0):
     model = TinyModel.initialize(level, channels, seed)
     model.params[:-1] *= scale / TinyModel.INIT_SCALE  # the weights and the zero hidden bias
     return model
+
+
+class TestRecordsThatHoldArrays:
+    """``==`` and ``hash`` on a record that holds an array are identity, so neither raises."""
+
+    @pytest.mark.parametrize("make", [
+        lambda: DensityMap(1, [[1.0, 2.0], [3.0, 4.0]]),
+        lambda: PointAnnotations([[0.25, 0.5]], 1.0),
+        lambda: generate_scene(SMALL),
+        lambda: TinyModel.initialize(3, 2, seed=1),
+    ], ids=["DensityMap", "PointAnnotations", "Scene", "TinyModel"])
+    def test_equality_and_hash_are_identity(self, make):
+        record, copy = make(), make()
+        assert record == record and not record != record
+        assert record != copy and not record == copy
+        assert len({record, copy, record}) == 2 and record in {record} and copy not in {record}
 
 
 class TestSceneConfig:
