@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 from pathlib import Path
 
@@ -39,17 +40,34 @@ def _echo(name: str, args: argparse.Namespace) -> None:
     print(f"# pml {name} " + " ".join(f"{k}={v}" for k, v in pairs))
 
 
+# an optional sign, then ASCII digits: Python's int also takes 1_0, non-ASCII digits and spaces
+_INTEGER = re.compile(r"[+-]?[0-9]+")
+
+
+def _integer(text: str) -> int:
+    if not _INTEGER.fullmatch(text):
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
+    return int(text)
+
+
 def _int_list(text: str) -> list[int]:
+    items = text.split(",")
+    if not all(map(_INTEGER.fullmatch, items)):  # an empty item fails too
+        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
+    return [int(item) for item in items]
+
+
+def _number(text: str) -> float:
+    """A float in the file readers' grammar, which rejects 1_0 and non-ASCII digits."""
     try:
-        return [int(p) for p in text.split(",")]  # an empty item fails int too
+        return dmapio.parse_float(text)
     except ValueError:
-        message = f"expected comma-separated integers, got {text!r}"
-        raise argparse.ArgumentTypeError(message) from None
+        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from None
 
 
 def _tolerance(text: str) -> float:
     try:
-        value = float(text)
+        value = dmapio.parse_float(text)
     except ValueError:
         value = math.nan
     if not 0.0 <= value < math.inf:
@@ -190,8 +208,8 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("rasterize", help="count a point CSV into a density map")
     p.add_argument("--points", required=True)
-    p.add_argument("--scene-size", type=float, required=True)
-    p.add_argument("--level", type=int, required=True)
+    p.add_argument("--scene-size", type=_number, required=True)
+    p.add_argument("--level", type=_integer, required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_rasterize)
 
@@ -204,48 +222,48 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("loss", help="evaluate the loss between predictions and ground truth")
     p.add_argument("--pred", required=True, help=".dmap file or directory of them")
     p.add_argument("--gt", required=True)
-    p.add_argument("--n", type=int, default=defaults.n)
+    p.add_argument("--n", type=_integer, default=defaults.n)
     p.add_argument("--no-reg", action="store_true", help="drop the full-resolution L2 term")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_loss)
 
     p = sub.add_parser("grad-check", help="compare analytic and finite-difference gradients")
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--level", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--seed", type=_integer, required=True)
+    p.add_argument("--level", type=_integer, required=True)
+    p.add_argument("--n", type=_integer, required=True)
     p.add_argument("--tol", type=_tolerance, default=1e-5)
     p.set_defaults(func=_cmd_grad_check)
 
     p = sub.add_parser("verify-theorem", help="randomized sparse-vs-dense likelihood comparison")
-    p.add_argument("--trials", type=int, required=True)
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--level", type=int, required=True)
-    p.add_argument("--nk", type=int, required=True)
+    p.add_argument("--trials", type=_integer, required=True)
+    p.add_argument("--seed", type=_integer, required=True)
+    p.add_argument("--level", type=_integer, required=True)
+    p.add_argument("--nk", type=_integer, required=True)
     p.add_argument("--out", default=None, help="write the per-trial CSV here")
     p.set_defaults(func=_cmd_verify_theorem)
 
     p = sub.add_parser("train-demo", help="train the synthetic benchmark once")
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--steps", type=int, required=True)
+    p.add_argument("--seed", type=_integer, required=True)
+    p.add_argument("--steps", type=_integer, required=True)
     p.add_argument("--loss", choices=("pml", "l2"), required=True)
-    p.add_argument("--n", type=int, default=defaults.n)
-    p.add_argument("--lr", type=float, default=defaults.lr)
-    p.add_argument("--clip", type=float, default=defaults.clip_norm, help="0 turns clipping off")
+    p.add_argument("--n", type=_integer, default=defaults.n)
+    p.add_argument("--lr", type=_number, default=defaults.lr)
+    p.add_argument("--clip", type=_number, default=defaults.clip_norm, help="0 turns clipping off")
     p.add_argument("--out", required=True, help="metrics trace CSV")
     p.set_defaults(func=_cmd_train_demo)
 
     p = sub.add_parser("ablate", help="sweep n and the regularizer flag")
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=_integer, required=True)
     p.add_argument("--n-values", type=_int_list, default=[0, 1, 2, 3, 4, 5])
-    p.add_argument("--repeats", type=int, default=1)
-    p.add_argument("--steps", type=int, default=defaults.steps)
+    p.add_argument("--repeats", type=_integer, default=1)
+    p.add_argument("--steps", type=_integer, default=defaults.steps)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_ablate)
 
     p = sub.add_parser("compare", help="per-seed test MAE/MSE of the pml loss vs plain L2")
     p.add_argument("--seeds", type=_int_list, default=[101, 202, 303])
-    p.add_argument("--steps", type=int, default=defaults.steps)
-    p.add_argument("--n", type=int, default=defaults.n)
+    p.add_argument("--steps", type=_integer, default=defaults.steps)
+    p.add_argument("--n", type=_integer, default=defaults.n)
     p.add_argument("--out", default=None, help="write the per-seed CSV here")
     p.set_defaults(func=_cmd_compare)
 

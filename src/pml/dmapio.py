@@ -4,8 +4,10 @@ The .dmap format is line 1 ``<rows> <cols>`` (ASCII digits) followed by
 ``rows`` lines of ``cols`` space-separated decimal floats; rows and cols must
 be equal and a power of two, and only blank lines may follow the last row. A
 points CSV is one ``x,y`` pair per line, with blank lines and an optional
-``x,y`` header line allowed. Both readers parse floats in numpy's ``loadtxt``
-grammar, which unlike Python's ``float`` rejects ``1_0`` and non-ASCII digits.
+``x,y`` header line allowed. Both readers decode UTF-8 whatever the locale,
+skipping a leading byte-order mark, and parse floats in numpy's ``loadtxt``
+grammar, which unlike Python's ``float`` rejects ``1_0`` and non-ASCII digits;
+the command line reads its float flags with ``parse_float`` in that grammar too.
 Both writers format each line with one ``%.17g`` format string (17 significant
 digits per float), so a write/read round trip reproduces every float64
 bit-for-bit.
@@ -41,6 +43,15 @@ def write_dmap(path, m: DensityMap) -> None:
         fh.write(f"{side} {side}\n")
         for row in m.data:
             fh.write(row_format % tuple(row.tolist()))
+
+
+def parse_float(text: str) -> float:
+    """``text`` as one float in the formats' number grammar, else ``ValueError``."""
+    if text.strip():  # loadtxt warns on blank text
+        value = np.loadtxt([text], dtype=np.float64, comments=None, ndmin=1)
+        if value.shape == (1,):
+            return float(value[0])
+    raise ValueError(f"expected one number, got {text!r}")
 
 
 def _loads(text: str, delimiter: str | None) -> bool:
@@ -92,7 +103,7 @@ def _parse_rows(path, rows: list[tuple[int, str]], cols: int, delimiter: str | N
 
 
 def read_dmap(path) -> DensityMap:
-    with open(path) as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         lines = fh.read().splitlines()
     if not lines:
         raise ParseError(path, 1, "empty file, expected '<rows> <cols>' header")
@@ -129,7 +140,7 @@ def write_points_csv(path, ann: PointAnnotations) -> None:
 
 
 def read_points_csv(path, scene_size: float) -> PointAnnotations:
-    with open(path) as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         lines = [line.strip() for line in fh.read().split("\n")]
     rows = [(lineno, line) for lineno, line in enumerate(lines, start=1)
             if line and not (lineno == 1 and line.lower().replace(" ", "") == "x,y")]

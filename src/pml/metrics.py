@@ -156,7 +156,7 @@ def run_benchmark_cell(
     with_regularizer: bool = True,
 ) -> BenchmarkRun:
     """Train one model with one loss on the shared stream and score test MAE."""
-    model = TinyModel.initialize(cfg.level, cfg.channels, seed=derive_seed(base_seed, _MODEL))
+    model = TinyModel.initialize(cfg.channels, seed=derive_seed(base_seed, _MODEL))
     result = train(model, train_stream(cfg, base_seed), cfg, loss_kind=loss_kind,
                    seed=derive_seed(base_seed, _TRAIN), with_regularizer=with_regularizer,
                    val_scenes=_fixed_scenes(cfg, base_seed, _VAL, cfg.val_count))

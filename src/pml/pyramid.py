@@ -50,8 +50,8 @@ import numpy as np
 class DensityMap:
     """Square 2^level x 2^level grid of float64 densities.
 
-    ``data`` may be given flat (length 4^level) or square; it is copied,
-    coerced to float64, and made read-only.
+    ``data`` must have that square shape; it is copied, coerced to float64,
+    and made read-only.
     """
 
     level: int
@@ -62,13 +62,7 @@ class DensityMap:
             raise ValueError(f"level must be >= 0, got {self.level}")
         side = 1 << self.level
         arr = np.array(self.data, dtype=np.float64, copy=True)
-        if arr.ndim == 1:
-            if arr.size != side * side:
-                raise ValueError(
-                    f"flat data length {arr.size} does not match 4^{self.level} = {side * side}"
-                )
-            arr = arr.reshape(side, side)
-        elif arr.shape != (side, side):
+        if arr.shape != (side, side):
             raise ValueError(f"expected shape {(side, side)} at level {self.level}, got {arr.shape}")
         if not np.isfinite(arr).all():
             raise ValueError("density map contains non-finite entries")

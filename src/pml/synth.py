@@ -10,13 +10,15 @@ bit-identical scenes.
 
 The regressor is two 3x3 convolution stages (zero padding, same size) with a
 tanh in between and a softplus output, so predictions are positive
-everywhere. Parameters live in one flat float64 vector; both kernels are
-(C, 9) views of it, column k the 3x3 offset (k // 3, k % 3). Forward/backward
-are written directly against numpy: the first stage, the hidden gradient and
-both weight gradients are plain matmuls with the 9-row patch matrix of a
-single-channel (B, H, W) stack, and the C->1 second stage is one (9, C)
-matmul plus nine contiguous slice adds, with no C*9-row patch matrix. ``train``
-runs Adam with global gradient-norm clipping.
+everywhere. It has no level of its own: it runs on any square grid, and a
+map's level is read from its side. Parameters live in one flat float64
+vector; both kernels are (C, 9) views of it, column k the 3x3 offset
+(k // 3, k % 3). Forward/backward are written directly against numpy: the
+first stage, the hidden gradient and both weight gradients are plain matmuls
+with the 9-row patch matrix of a single-channel (B, H, W) stack, and the C->1
+second stage is one (9, C) matmul plus nine contiguous slice adds, with no
+C*9-row patch matrix. ``train`` runs Adam with global gradient-norm clipping,
+one step per stacked batch that ``_batches`` draws from the epoch provider.
 
 Every large array of a step (padded stacks, patch matrices, the hidden
 activations and their gradient) lives in a ``Workspace`` and is written with
@@ -29,9 +31,10 @@ of its workspace and stays valid only until the next forward through it.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -211,17 +214,16 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
 
 @dataclass(eq=False)
 class TinyModel:
-    """Two-stage 3x3 conv regressor with positive (softplus) output."""
+    """Two-stage 3x3 conv regressor with positive (softplus) output, on any square grid."""
 
     OUTPUT_BIAS = -4.26
     INIT_SCALE = 0.25
 
-    level: int
     channels: int
     params: np.ndarray
 
     @classmethod
-    def initialize(cls, level: int, channels: int, seed: int = 0) -> "TinyModel":
+    def initialize(cls, channels: int, seed: int = 0) -> "TinyModel":
         """Uniform fan-scaled weights, zero hidden bias, calibrated output bias.
 
         ``OUTPUT_BIAS`` sets the initial density scale: softplus(OUTPUT_BIAS)
@@ -236,7 +238,7 @@ class TinyModel:
         w1 = rng.uniform_block(9 * channels, -a1, a1)
         w2 = rng.uniform_block(9 * channels, -a2, a2)
         params = np.concatenate([w1, np.zeros(channels), w2, np.array([cls.OUTPUT_BIAS])])
-        return cls(level=level, channels=channels, params=params)
+        return cls(channels=channels, params=params)
 
     def _unpack(self):
         """Views of ``params``: w1 (C, 9), b1 (C,), w2 (C, 9) and the scalar b2."""
@@ -248,7 +250,7 @@ class TinyModel:
         return w1, b1, w2, p[19 * c]
 
     def _forward_cache(self, observations: np.ndarray, work: Workspace | None = None):
-        """Batched forward; observations (B, side, side) -> (preds, cache).
+        """Batched forward on any grid; observations (B, side, side) -> (preds, cache).
 
         Activations are kept channel-major (C, B, side, side). The first
         stage is ``w1 @ cols1`` on the patch matrix of the observations. The
@@ -262,10 +264,9 @@ class TinyModel:
         next forward through the same workspace. ``preds`` is never reused.
         """
         obs = np.asarray(observations, dtype=np.float64)
-        side = 1 << self.level
-        if obs.ndim != 3 or obs.shape[1:] != (side, side):
-            raise ValueError(f"observation batch shape {obs.shape} != (B, {side}, {side})")
-        buf = (work or Workspace()).buffers(obs.shape[0], side, self.channels)
+        if obs.ndim != 3 or obs.shape[1] != obs.shape[2]:
+            raise ValueError(f"observation batch shape {obs.shape} is not (B, side, side)")
+        buf = (work or Workspace()).buffers(*obs.shape[:2], self.channels)
         w1, b1, w2, b2 = self._unpack()
         cols1 = _patches(obs, buf.xp, buf.cols1)
         h = np.matmul(w1, cols1, out=buf.h)
@@ -278,9 +279,9 @@ class TinyModel:
         return preds, (cols1, h, z2, buf)
 
     def forward(self, observation: np.ndarray) -> DensityMap:
-        obs = np.asarray(observation, dtype=np.float64)
-        preds, _ = self._forward_cache(obs[None])
-        return DensityMap(self.level, preds[0])
+        """One observation's density map, at the level its power-of-two side gives."""
+        preds, _ = self._forward_cache(np.asarray(observation, dtype=np.float64)[None])
+        return DensityMap(loss_mod._level(preds[0]), preds[0])
 
     def _backward(self, cache, dpreds: np.ndarray) -> np.ndarray:
         """Parameter gradient, summed over the batch; dpreds (B, side, side).
@@ -415,65 +416,71 @@ def train(
     """Run Adam on the chosen loss over a deterministic scene stream.
 
     ``cfg``, valid by construction, gives ``steps``, ``lr``, ``clip_norm``,
-    ``batch``, ``n`` and ``val_every``; the model must be at ``cfg.level``.
-    ``provider`` maps the epoch index to that epoch's scene list, as
-    ``metrics.train_stream`` does. Batch order within an epoch is shuffled
-    from a stream keyed by (seed, epoch). ``val_every`` > 0 evaluates
+    ``batch``, ``n`` and ``val_every``. ``provider`` maps the epoch index to
+    that epoch's scene list, as ``metrics.train_stream`` does; ``_batches``
+    stacks it into one batch per step. A batch's level is read from its
+    shape, and the pml loss rejects an ``n`` above it. ``with_regularizer``
+    chooses whether the pml loss adds the full-resolution L2 term; plain L2
+    is that term alone, so it takes only True. ``val_every`` > 0 evaluates
     counting MAE/MSE on ``val_scenes`` every that many steps and at the last
     step. One ``Workspace`` serves every forward, backward and validation
-    pass of the call and is dropped when it returns. The loss guard is
-    ``loss.DEFAULT_EPSILON``.
+    pass of the call and is dropped when it returns. A step whose loss is
+    not finite (a non-finite prediction always makes it so) raises
+    ``TrainingDiverged``. The loss guard is ``loss.DEFAULT_EPSILON``.
     """
     if loss_kind not in ("pml", "l2"):
         raise ValueError(f"loss_kind must be 'pml' or 'l2', got {loss_kind!r}")
-    if model.level != cfg.level:
-        raise ValueError(f"model level {model.level} != config level {cfg.level}")
-    steps, batch, n, val_every = cfg.steps, cfg.batch, cfg.n, cfg.val_every
+    if loss_kind == "l2" and not with_regularizer:
+        raise ValueError("loss_kind 'l2' is the full-resolution L2 term itself, "
+                         "so it takes only with_regularizer=True")
+    steps, val_every = cfg.steps, cfg.val_every
 
-    model = TinyModel(level=model.level, channels=model.channels, params=model.params.copy())
+    model = TinyModel(channels=model.channels, params=model.params.copy())
     opt = Adam(model.params.size, lr=cfg.lr)
     work = Workspace()
     rows: list[TraceRow] = []
-    step = 0
-    epoch = 0
-    while step < steps:
-        epoch_scenes = list(provider(epoch))
-        if not epoch_scenes:
-            raise ValueError(f"scene source produced no scenes for epoch {epoch}")
-        order = _epoch_order(len(epoch_scenes), seed, epoch)
-        for start in range(0, len(order), batch):
-            if step >= steps:
-                break
-            step += 1
-            group = [epoch_scenes[i] for i in order[start:start + batch]]
-            gt_arr = np.stack([s.gt_map.data for s in group])
-            obs_batch = np.stack([s.observation for s in group])
-            pred_arr, cache = model._forward_cache(obs_batch, work)
-            if not np.all(np.isfinite(pred_arr)):
-                raise TrainingDiverged(step, float("nan"), _snapshot(model, rows))
+    # the range comes first, so the provider is never asked for an epoch after the last step
+    for step, (obs, gt) in zip(range(1, steps + 1), _batches(provider, seed, cfg.batch)):
+        pred, cache = model._forward_cache(obs, work)
+        d = pred - gt
+        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite loss raises below
+            if loss_kind == "pml":
+                bd, dpred = loss_mod._evaluate(d, loss_mod._level(d[0]), cfg.n, with_regularizer,
+                                               want_gradient=True)
+                loss_value = bd.total
+            else:
+                loss_value = loss_mod._sq_norm(d)
+                dpred = (2.0 / len(d)) * d
+        if not math.isfinite(loss_value):
+            raise TrainingDiverged(step, loss_value, _snapshot(model, rows))
 
-            d = pred_arr - gt_arr
-            with np.errstate(over="ignore", invalid="ignore"):  # a non-finite loss raises below
-                if loss_kind == "pml":
-                    bd, dpred = loss_mod._evaluate(d, model.level, n, with_regularizer, want_gradient=True)
-                    loss_value = bd.total
-                else:
-                    loss_value = loss_mod._sq_norm(d)
-                    dpred = (2.0 / len(group)) * d
+        grad = model._backward(cache, dpred)
+        grad, norm, clipped = clip_by_global_norm(grad, cfg.clip_norm)
+        model.params = opt.step(model.params, grad)
 
-            if not math.isfinite(loss_value):
-                raise TrainingDiverged(step, loss_value, _snapshot(model, rows))
-
-            grad = model._backward(cache, dpred)
-            grad, norm, clipped = clip_by_global_norm(grad, cfg.clip_norm)
-            model.params = opt.step(model.params, grad)
-
-            val_mae = val_mse = None
-            if val_every > 0 and len(val_scenes) and (step % val_every == 0 or step == steps):
-                val_mae, val_mse = _counting_errors(model, val_scenes, work)
-            rows.append(TraceRow(step, loss_value, norm, clipped, val_mae, val_mse))
-        epoch += 1
+        val_mae = val_mse = None
+        if val_every > 0 and len(val_scenes) and (step % val_every == 0 or step == steps):
+            val_mae, val_mse = _counting_errors(model, val_scenes, work)
+        rows.append(TraceRow(step, loss_value, norm, clipped, val_mae, val_mse))
     return TrainResult(model=model, rows=tuple(rows))
+
+
+def _batches(provider: Callable[[int], Sequence[Scene]], seed: int,
+             batch: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Each step's stacked (observations, ground truths), epoch after epoch.
+
+    Epoch ``e`` takes ``provider(e)``'s scenes ``batch`` at a time in
+    ``_epoch_order(count, seed, e)``'s order; its last batch may be short.
+    """
+    for epoch in itertools.count():
+        scenes = list(provider(epoch))
+        if not scenes:
+            raise ValueError(f"scene source produced no scenes for epoch {epoch}")
+        order = _epoch_order(len(scenes), seed, epoch)
+        for start in range(0, len(order), batch):
+            group = [scenes[i] for i in order[start:start + batch]]
+            yield (np.stack([s.observation for s in group]),
+                   np.stack([s.gt_map.data for s in group]))
 
 
 def _epoch_order(count: int, seed: int, epoch: int) -> list[int]:
@@ -486,11 +493,11 @@ def _epoch_order(count: int, seed: int, epoch: int) -> list[int]:
 
 
 def _snapshot(model: TinyModel, rows: Sequence[TraceRow]) -> dict:
-    s, c = 1 << model.level, model.channels
+    c = model.channels
     with np.errstate(over="ignore"):  # the norm of diverged parameters may overflow to inf
         return {
             "param_norm": float(np.linalg.norm(model.params)),
             "param_max": float(np.max(np.abs(model.params))),
             "recent_losses": [r.loss for r in rows[-5:]],
-            "architecture": f"in {s}x{s} -> conv3x3(1->{c}) tanh -> conv3x3({c}->1) softplus",
+            "architecture": f"conv3x3(1->{c}) tanh -> conv3x3({c}->1) softplus",
         }

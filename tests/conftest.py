@@ -26,8 +26,10 @@ def random_map_batch(seed: int, level: int, batch: int, low: float = 0.0, high: 
     """Platform-independent random prediction/ground-truth batches."""
     side = 1 << level
     rng = SplitMix64(seed)
-    preds = [DensityMap(level, rng.uniform_block(side * side, low, high)) for _ in range(batch)]
-    gts = [DensityMap(level, rng.uniform_block(side * side, low, high)) for _ in range(batch)]
+    preds = [DensityMap(level, rng.uniform_block(side * side, low, high).reshape(side, side))
+             for _ in range(batch)]
+    gts = [DensityMap(level, rng.uniform_block(side * side, low, high).reshape(side, side))
+           for _ in range(batch)]
     return preds, gts
 
 

@@ -189,6 +189,7 @@ def test_criterion_7_conservation_and_residual_prior():
     assert worst_prior < 1e-10
 
 
+@pytest.mark.dispatch  # each dispatch's bits train differently; README has both tables
 def test_criterion_8_training_benefit():
     t0 = time.perf_counter()
     cfg = BenchmarkConfig()
@@ -221,6 +222,7 @@ def test_criterion_8_training_benefit():
     assert elapsed < 600.0
 
 
+@pytest.mark.dispatch  # the loss must fall on each dispatch's training bits
 def test_criterion_8b_training_loss_decreases():
     # 2000-step smoke on the default benchmark: both loss kinds end lower
     from pml.metrics import run_benchmark_cell

@@ -240,7 +240,7 @@ class TestTrainDemoCommand:
         assert not out.exists()
         err = capsys.readouterr().err
         if value == "x":
-            assert f"argument {flag}: invalid float value: 'x'" in err
+            assert f"argument {flag}: expected a number, got 'x'" in err
         else:
             name = {"--lr": "lr", "--clip": "clip_norm"}[flag]
             assert f"error: {name} must be finite and >= 0, got {float(value)}" in err
@@ -334,6 +334,47 @@ class TestUsageAndConfigEcho:
         assert captured.err == (
             f"usage error: argument {flag}: expected comma-separated integers, got {value!r}\n")
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("command, flag, value, message", [
+        (["pyramid", "--map", "m.dmap", "--out-dir", "out"], "--levels", "\u0663,1_0",
+         "expected comma-separated integers"),
+        (["ablate", "--seed", "1", "--out", "a.csv"], "--n-values", "0, 1", "expected comma-separated integers"),
+        (["grad-check", "--level", "3", "--n", "2"], "--seed", "\u0661", "expected an integer"),
+        (["grad-check", "--seed", "1", "--n", "2"], "--level", "\u0663", "expected an integer"),
+        (["grad-check", "--seed", "1", "--level", "3"], "--n", "\uff12", "expected an integer"),
+        (["verify-theorem", "--seed", "1", "--level", "3", "--nk", "1"], "--trials", "1_0",
+         "expected an integer"),
+        (["compare"], "--steps", " 5", "expected an integer"),
+        (["grad-check", "--seed", "1", "--level", "3", "--n", "2"], "--tol", "\u0661e-5",
+         "tolerance must be finite and >= 0"),
+        (["rasterize", "--points", "p.csv", "--level", "2", "--out", "m.dmap"], "--scene-size",
+         "1_0", "expected a number"),
+        (["train-demo", "--seed", "1", "--steps", "1", "--loss", "pml", "--out", "t.csv"], "--lr",
+         "1_0e-3", "expected a number"),
+        (["train-demo", "--seed", "1", "--steps", "1", "--loss", "pml", "--out", "t.csv"],
+         "--clip", "\uff11", "expected a number"),
+    ], ids=["levels", "n-values", "seed", "level", "n", "trials", "steps", "tol", "scene-size",
+            "lr", "clip"])
+    def test_numbers_outside_the_file_grammar_are_usage_errors(self, tmp_path, monkeypatch, capsys,
+                                                               command, flag, value, message):
+        # integers are an optional sign and ASCII digits, floats the file readers' np.loadtxt
+        # grammar: Python's int and float would read 1_0, spaces and non-ASCII digits
+        monkeypatch.chdir(tmp_path)
+        assert main(command + [flag, value]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"usage error: argument {flag}: {message}, got {value!r}\n"
+        assert list(tmp_path.iterdir()) == []
+
+    def test_signed_and_float_spellings_the_grammar_shares(self, tmp_path, capsys):
+        assert main(["grad-check", "--seed", "-3", "--level", "+2", "--n", "1", "--tol", "1E-5"]) == 0
+        assert capsys.readouterr().out.splitlines()[0] == (
+            "# pml grad-check command=grad-check level=2 n=1 seed=-3 tol=1e-05")
+        csv = tmp_path / "pts.csv"
+        csv.write_text("0.5,0.5\n")
+        assert main(["rasterize", "--points", str(csv), "--scene-size", ".75e+1", "--level", "1",
+                     "--out", str(tmp_path / "m.dmap")]) == 0
+        assert capsys.readouterr().out.splitlines()[0].endswith(" scene_size=7.5")
 
     def test_missing_subcommand(self, capsys):
         assert main([]) == 1

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from pml.dmapio import (
     ParseError,
+    parse_float,
     read_dmap,
     read_dmap_batch,
     read_points_csv,
@@ -172,6 +173,28 @@ class TestPointsCsv:
         with pytest.raises(ParseError, match=r":2: expected 'x,y', got '0\.5,0\.5,'$"):
             read_points_csv(p, 1.0)
 
+class TestByteOrderMark:
+    """A UTF-8 byte-order mark, as spreadsheet exports write, is not part of the first line."""
+
+    def test_dmap(self, tmp_path):
+        p = tmp_path / "bom.dmap"
+        p.write_bytes(b"\xef\xbb\xbf2 2\n1 2\n3 4\n")
+        assert read_dmap(p).data.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+
+    def test_points_csv(self, tmp_path):
+        p = tmp_path / "bom.csv"
+        p.write_bytes(b"\xef\xbb\xbfx,y\n0.5,0.25\n")
+        assert read_points_csv(p, 1.0).points.tolist() == [[0.5, 0.25]]
+        p.write_bytes(b"\xef\xbb\xbf0.5,0.25\n")  # no header: the mark leaves the first point
+        assert read_points_csv(p, 1.0).points.tolist() == [[0.5, 0.25]]
+
+    def test_only_a_leading_mark_is_skipped(self, tmp_path):
+        p = tmp_path / "bom.dmap"
+        p.write_bytes(b"1 1\n\xef\xbb\xbf1\n")
+        with pytest.raises(ParseError, match=":2: bad float"):
+            read_dmap(p)
+
+
 class TestSceneFiles:
     def _write(self, directory, scene):
         directory.mkdir()
@@ -268,6 +291,23 @@ class TestNumpyParseMatchesRowParser:
             message = "point" if expected.startswith("non-finite") else "bad coordinate in"
             with pytest.raises(ParseError, match=f":3: {message} "):
                 read_points_csv(p, 10.0)
+
+    @pytest.mark.parametrize("token, expected", TOKEN_OUTCOMES)
+    def test_parse_float_token(self, token, expected):
+        # the command line's float flags read a token as a .dmap cell does
+        if isinstance(expected, float):
+            value = parse_float(token)
+            assert value == expected and np.signbit(value) == np.signbit(expected)
+        elif expected.startswith("non-finite"):
+            assert not np.isfinite(parse_float(token))  # each flag checks its own range
+        else:
+            with pytest.raises(ValueError):
+                parse_float(token)
+
+    @pytest.mark.parametrize("text", ["", " ", "1 2", "1\t2"])
+    def test_parse_float_takes_exactly_one_value(self, text):
+        with pytest.raises(ValueError, match=f"^expected one number, got {re.escape(repr(text))}$"):
+            parse_float(text)
 
     @pytest.mark.parametrize("sep", SEPARATORS)
     def test_separator(self, tmp_path, sep):

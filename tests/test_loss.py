@@ -30,6 +30,9 @@ from pml.loss import (
 from pml.pyramid import DensityMap, ResolutionSet, downsample_sum, residual
 from pml.rng import SplitMix64
 
+# the gradient digest and the near-fit and pure-count-offset terms and gradients
+pytestmark = pytest.mark.dispatch
+
 
 class TestSqNorm:
     @pytest.mark.parametrize("side", [1, 2, 3, 16, 64, 512])

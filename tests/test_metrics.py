@@ -196,6 +196,7 @@ class TestBenchmarkCell:
         b = run_benchmark_cell(TINY, 12, "l2")
         assert a.stream_hash == b.stream_hash
 
+    @pytest.mark.dispatch  # a cell's test metrics against evaluate on each dispatch's bits
     def test_test_scores_equal_single_scene_evaluate(self):
         # an odd count leaves a one-scene tail in the two-per-forward pass
         cfg = replace(TINY, test_count=5)
@@ -223,6 +224,7 @@ class TestBenchmarkCell:
         },
     }
 
+    @pytest.mark.dispatch  # one trace digest and test MAE/MSE per dispatch
     @pytest.mark.parametrize("loss_kind", ["pml", "l2"])
     def test_short_cell_bits_are_pinned(self, loss_kind):
         dispatch = float64_dispatch()

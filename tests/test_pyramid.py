@@ -20,6 +20,9 @@ from pml.pyramid import (
 )
 from pml.rng import SplitMix64
 
+# the strided block sums against numpy's own summation order
+pytestmark = pytest.mark.dispatch
+
 
 def square_maps(max_level=3, elements=st.floats(-8, 8, allow_nan=False, allow_infinity=False)):
     return st.integers(0, max_level).flatmap(
@@ -30,14 +33,12 @@ def square_maps(max_level=3, elements=st.floats(-8, 8, allow_nan=False, allow_in
 
 
 class TestDensityMap:
-    def test_flat_data_is_reshaped(self):
-        m = DensityMap(1, [1.0, 2.0, 3.0, 4.0])
-        assert m.data.shape == (2, 2)
-        assert m.data[1, 0] == 3.0
-
-    def test_wrong_length_rejected(self):
-        with pytest.raises(ValueError, match="does not match"):
-            DensityMap(1, [1.0, 2.0, 3.0])
+    @pytest.mark.parametrize("data", [[1.0, 2.0, 3.0, 4.0], [1.0, 2.0, 3.0], np.ones((1, 4)),
+                                      np.ones((2, 2, 1))], ids=["flat", "short", "row", "3-D"])
+    def test_flat_data_rejected(self, data):
+        # the data's shape is the square grid itself, never a flat 4^level vector
+        with pytest.raises(ValueError, match=r"^expected shape \(2, 2\) at level 1, got "):
+            DensityMap(1, data)
 
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError, match="non-finite"):

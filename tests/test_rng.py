@@ -8,6 +8,9 @@ from hypothesis import strategies as st
 from pml import rng as rng_module
 from pml.rng import _GAMMA, _INV_2_53, _MASK, SplitMix64, _mix
 
+# the numpy-mixed draws against one-at-a-time mixing, and Box-Muller's log/cos/sin
+pytestmark = pytest.mark.dispatch
+
 
 def _reference_uniform_block(rng, count, low=0.0, high=1.0):
     """The out-of-place block draw that ``uniform_block`` must reproduce bit for bit."""

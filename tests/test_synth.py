@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import float64_dispatch
+from pml import loss as loss_mod
 from pml.loss import total_loss, loss_gradient
 from pml.metrics import BenchmarkConfig
 from pml.pyramid import DensityMap, PointAnnotations
@@ -47,13 +48,13 @@ def _each_epoch(scenes):
     return lambda epoch: scenes
 
 
-def _initialized(level, channels, seed, scale=1.0):
+def _initialized(channels, seed, scale=1.0):
     """``TinyModel.initialize`` with weights ``scale / INIT_SCALE`` times as wide.
 
     The benchmark's small initial weights leave the hidden layer near-linear;
     the full fan-scaled range exercises the tanh and softplus curvature.
     """
-    model = TinyModel.initialize(level, channels, seed)
+    model = TinyModel.initialize(channels, seed)
     model.params[:-1] *= scale / TinyModel.INIT_SCALE  # the weights and the zero hidden bias
     return model
 
@@ -65,7 +66,7 @@ class TestRecordsThatHoldArrays:
         lambda: DensityMap(1, [[1.0, 2.0], [3.0, 4.0]]),
         lambda: PointAnnotations([[0.25, 0.5]], 1.0),
         lambda: generate_scene(SMALL),
-        lambda: TinyModel.initialize(3, 2, seed=1),
+        lambda: TinyModel.initialize(2, seed=1),
     ], ids=["DensityMap", "PointAnnotations", "Scene", "TinyModel"])
     def test_equality_and_hash_are_identity(self, make):
         record, copy = make(), make()
@@ -143,6 +144,7 @@ class TestGenerateScene:
         5: "dae74ba044efd29022c994f2065b4e2ed51a29f2c5621e4ddd2257f5b4987e4c",
     }
 
+    @pytest.mark.dispatch  # the blob's exp and the noise's log: one digest set per dispatch
     @pytest.mark.parametrize("seed,changes,digest", [
         (1, {}, "04faac444e1209de2a761aeabc9494edeed89bd7adb6e19a793700c6facd9a23"),
         (2, {}, "9f535e59f2bbde619a1955f671348c1f7bb90bdbfc9571d4e07ec7e50b04a870"),
@@ -203,7 +205,7 @@ class TestGenerateScene:
 
 class TestTinyModel:
     def test_zero_parameters_give_constant_activation(self):
-        model = TinyModel.initialize(level=3, channels=2)
+        model = TinyModel.initialize(channels=2)
         model.params = np.zeros_like(model.params)
         out = model.forward(np.zeros((8, 8)))
         assert np.allclose(out.data, math.log(2.0))
@@ -211,19 +213,23 @@ class TestTinyModel:
         assert np.allclose(out2.data, math.log(2.0))
 
     def test_shape_mismatch_rejected(self):
-        model = TinyModel.initialize(level=3, channels=2, seed=0)
-        with pytest.raises(ValueError, match="shape"):
-            model.forward(np.zeros((4, 4)))
+        # one model runs on every square grid; a map's level comes from its side
+        model = TinyModel.initialize(channels=2, seed=0)
+        assert [model.forward(np.zeros((s, s))).level for s in (1, 4, 8)] == [0, 2, 3]
+        with pytest.raises(ValueError, match=re.escape("shape (1, 4, 8) is not (B, side, side)")):
+            model.forward(np.zeros((4, 8)))
+        with pytest.raises(ValueError, match="power-of-two side"):
+            model.forward(np.zeros((6, 6)))
 
     def test_output_always_positive(self):
         rng = SplitMix64(2)
         for seed in range(5):
-            model = _initialized(4, 3, seed, scale=2.0)
+            model = _initialized(3, seed, scale=2.0)
             obs = rng.uniform_block(256, -3, 3).reshape(16, 16)
             assert np.all(model.forward(obs).data > 0.0)
 
     def test_translation_equivariance_in_the_interior(self):
-        model = _initialized(5, 4, 11)
+        model = _initialized(4, 11)
         obs = SplitMix64(12).uniform_block(1024).reshape(32, 32)
         shifted = np.zeros_like(obs)
         shifted[1:, 1:] = obs[:-1, :-1]
@@ -237,12 +243,12 @@ class TestTinyModel:
     @pytest.mark.parametrize("seed", range(10))
     def test_parameter_gradient_matches_finite_differences(self, seed):
         rng = SplitMix64(100 + seed)
-        model = _initialized(4, 3, seed)
+        model = _initialized(3, seed)
         obs = rng.uniform_block(2 * 256).reshape(2, 16, 16)
         gts = [DensityMap(4, rng.uniform_block(256).reshape(16, 16)) for _ in range(2)]
 
         def loss_of(params):
-            m = TinyModel(4, 3, params)
+            m = TinyModel(3, params)
             preds, _ = m._forward_cache(obs)
             return total_loss(preds, gts, 2).total
 
@@ -305,6 +311,7 @@ class TestSecondStage:
         assert got.shape == want.shape and np.array_equal(got, want)
 
 
+@pytest.mark.dispatch  # bit for bit against logaddexp only under the C library's exp/log1p
 class TestSoftplus:
     def test_matches_logaddexp(self):
         z = np.concatenate([np.linspace(-800.0, 800.0, 160001),
@@ -353,7 +360,7 @@ class TestPatchMatrixReference:
     @pytest.mark.parametrize("channels", [3, 6])
     def test_forward_and_gradient_match(self, batch, level, channels):
         side = 1 << level
-        model = _initialized(level, channels, 7 * level + channels)
+        model = _initialized(channels, 7 * level + channels)
         rng = SplitMix64(100 * batch + 10 * level + channels)
         obs = rng.uniform_block(batch * side * side).reshape(batch, side, side)
         dpreds = rng.uniform_block(batch * side * side, -1.0, 1.0).reshape(batch, side, side)
@@ -375,7 +382,7 @@ class TestWorkspace:
     @pytest.mark.parametrize("channels", [1, 3, 6])
     def test_reused_workspace_matches_fresh_path(self, level, channels):
         side = 1 << level
-        model = _initialized(level, channels, level + channels)
+        model = _initialized(channels, level + channels)
         rng = SplitMix64(1000 + 10 * level + channels)
         work = Workspace()
         for _ in range(3):
@@ -392,7 +399,7 @@ class TestWorkspace:
             model.params = model.params + rng.uniform_block(model.params.size, -0.1, 0.1)
 
     def test_fresh_path_caches_are_independent(self):
-        model = _initialized(4, 3, 1)
+        model = _initialized(3, 1)
         rng = SplitMix64(77)
         obs = rng.uniform_block(4 * 256).reshape(2, 2, 16, 16)
         dpreds = rng.uniform_block(2 * 256, -1.0, 1.0).reshape(2, 16, 16)
@@ -408,7 +415,7 @@ class TestWorkspace:
         # 7 scenes in batches of 2 and 5 validation scenes in pairs: the
         # workspace serves batch shapes 2 and 1 in both training and validation
         scenes = _small_scenes(30, 7)
-        model = TinyModel.initialize(level=4, channels=3, seed=8)
+        model = TinyModel.initialize(channels=3, seed=8)
         cfg = _cfg(channels=3, steps=9, lr=1e-2, n=2, val_every=2)
         runs = [train(model, _each_epoch(scenes), cfg, loss_kind="pml", seed=4,
                       with_regularizer=True, val_scenes=scenes[:5])
@@ -417,11 +424,12 @@ class TestWorkspace:
         assert np.array_equal(runs[0].model.params, runs[1].model.params)
 
 
+@pytest.mark.dispatch  # two-scene forwards against single-scene ones on each dispatch's softplus
 class TestPredictCounts:
     def test_equals_single_scene_forward_bit_for_bit(self):
         cfg = BenchmarkConfig()
         scenes = [generate_scene(cfg.scene_config(200 + i)) for i in range(65)]
-        model = _initialized(cfg.level, cfg.channels, 3)
+        model = _initialized(cfg.channels, 3)
         counts = predict_counts(model, scenes)
         assert counts.tolist() == [model.forward(s.observation).total() for s in scenes]
 
@@ -459,7 +467,7 @@ class TestAdam:
 class TestTrain:
     def test_zero_lr_keeps_parameters_and_metrics_constant(self):
         scenes = _small_scenes(0, 8)
-        model = TinyModel.initialize(level=4, channels=2, seed=1)
+        model = TinyModel.initialize(channels=2, seed=1)
         result = train(model, _each_epoch(scenes), _cfg(steps=6, lr=0.0, n=2, val_every=2),
                        loss_kind="pml", seed=3, with_regularizer=True, val_scenes=scenes[:4])
         assert np.array_equal(result.model.params, model.params)
@@ -468,7 +476,7 @@ class TestTrain:
 
     def test_deterministic_given_seed(self):
         scenes = _small_scenes(5, 8)
-        model = TinyModel.initialize(level=4, channels=2, seed=2)
+        model = TinyModel.initialize(channels=2, seed=2)
         a, b = (train(model, _each_epoch(scenes), _cfg(steps=10, n=2), loss_kind="pml", seed=9,
                       with_regularizer=True) for _ in range(2))
         assert np.array_equal(a.model.params, b.model.params)
@@ -476,27 +484,28 @@ class TestTrain:
 
     def test_does_not_mutate_input_model(self):
         scenes = _small_scenes(6, 4)
-        model = TinyModel.initialize(level=4, channels=2, seed=2)
+        model = TinyModel.initialize(channels=2, seed=2)
         before = model.params.copy()
         train(model, _each_epoch(scenes), _cfg(steps=3), loss_kind="l2", seed=0,
               with_regularizer=True)
         assert np.array_equal(model.params, before)
 
-    def test_epoch_provider_is_queried_per_epoch(self):
+    # 4 scenes / batch 2 -> 2 steps per epoch; no epoch is asked for after the last step
+    @pytest.mark.parametrize("steps,epochs", [(5, [0, 1, 2]), (4, [0, 1])])
+    def test_epoch_provider_is_queried_per_epoch(self, steps, epochs):
         seen = []
 
         def provider(epoch):
             seen.append(epoch)
             return _small_scenes(50 + epoch, 4)
 
-        model = TinyModel.initialize(level=4, channels=2, seed=3)
-        train(model, provider, _cfg(steps=5), loss_kind="l2", seed=0, with_regularizer=True)
-        # 4 scenes / batch 2 -> 2 steps per epoch -> epochs 0, 1, 2
-        assert seen == [0, 1, 2]
+        model = TinyModel.initialize(channels=2, seed=3)
+        train(model, provider, _cfg(steps=steps), loss_kind="l2", seed=0, with_regularizer=True)
+        assert seen == epochs
 
     def test_predictions_stay_positive_during_training(self):
         scenes = _small_scenes(7, 8)
-        model = TinyModel.initialize(level=4, channels=2, seed=4)
+        model = TinyModel.initialize(channels=2, seed=4)
         result = train(model, _each_epoch(scenes), _cfg(steps=15, lr=1e-2, n=2), loss_kind="pml",
                        seed=1, with_regularizer=True)
         for s in scenes:
@@ -504,7 +513,7 @@ class TestTrain:
 
     def test_divergence_aborts_with_snapshot(self):
         scenes = _small_scenes(8, 4)
-        model = TinyModel.initialize(level=4, channels=2, seed=5)
+        model = TinyModel.initialize(channels=2, seed=5)
         model.params[-1] = np.nan
         with pytest.raises(TrainingDiverged) as info, np.errstate(invalid="ignore"):
             train(model, _each_epoch(scenes), _cfg(steps=3), loss_kind="l2", seed=0,
@@ -514,7 +523,7 @@ class TestTrain:
 
     def test_invalid_loss_kind_rejected(self):
         scenes = _small_scenes(9, 4)
-        model = TinyModel.initialize(level=4, channels=2, seed=6)
+        model = TinyModel.initialize(channels=2, seed=6)
         with pytest.raises(ValueError, match="loss_kind"):
             train(model, _each_epoch(scenes), _cfg(steps=1), loss_kind="huber", seed=0,
                   with_regularizer=True)
@@ -531,7 +540,7 @@ class TestTrain:
             seen.append(epoch)
             return scenes
 
-        model = TinyModel.initialize(level=4, channels=2, seed=8)
+        model = TinyModel.initialize(channels=2, seed=8)
         with pytest.raises(ValueError, match=f"batch must be >= 1, got {batch}"):
             train(model, provider, _cfg(steps=2, batch=batch), loss_kind="l2", seed=0,
                   with_regularizer=True)
@@ -541,7 +550,7 @@ class TestTrain:
     @pytest.mark.parametrize("n,message", [(5, "n = 5 exceeds prediction level 4"),
                                            (-1, "n must be >= 0, got -1")])
     def test_n_outside_the_levels_rejected_for_both_losses(self, loss_kind, n, message):
-        model = TinyModel.initialize(level=4, channels=2, seed=9)
+        model = TinyModel.initialize(channels=2, seed=9)
 
         def provider(epoch):
             raise AssertionError("n was not checked before the first epoch")
@@ -550,20 +559,58 @@ class TestTrain:
             train(model, provider, _cfg(steps=1, n=n), loss_kind=loss_kind, seed=0,
                   with_regularizer=True)
 
-    def test_model_level_other_than_the_config_level_rejected_before_any_epoch(self):
-        # n is checked against cfg.level, so a model at another level must not train
-        model = TinyModel.initialize(level=3, channels=2, seed=9)
-
-        def provider(epoch):
-            raise AssertionError("the model level was not checked before the first epoch")
-
-        with pytest.raises(ValueError, match="model level 3 != config level 4"):
-            train(model, provider, _cfg(steps=1, n=2), loss_kind="pml", seed=0,
+    def test_batch_trains_at_its_own_level(self):
+        # level-3 scenes train the same under cfg.level 4 as under 3, and the pml
+        # loss checks n against the level of the batch, not of the config
+        scenes = [generate_scene(dataclasses.replace(SMALL, seed=60 + i, obs_level=3))
+                  for i in range(4)]
+        model = TinyModel.initialize(channels=2, seed=9)
+        runs = [train(model, _each_epoch(scenes), _cfg(level=level, steps=5, n=2, val_every=2),
+                      loss_kind="pml", seed=0, with_regularizer=True, val_scenes=scenes[:3])
+                for level in (4, 3)]
+        assert runs[0].rows == runs[1].rows and len(runs[0].rows) == 5
+        assert np.array_equal(runs[0].model.params, runs[1].model.params)
+        with pytest.raises(ValueError, match="^n = 4 exceeds prediction level 3$"):
+            train(model, _each_epoch(scenes), _cfg(steps=5, n=4), loss_kind="pml", seed=0,
                   with_regularizer=True)
+
+    def test_l2_without_its_one_term_rejected(self):
+        def provider(epoch):
+            raise AssertionError("the loss set-up was not checked before the first epoch")
+
+        with pytest.raises(ValueError, match="loss_kind 'l2'.*with_regularizer=True"):
+            train(TinyModel.initialize(channels=2), provider, _cfg(steps=1), loss_kind="l2",
+                  seed=0, with_regularizer=False)
+
+    @pytest.mark.parametrize("loss_kind", ["pml", "l2"])
+    def test_divergence_raises_from_the_loss_check_with_its_loss(self, loss_kind, monkeypatch):
+        # an infinite output bias makes every prediction inf; no scan of the predictions
+        # raises first, the loss check does, with the loss the step computed
+        computed = []
+        name = "_evaluate" if loss_kind == "pml" else "_sq_norm"
+        original = getattr(loss_mod, name)
+
+        def recording(*args, **kwargs):
+            result = original(*args, **kwargs)
+            computed.append(result[0].total if loss_kind == "pml" else result)
+            return result
+
+        monkeypatch.setattr(loss_mod, name, recording)
+        model = TinyModel.initialize(channels=2, seed=5)
+        model.params[-1] = np.inf
+        with pytest.raises(TrainingDiverged) as info:
+            train(model, _each_epoch(_small_scenes(8, 4)), _cfg(steps=3, n=2),
+                  loss_kind=loss_kind, seed=0, with_regularizer=True)
+        [loss_value] = computed
+        assert not math.isfinite(loss_value) and info.value.step == 1
+        assert str(info.value) == f"non-finite loss {loss_value} at step 1"
+        assert repr(info.value.loss_value) == repr(loss_value)
+        if loss_kind == "l2":
+            assert loss_value == math.inf
 
     def test_trace_csv_layout(self):
         scenes = _small_scenes(10, 4)
-        model = TinyModel.initialize(level=4, channels=2, seed=7)
+        model = TinyModel.initialize(channels=2, seed=7)
         result = train(model, _each_epoch(scenes), _cfg(steps=4, n=1, val_every=2),
                        loss_kind="pml", seed=0, with_regularizer=True, val_scenes=scenes[:2])
         lines = result.trace_csv().strip().splitlines()
