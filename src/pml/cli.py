@@ -50,6 +50,18 @@ def _integer(text: str) -> int:
     return int(text)
 
 
+# grad-check's finite differences make 4^level loss calls per map: level 8 took 131 s
+# on one core of a 2-vCPU x86-64 host
+_GRAD_CHECK_MAX_LEVEL = 8
+
+
+def _grad_check_level(text: str) -> int:
+    if not _INTEGER.fullmatch(text) or not 0 <= int(text) <= _GRAD_CHECK_MAX_LEVEL:
+        raise argparse.ArgumentTypeError(
+            f"expected an integer in [0, {_GRAD_CHECK_MAX_LEVEL}], got {text!r}")
+    return int(text)
+
+
 def _int_list(text: str) -> list[int]:
     items = text.split(",")
     if not all(map(_INTEGER.fullmatch, items)):  # an empty item fails too
@@ -229,7 +241,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("grad-check", help="compare analytic and finite-difference gradients")
     p.add_argument("--seed", type=_integer, required=True)
-    p.add_argument("--level", type=_integer, required=True)
+    p.add_argument("--level", type=_grad_check_level, required=True)
     p.add_argument("--n", type=_integer, required=True)
     p.add_argument("--tol", type=_tolerance, default=1e-5)
     p.set_defaults(func=_cmd_grad_check)
@@ -287,7 +299,7 @@ def main(argv=None) -> int:
     _echo(args.command, args)
     try:
         return args.func(args)
-    except (dmapio.ParseError, OSError, ValueError, KeyError) as exc:
+    except (dmapio.ParseError, OSError, ValueError, KeyError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except TrainingDiverged as exc:

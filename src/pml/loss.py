@@ -24,11 +24,13 @@ reproducible.
 The public functions take a batch as a ``(B, side, side)`` array or as a
 sequence of square maps (``DensityMap``s or arrays); ``_stack`` validates it
 and forms ``d`` once, and gradients come back as one array of that shape.
-``_terms`` pools ``d`` to each requested level, each from the next finer
-one, and forms the residual differences; each caller takes the norms of just
-the maps it reads (``_evaluate`` all of them, the likelihood only the base
-level and the pairs). ``_evaluate`` adds the log terms, the variances and the
-gradient. Training calls this core directly on its arrays.
+The array core reads every array's level from its side, so no level travels
+beside an array. ``_terms`` pools ``d`` to each requested level, each from
+the next finer one, and forms the residual differences; each caller takes
+the norms of just the maps it reads (``_evaluate`` all of them, the
+likelihood only the base level and the pairs). ``_evaluate`` adds the log
+terms, the variances and the gradient. Training calls this core directly on
+its arrays.
 
 Replication is the adjoint of sum pooling, and the coarse part of ``r``
 pools to zero, so the gradient is the replicated residuals:
@@ -116,12 +118,13 @@ def _level(m) -> int:
     return side.bit_length() - 1
 
 
-def _stack(preds: Batch, gts: Batch):
+def _stack(preds: Batch, gts: Batch) -> np.ndarray:
     """Validate a prediction/ground-truth batch and form its residual once.
 
     This is the boundary between batches and the array core: both batches
     non-empty and of equal length, every map square and at one level.
-    Returns ``(d, level)`` with ``d = pred - gt`` of shape (B, side, side).
+    Returns ``d = pred - gt`` of shape (B, side, side); ``_level(d[0])`` is
+    the batch's level.
     """
     if len(preds) == 0 or len(gts) == 0:
         raise ValueError("batches must be non-empty")
@@ -138,7 +141,7 @@ def _stack(preds: Batch, gts: Batch):
                 f"a batch needs a single map level ({level})"
             )
         np.subtract(p, g, out=d[k], dtype=np.float64)
-    return d, level
+    return d
 
 
 def _sq_norm(x) -> float:
@@ -150,37 +153,39 @@ def _sq_norm(x) -> float:
     return float(np.add.reduce(np.add.reduce(x * x, axis=(1, 2))) / x.shape[0])
 
 
-def _terms(d, level: int, levels: Sequence[int]):
-    """Residual pyramid of ``d`` at the increasing ``levels``.
+def _terms(d, levels: Sequence[int]):
+    """Residual pyramid of the (B, side, side) residual ``d`` at the increasing ``levels``.
 
-    Each level is pooled from the next finer requested level. Returns
-    ``(pooled, diffs)``: per level the pooled residual, whose ``_sq_norm`` is
-    its l2, and per consecutive pair (a, b) the residual difference
-    ``r = pooled[b] - 4^(a-b) * rep(pooled[a])``, whose ``_sq_norm`` is
-    ``l_diff``. Callers take the norms of just the maps they read.
+    The levels must lie in [0, L], where 2^L is the side of ``d``, which
+    ``_stack`` or ``_evaluate`` has checked. Each level is pooled from the
+    next finer requested level. Returns ``(pooled, diffs)``: per level the
+    pooled residual, whose ``_sq_norm`` is its l2, and per consecutive pair
+    (a, b) the residual difference ``r = pooled[b] - 4^(a-b) * rep(pooled[a])``,
+    whose ``_sq_norm`` is ``l_diff``. Callers take the norms of just the maps
+    they read.
     """
+    level = d.shape[-1].bit_length() - 1  # _level(d[0]) without its repeated checks
     if levels[0] < 0 or levels[-1] > level:
         raise ValueError(f"requested levels {tuple(levels)} must lie in [0, {level}], the map level")
     pooled: dict[int, np.ndarray] = {}
-    finer, finer_level = d, level
+    finer = d
     for i in reversed(levels):
-        finer = pooled[i] = _pool_sum(finer, finer_level, i)
-        finer_level = i
-    diffs = {(a, b): pooled[b] - 4.0 ** (a - b) * _replicate(pooled[a], a, b)
+        finer = pooled[i] = _pool_sum(finer, i)
+    diffs = {(a, b): pooled[b] - 4.0 ** (a - b) * _replicate(pooled[a], b)
              for a, b in zip(levels, levels[1:])}
     return pooled, diffs
 
 
 def l2_level(preds: Batch, gts: Batch, i: int) -> float:
     """Batch-mean squared error between sum-downsamples at level ``i``."""
-    return _sq_norm(_terms(*_stack(preds, gts), (i,))[0][i])
+    return _sq_norm(_terms(_stack(preds, gts), (i,))[0][i])
 
 
 def l_diff_pair(preds: Batch, gts: Batch, j1: int, j2: int) -> float:
     """Difference loss for an arbitrary level pair j1 < j2."""
     if not 0 <= j1 < j2:
         raise ValueError(f"need 0 <= coarse < fine, got ({j1}, {j2})")
-    return _sq_norm(_terms(*_stack(preds, gts), (j1, j2))[1][(j1, j2)])
+    return _sq_norm(_terms(_stack(preds, gts), (j1, j2))[1][(j1, j2)])
 
 
 def l_diff(preds: Batch, gts: Batch, j: int) -> float:
@@ -218,16 +223,17 @@ def _check_n(n: int, level: int) -> None:
         raise ValueError(f"n = {n} exceeds prediction level {level}")
 
 
-def _evaluate(d, level, n, include_regularizer, want_gradient):
-    """The loss core on a stacked (B, side, side) residual at map level ``level``.
+def _evaluate(d, n, include_regularizer, want_gradient):
+    """The loss core on a stacked (B, side, side) residual, at the level ``_level(d[0])``.
 
     Returns the breakdown and, when ``want_gradient``, the gradient with
     respect to the prediction as one array of the same shape (else None).
     """
+    level = _level(d[0])
     _check_n(n, level)
 
     levels = tuple(range(n + 1))
-    pooled, diffs = _terms(d, level, levels)
+    pooled, diffs = _terms(d, levels)
     l2_vals = {i: _sq_norm(pooled[i]) for i in levels}
     ldiff_vals = {pair: _sq_norm(r) for pair, r in diffs.items()}
     pml = math.log(l2_vals[0] + DEFAULT_EPSILON)
@@ -255,9 +261,9 @@ def _evaluate(d, level, n, include_regularizer, want_gradient):
     # up one level at a time so only the last step touches the full grid
     grad = pooled[0] / (l2_vals[0] + DEFAULT_EPSILON)
     for j in range(1, n + 1):
-        grad = _replicate(grad, j - 1, j)
+        grad = _replicate(grad, j)
         grad += diffs[(j - 1, j)] / (ldiff_vals[(j - 1, j)] + DEFAULT_EPSILON)
-    grad = _replicate(grad, n, level)
+    grad = _replicate(grad, level)
     if include_regularizer:
         grad += d
     grad *= 2.0 / len(d)
@@ -266,17 +272,17 @@ def _evaluate(d, level, n, include_regularizer, want_gradient):
 
 def pml_loss(preds: Batch, gts: Batch, n: int) -> LossBreakdown:
     """Log-sum loss over levels 0..n, without the full-resolution regularizer."""
-    return _evaluate(*_stack(preds, gts), n, include_regularizer=False, want_gradient=False)[0]
+    return _evaluate(_stack(preds, gts), n, include_regularizer=False, want_gradient=False)[0]
 
 
 def total_loss(preds: Batch, gts: Batch, n: int) -> LossBreakdown:
     """Log-sum loss over levels 0..n plus the plain full-resolution squared error."""
-    return _evaluate(*_stack(preds, gts), n, include_regularizer=True, want_gradient=False)[0]
+    return _evaluate(_stack(preds, gts), n, include_regularizer=True, want_gradient=False)[0]
 
 
 def loss_value_and_gradient(preds: Batch, gts: Batch, n: int) -> tuple[LossBreakdown, np.ndarray]:
     """``total_loss``'s breakdown and its (B, side, side) gradient per predicted cell, in one pass."""
-    return _evaluate(*_stack(preds, gts), n, include_regularizer=True, want_gradient=True)
+    return _evaluate(_stack(preds, gts), n, include_regularizer=True, want_gradient=True)
 
 
 def loss_gradient(preds: Batch, gts: Batch, n: int) -> np.ndarray:

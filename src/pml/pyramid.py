@@ -164,9 +164,6 @@ class ResolutionSet:
     def __iter__(self) -> Iterator[int]:
         return iter(self.levels)
 
-    def __len__(self) -> int:
-        return len(self.levels)
-
 
 def rasterize(ann: PointAnnotations, level: int) -> DensityMap:
     """Count annotations into the uniform 2^level x 2^level partition of the scene.
@@ -190,12 +187,16 @@ def rasterize(ann: PointAnnotations, level: int) -> DensityMap:
 _STRIDED_MIN_CELLS = 2048  # below this, numpy's one reduction call beats a few strided adds
 
 
-def _pool_sum(data: np.ndarray, from_level: int, to_level: int) -> np.ndarray:
-    """Block sums of a (..., side, side) array, bit for bit numpy's (module docstring)."""
-    factor = 1 << (from_level - to_level)
+def _pool_sum(data: np.ndarray, to_level: int) -> np.ndarray:
+    """Block sums of a (..., side, side) array down to the 2^to_level grid.
+
+    The source level is read from the side. The sums are numpy's own, bit
+    for bit (module docstring).
+    """
+    factor = data.shape[-1] >> to_level
     if factor == 1:
         return data
-    out_side = data.shape[-1] >> (from_level - to_level)
+    out_side = 1 << to_level
     if (to_level == 0 or factor >= 16 or data.size < _STRIDED_MIN_CELLS
             or not data.flags.c_contiguous):
         shaped = data.reshape(data.shape[:-2] + (out_side, factor, out_side, factor))
@@ -211,8 +212,9 @@ def _pool_sum(data: np.ndarray, from_level: int, to_level: int) -> np.ndarray:
     return np.add.reduce(rows.reshape(data.shape[:-2] + (out_side, factor, out_side)), axis=-2)
 
 
-def _replicate(data: np.ndarray, from_level: int, to_level: int) -> np.ndarray:
-    factor = 1 << (to_level - from_level)
+def _replicate(data: np.ndarray, to_level: int) -> np.ndarray:
+    """Copy each cell of a (..., side, side) array into its descendants on the 2^to_level grid."""
+    factor = (1 << to_level) // data.shape[-1]
     if factor == 1:
         return data
     return data.repeat(factor, axis=-2).repeat(factor, axis=-1)
@@ -222,7 +224,7 @@ def downsample_sum(m: DensityMap, target_level: int) -> DensityMap:
     """Coarsen by summing each block of 4^(level - target_level) cells."""
     if target_level < 0 or target_level > m.level:
         raise ValueError(f"target level {target_level} not in [0, {m.level}]")
-    return DensityMap(target_level, _pool_sum(m.data, m.level, target_level))
+    return DensityMap(target_level, _pool_sum(m.data, target_level))
 
 
 def downsample_avg(m: DensityMap, target_level: int) -> DensityMap:
@@ -235,14 +237,14 @@ def upsample_replicate(m: DensityMap, target_level: int) -> DensityMap:
     """Refine by copying each cell's value into all of its descendant cells."""
     if target_level < m.level:
         raise ValueError(f"target level {target_level} must be >= map level {m.level}")
-    return DensityMap(target_level, _replicate(m.data, m.level, target_level))
+    return DensityMap(target_level, _replicate(m.data, target_level))
 
 
 def residual(fine: DensityMap, coarse: DensityMap) -> DensityMap:
     """Fine map minus the coarse map spread uniformly over its blocks, at the fine level."""
     if not coarse.level < fine.level:
         raise ValueError(f"coarse level {coarse.level} must be < fine level {fine.level}")
-    spread = 4.0 ** (coarse.level - fine.level) * _replicate(coarse.data, coarse.level, fine.level)
+    spread = 4.0 ** (coarse.level - fine.level) * _replicate(coarse.data, fine.level)
     return DensityMap(fine.level, fine.data - spread)
 
 

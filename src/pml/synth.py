@@ -445,8 +445,7 @@ def train(
         d = pred - gt
         with np.errstate(over="ignore", invalid="ignore"):  # a non-finite loss raises below
             if loss_kind == "pml":
-                bd, dpred = loss_mod._evaluate(d, loss_mod._level(d[0]), cfg.n, with_regularizer,
-                                               want_gradient=True)
+                bd, dpred = loss_mod._evaluate(d, cfg.n, with_regularizer, want_gradient=True)
                 loss_value = bd.total
             else:
                 loss_value = loss_mod._sq_norm(d)

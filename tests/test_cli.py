@@ -106,6 +106,30 @@ class TestGradCheckCommand:
         lines = capsys.readouterr().out.splitlines()
         assert lines[1] == f"max relative error: {error} (tolerance 1e-05)"
 
+    @pytest.mark.parametrize("level", ["-1", "9", "20", "x", ""])
+    def test_level_outside_zero_to_eight_is_a_usage_error(self, capsys, monkeypatch, level):
+        # a negative level once reached the draw as "negative shift count", and the
+        # finite differences cost 4^level loss calls per map (level 8 takes minutes)
+        def no_draw(seed):
+            raise AssertionError("the level was not checked before the draw")
+
+        monkeypatch.setattr("pml.cli.SplitMix64", no_draw)
+        code = main(["grad-check", "--seed", "1", "--level", level, "--n", "0"])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err == (
+            f"usage error: argument --level: expected an integer in [0, 8], got {level!r}\n")
+
+    @pytest.mark.parametrize("level", ["0", "8", "+8"])
+    def test_levels_zero_to_eight_are_accepted(self, capsys, monkeypatch, level):
+        # stand-in gradients keep level 8 as fast as level 0
+        monkeypatch.setattr("pml.cli.loss_gradient", lambda preds, gt, n: np.ones_like(preds))
+        monkeypatch.setattr("pml.cli.fd_loss_gradient", lambda f, preds: np.ones_like(preds))
+        code = main(["grad-check", "--seed", "1", "--level", level, "--n", "0"])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert f" level={int(level)} " in out.splitlines()[0]
+
     @pytest.mark.parametrize("tol", ["nan", "inf", "-0.5", "x"])
     def test_bad_tolerance_is_a_usage_error(self, capsys, tol):
         code = main(["grad-check", "--seed", "7", "--level", "3", "--n", "2", "--tol", tol])
@@ -340,7 +364,8 @@ class TestUsageAndConfigEcho:
          "expected comma-separated integers"),
         (["ablate", "--seed", "1", "--out", "a.csv"], "--n-values", "0, 1", "expected comma-separated integers"),
         (["grad-check", "--level", "3", "--n", "2"], "--seed", "\u0661", "expected an integer"),
-        (["grad-check", "--seed", "1", "--n", "2"], "--level", "\u0663", "expected an integer"),
+        (["grad-check", "--seed", "1", "--n", "2"], "--level", "\u0663",
+         "expected an integer in [0, 8]"),
         (["grad-check", "--seed", "1", "--level", "3"], "--n", "\uff12", "expected an integer"),
         (["verify-theorem", "--seed", "1", "--level", "3", "--nk", "1"], "--trials", "1_0",
          "expected an integer"),
@@ -396,6 +421,27 @@ class TestUsageAndConfigEcho:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "usage error: unrecognized arguments: --eps 1e-12\n"
+
+    @pytest.mark.parametrize("command, name", [
+        (["rasterize", "--points", "p.csv", "--scene-size", "1", "--level", "20", "--out", "m.dmap"],
+         "rasterize"),
+        (["verify-theorem", "--trials", "1", "--seed", "1", "--level", "20", "--nk", "2",
+          "--out", "t.csv"], "verify_theorem"),
+    ], ids=["rasterize", "verify-theorem"])
+    def test_memory_error_is_an_input_error_that_writes_nothing(self, tmp_path, monkeypatch,
+                                                                 capsys, command, name):
+        # a level-20 grid needs 8 TiB; the stand-in raises numpy's message without allocating
+        message = "Unable to allocate 8.00 TiB for an array with shape (1048576, 1048576)"
+
+        def out_of_memory(*args):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(f"pml.cli.{name}", out_of_memory)
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "p.csv").write_text("0.5,0.5\n")
+        assert main(command) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["p.csv"]
 
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0

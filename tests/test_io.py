@@ -160,11 +160,13 @@ class TestPointsCsv:
         p.write_text("")
         assert read_points_csv(p, 1.0).points.shape == (0, 2)
 
-    def test_malformed_line_outranks_an_earlier_point_outside(self, tmp_path):
-        # every line parses before any point is placed in the scene
+    @pytest.mark.parametrize("line", ["0.5,x", "0.5,", ",0.5"])
+    def test_malformed_line_outranks_an_earlier_point_outside(self, tmp_path, line):
+        # every line parses before any point is placed in the scene; an empty
+        # coordinate is a bad one, not a wrong value count
         p = tmp_path / "pts.csv"
-        p.write_text("0.5,1.5\n0.5,x\n")
-        with pytest.raises(ParseError, match=r":2: bad coordinate in '0\.5,x'$"):
+        p.write_text(f"0.5,1.5\n{line}\n")
+        with pytest.raises(ParseError, match=f":2: bad coordinate in {re.escape(repr(line))}$"):
             read_points_csv(p, 1.0)
 
     def test_wrong_value_count_message(self, tmp_path):

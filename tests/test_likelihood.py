@@ -1,6 +1,8 @@
+import dataclasses
 import hashlib
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -187,6 +189,18 @@ class TestVerifyTheorem:
         dense = log_likelihood(preds, gts, ResolutionSet((0, 1, 2, 3, 5))).loglik
         assert dense >= sparse - 1e-9
 
+    def test_violations_are_counted_from_the_trials(self, capsys, monkeypatch):
+        # a report whose trials are replaced recounts, and the CLI's exit code follows it
+        report = verify_theorem(trials=4, seed=11, level=4, n_k=2)
+        assert report.violations == 0
+        flipped = tuple(dataclasses.replace(t, violated=True) for t in report.trials[:3])
+        bad = dataclasses.replace(report, trials=flipped + report.trials[3:])
+        assert bad.violations == 3
+        monkeypatch.setattr("pml.cli.verify_theorem", lambda *args: bad)
+        assert main(["verify-theorem", "--trials", "4", "--seed", "11", "--level", "4",
+                     "--nk", "2"]) == 2
+        assert "violations: 3" in capsys.readouterr().out
+
     def test_deterministic_per_seed(self):
         a = verify_theorem(trials=20, seed=3, level=4, n_k=2)
         b = verify_theorem(trials=20, seed=3, level=4, n_k=2)
@@ -279,10 +293,16 @@ class TestVarianceStationarity:
                 want += -0.5 * (4.0 ** b - 4.0 ** a) * math.log(EPS)
             assert report.loglik == want
 
-    def test_invalid_sigma_rejected(self):
+    @pytest.mark.parametrize("levels, sigma_sq, message", [
+        ((0, 3), {0: 0.0}, "sigma_sq[0] must be > 0, got 0.0"),
+        ((0, 1, 3), {0: 1.0, 1: 0.0}, "sigma_sq[1] must be > 0, got 0.0"),
+        ((0, 1, 3), {0: 1.0, 1: -1.0}, "sigma_sq[1] must be > 0, got -1.0"),
+        ((0, 1, 3), {0: 1.0, 1: math.nan}, "sigma_sq[1] must be > 0, got nan"),
+    ])
+    def test_invalid_sigma_rejected(self, levels, sigma_sq, message):
         preds, gts = random_map_batch(40, 3, 2)
-        with pytest.raises(ValueError, match="sigma"):
-            likelihood_with_variances(preds, gts, ResolutionSet((0, 3)), {0: 0.0})
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            likelihood_with_variances(preds, gts, ResolutionSet(levels), sigma_sq)
 
 
 def test_report_is_frozen():

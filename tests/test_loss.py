@@ -48,9 +48,8 @@ class TestStack:
     def test_equals_difference_of_stacks_bit_for_bit(self, level):
         for batch in (1, 2, 5):
             preds, gts = random_map_batch(60 + level, level, batch, -3.0, 3.0)
-            d, got_level = _stack(preds, gts)
+            d = _stack(preds, gts)
             want = np.stack([p.data for p in preds]) - np.stack([g.data for g in gts])
-            assert got_level == level
             assert d.shape == want.shape and d.dtype == want.dtype
             assert np.array_equal(d, want)
 
@@ -180,6 +179,13 @@ class TestLDiff:
         preds, gts = random_map_batch(6, 2, 2)
         with pytest.raises(ValueError, match="no coarser"):
             l_diff(preds, gts, 0)
+
+    @pytest.mark.parametrize("j1, j2", [(1, 1), (2, 1), (-1, 1)])
+    def test_pair_must_be_coarse_then_fine(self, j1, j2):
+        # (1, 1) would otherwise read as an exact 0.0
+        preds, gts = random_map_batch(6, 2, 2)
+        with pytest.raises(ValueError, match=re.escape(f"need 0 <= coarse < fine, got ({j1}, {j2})")):
+            l_diff_pair(preds, gts, j1, j2)
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
     def test_subtraction_form_equals_residual_form(self, seed):
@@ -350,8 +356,8 @@ class TestLossGradient:
     def test_regularizer_adds_the_plain_quadratic_gradient(self):
         # total minus the log terms' own gradient is (2/B) * d, up to rounding
         preds, gts = random_map_batch(18, 3, 2)
-        d, level = _stack(preds, gts)
-        log_part = _evaluate(d, level, 2, include_regularizer=False, want_gradient=True)[1]
+        d = _stack(preds, gts)
+        log_part = _evaluate(d, 2, include_regularizer=False, want_gradient=True)[1]
         grads = loss_gradient(preds, gts, 2)
         for b, g in enumerate(grads):
             np.testing.assert_allclose(g - log_part[b], 2.0 * d[b] / len(grads), rtol=0, atol=1e-14)
@@ -367,7 +373,7 @@ class TestLossGradient:
     def test_matches_finite_differences_without_regularizer(self):
         # training's unregularized gradient comes straight from the core
         preds, gts = random_map_batch(20, 4, 2)
-        analytic = _evaluate(*_stack(preds, gts), 3, False, True)[1]
+        analytic = _evaluate(_stack(preds, gts), 3, False, True)[1]
         numeric = fd_loss_gradient(lambda ps: pml_loss(ps, gts, 3).pml, preds)
         scale = np.max(np.abs(numeric))
         err = np.max(np.abs(analytic - numeric)) / scale
@@ -385,7 +391,7 @@ class TestLossGradient:
         preds, gts = random_map_batch(31, 7, 3, -1.0, 1.0)
         bd, grads = loss_value_and_gradient(preds, gts, 5)
         assert grads.shape == (3, 128, 128) and grads.dtype == np.float64
-        assert np.array_equal(grads, _evaluate(*_stack(preds, gts), 5, True, True)[1])
+        assert np.array_equal(grads, _evaluate(_stack(preds, gts), 5, True, True)[1])
         assert bd.total == 10959.98393355991
         assert hashlib.sha256(b"".join(g.tobytes() for g in grads)).hexdigest() == (
             "02983fee146bcf61fd66ff33be37e8b6f4f905543fa2aebeb4effaaf1548d8c1")

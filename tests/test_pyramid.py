@@ -44,6 +44,10 @@ class TestDensityMap:
         with pytest.raises(ValueError, match="non-finite"):
             DensityMap(0, [[np.nan]])
 
+    def test_negative_level_rejected(self):
+        with pytest.raises(ValueError, match=r"^level must be >= 0, got -1$"):
+            DensityMap(-1, [[1.0]])
+
     def test_data_is_locked(self):
         m = DensityMap(1, np.ones((2, 2)))
         with pytest.raises(ValueError):
@@ -95,6 +99,18 @@ class TestPointAnnotations:
         with pytest.raises(ValueError, match=r"shape \(N, 2\), got " + re.escape(str(shape))):
             PointAnnotations(pts, scene_size=1.0)
 
+    @pytest.mark.parametrize("size", [0.0, -1.0, np.nan, np.inf])
+    def test_scene_size_must_be_finite_and_positive(self, size):
+        # no points, so no bounds check could reject the size instead
+        with pytest.raises(ValueError, match=rf"^scene_size must be finite and > 0, got {size}$"):
+            PointAnnotations(np.empty((0, 2)), scene_size=size)
+
+    @pytest.mark.parametrize("point", [[np.nan, 0.5], [0.5, np.nan]])
+    def test_non_finite_coordinate_rejected(self, point):
+        # a NaN compares false with both bounds, so only this check sees it
+        with pytest.raises(ValueError, match="^annotations contain non-finite coordinates$"):
+            PointAnnotations([point], scene_size=1.0)
+
 
 class TestRasterize:
     def test_empty_annotations(self):
@@ -106,6 +122,11 @@ class TestRasterize:
     def test_single_point_level_zero(self):
         ann = PointAnnotations(np.array([[0.5, 0.5]]), scene_size=1.0)
         assert rasterize(ann, 0).data.tolist() == [[1.0]]
+
+    def test_negative_level_rejected(self):
+        ann = PointAnnotations(np.empty((0, 2)), scene_size=1.0)
+        with pytest.raises(ValueError, match=r"^level must be >= 0, got -1$"):
+            rasterize(ann, -1)
 
     def test_quadrant_centers(self):
         pts = np.array([[0.25, 0.25], [0.75, 0.25], [0.25, 0.75], [0.75, 0.75]])
@@ -190,13 +211,13 @@ class TestPoolSumOrder:
             x[..., : side // 2, : side // 2] = -0.0
             x[..., : side // 2, side // 2:] = np.where(np.arange(side - side // 2) % 3, 0.0, -0.0)
             for target in range(level):
-                _assert_same_bits(_pool_sum(x, level, target), _numpy_block_sum(x, level, target))
+                _assert_same_bits(_pool_sum(x, target), _numpy_block_sum(x, level, target))
 
     @pytest.mark.parametrize("level, batch", [(1, 512), (2, 128), (3, 32), (3, 64)])
     def test_pooling_to_one_cell_matches_numpy_on_large_batches(self, mixed_cells, level, batch):
         # enough cells for the strided path, but numpy sums a whole block pairwise here
         x = mixed_cells[:batch << (2 * level)].reshape(batch, 1 << level, 1 << level)
-        _assert_same_bits(_pool_sum(x, level, 0), _numpy_block_sum(x, level, 0))
+        _assert_same_bits(_pool_sum(x, 0), _numpy_block_sum(x, level, 0))
 
     @given(st.integers(5, 8), st.integers(1, 4), st.data())
     @settings(max_examples=40, deadline=None)
@@ -209,7 +230,7 @@ class TestPoolSumOrder:
         side = 1 << level
         picks = np.random.default_rng(seed).integers(0, len(palette), (batch, side, side))
         x = np.array(palette)[picks]
-        _assert_same_bits(_pool_sum(x, level, target), _numpy_block_sum(x, level, target))
+        _assert_same_bits(_pool_sum(x, target), _numpy_block_sum(x, level, target))
 
 
 class TestDownsampleAvg:

@@ -79,6 +79,13 @@ def test_gaussian_block_matches_reference(count, mean, std):
     assert rng.next_u64() == ref.next_u64()  # an odd count still spends a whole pair
 
 
+@pytest.mark.parametrize("low, high", [(3, 2), (0, -1)])
+def test_randint_rejects_an_empty_range(low, high):
+    # without the check, span 0 returns low - 1
+    with pytest.raises(ValueError, match=rf"^empty integer range \[{low}, {high}\]$"):
+        SplitMix64(1).randint(low, high)
+
+
 class _ScalarStream:
     """Every draw mixed one at a time with ``_mix``: the stream the lookahead must equal."""
 

@@ -19,6 +19,7 @@ from pml.synth import (
     TinyModel,
     TrainingDiverged,
     Workspace,
+    _batches,
     _conv3x3_single_output,
     _softplus,
     clip_by_global_norm,
@@ -85,6 +86,8 @@ class TestSceneConfig:
             SceneConfig(seed=0, points_per_cluster=(5, 2))
         with pytest.raises(ValueError):
             SceneConfig(seed=0, noise_std=-0.1)
+        with pytest.raises(ValueError, match=r"^obs_level must be >= 0, got -1$"):
+            SceneConfig(seed=0, obs_level=-1)
 
     # a non-finite size or spread once made generate_scene's rejection loop spin
     # forever, and a NaN noise_std silently turned the noise off
@@ -527,6 +530,16 @@ class TestTrain:
         with pytest.raises(ValueError, match="loss_kind"):
             train(model, _each_epoch(scenes), _cfg(steps=1), loss_kind="huber", seed=0,
                   with_regularizer=True)
+
+    def test_an_empty_epoch_is_rejected(self):
+        def provider(epoch):
+            # without the check, an empty epoch is skipped, epoch after epoch
+            if epoch:
+                raise RuntimeError("scene source asked for a second epoch")
+            return []
+
+        with pytest.raises(ValueError, match="^scene source produced no scenes for epoch 0$"):
+            next(_batches(provider, 0, 2))
 
     @pytest.mark.parametrize("batch", [0, -1])
     def test_batch_below_one_rejected_before_any_epoch(self, batch):
