@@ -215,20 +215,25 @@ def verify_theorem(
     random sparse sub-level set with maximum ``n_k``, and checks that the
     dense set {0..n_k, level} never scores a lower ``log_likelihood`` than
     the sparse one, beyond ``THEOREM_SLACK``.
-    Trial t uses the stream seeded seed + t and draws its predictions, then
-    its ground truths, as one block of uniforms.
+    Trial t uses the stream seeded seed + t and draws one block of uniforms:
+    its predictions, then its ground truths, then one selector per level
+    below ``n_k``, which joins the sparse set when its selector is below 0.5.
+    The block equals that many ``uniform`` calls.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     if not 0 < n_k < level:
         raise ValueError(f"need 0 < n_k < level, got n_k={n_k}, level={level}")
+    if batch < 1:
+        raise ValueError(f"batch must be >= 1, got {batch}")
     side = 1 << level
+    cells = 2 * batch * side * side
     dense = ResolutionSet.dense(n_k, level)
     rows = []
     for t in range(trials):
-        rng = SplitMix64(seed + t)
-        pred, gt = rng.uniform_block(2 * batch * side * side).reshape(2, batch, side, side)
-        subs = [i for i in range(n_k) if rng.uniform() < 0.5] + [n_k]
+        block = SplitMix64(seed + t).uniform_block(cells + n_k)
+        pred, gt = block[:cells].reshape(2, batch, side, side)
+        subs = [i for i, u in enumerate(block[cells:].tolist()) if u < 0.5] + [n_k]
         sparse = ResolutionSet(tuple(subs) + (level,))
         ll_sparse = log_likelihood(pred, gt, sparse).loglik
         ll_dense = log_likelihood(pred, gt, dense).loglik

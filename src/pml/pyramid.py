@@ -23,9 +23,10 @@ Replication upsampling is the adjoint of sum pooling: for any ``a`` at level
 The loss gradients rely on this identity.
 
 Block sums keep numpy's own summation order bit for bit, signs of zero
-included. For C-contiguous input, ``reshape(...).sum(axis=(-3, -1))`` sums
-each block row's ``f`` contiguous cells, sequentially when ``f < 8`` and as
-its 8-accumulator pairwise tree (for ``f == 8``: three halvings
+included. For C-contiguous input, ``np.add.reduce(reshape(...), axis=(-3, -1))``
+(the reduction ``ndarray.sum`` calls, without its wrapper) sums each block
+row's ``f`` contiguous cells, sequentially when ``f < 8`` and as its
+8-accumulator pairwise tree (for ``f == 8``: three halvings
 ``x[..., 0::2] + x[..., 1::2]``) otherwise, and then adds the ``f`` row sums
 in order. Large inputs with ``f <= 8`` rebuild that order from whole-array
 strided adds, because numpy's multi-axis reduction calls its inner loop once
@@ -200,7 +201,7 @@ def _pool_sum(data: np.ndarray, to_level: int) -> np.ndarray:
     if (to_level == 0 or factor >= 16 or data.size < _STRIDED_MIN_CELLS
             or not data.flags.c_contiguous):
         shaped = data.reshape(data.shape[:-2] + (out_side, factor, out_side, factor))
-        return shaped.sum(axis=(-3, -1))
+        return np.add.reduce(shaped, axis=(-3, -1))
     if factor == 8:
         rows = data[..., 0::2] + data[..., 1::2]
         rows = rows[..., 0::2] + rows[..., 1::2]

@@ -19,11 +19,17 @@ floating-point draws are derived from integer output:
   uniform shifted into (0, 1] so the logarithm is always finite.
 
 ``uniform_block`` produces exactly the same values as repeated ``uniform``
-calls, but vectorized with numpy uint64 arithmetic. ``gaussian_pair`` reads
-its two uniforms from a lookahead of ``_LOOKAHEAD`` draws mixed at once the
-same way; the lookahead is keyed on the counter, so any other draw, or a
-write to ``_state``, makes it stale, and the pairs equal those from mixing
-one draw at a time.
+calls, but vectorized with numpy uint64 arithmetic. The counter offsets
+``(i+1) * gamma mod 2^64`` of the first ``_OFFSET_COUNT`` (2^13) draws are one
+read-only table built at import, so a block of up to that many draws adds the
+counter to a slice of it; longer blocks compute their offsets. A negative
+count raises ``ValueError`` and leaves the stream where it was; a count of
+zero draws nothing.
+
+``gaussian_pair`` reads its two uniforms from a lookahead of ``_LOOKAHEAD``
+draws mixed at once the same way; the lookahead is keyed on the counter, so
+any other draw, or a write to ``_state``, makes it stale, and the pairs equal
+those from mixing one draw at a time.
 """
 
 from __future__ import annotations
@@ -40,6 +46,10 @@ _LOOKAHEAD = 256  # uniforms ``gaussian_pair`` mixes per refill
 # the same constants as numpy scalars, converted once rather than per block
 _GAMMA_U, _MUL1_U, _MUL2_U = np.uint64(_GAMMA), np.uint64(_MUL1), np.uint64(_MUL2)
 _S11, _S27, _S30, _S31 = (np.uint64(s) for s in (11, 27, 30, 31))
+# counter offsets (i+1) * gamma mod 2^64 of the first draws after a state (64 KiB)
+_OFFSET_COUNT = 1 << 13
+_OFFSETS = np.arange(1, _OFFSET_COUNT + 1, dtype=np.uint64) * _GAMMA_U
+_OFFSETS.setflags(write=False)
 
 
 def _mix(z: int) -> int:
@@ -49,10 +59,13 @@ def _mix(z: int) -> int:
 
 
 def _uniforms(state: int, count: int) -> np.ndarray:
-    """The uniforms of the ``count`` draws after counter ``state``, mixed in numpy."""
-    z = np.arange(1, count + 1, dtype=np.uint64)
-    z *= _GAMMA_U
-    z += np.uint64(state)
+    """The uniforms of the ``count`` (>= 0) draws after counter ``state``, mixed in numpy."""
+    if count <= _OFFSET_COUNT:
+        z = np.add(_OFFSETS[:count], np.uint64(state))  # a fresh array; the table is never written
+    else:
+        z = np.arange(1, count + 1, dtype=np.uint64)
+        z *= _GAMMA_U
+        z += np.uint64(state)
     shifted = np.empty_like(z)
     z ^= np.right_shift(z, _S30, out=shifted)
     z *= _MUL1_U
@@ -92,6 +105,8 @@ class SplitMix64:
 
     def uniform_block(self, count: int, low: float = 0.0, high: float = 1.0) -> np.ndarray:
         """``count`` uniforms, identical to that many ``uniform`` calls."""
+        if count < 0:
+            raise ValueError(f"count must be >= 0, got {count}")
         u = _uniforms(self._state, count)
         self._state = (self._state + count * _GAMMA) & _MASK
         u *= high - low
@@ -130,6 +145,8 @@ class SplitMix64:
         they run the same numpy loops, and give the same bits, as the
         out-of-place form.
         """
+        if count < 0:
+            raise ValueError(f"count must be >= 0, got {count}")
         pairs = (count + 1) // 2
         u = self.uniform_block(2 * pairs).reshape(pairs, 2)
         r = u[:, 0] + _INV_2_53  # shift into (0, 1]

@@ -237,6 +237,22 @@ class TestVerifyTheorem:
             sparse = log_likelihood(preds, gts, subs + (3, 4)).loglik
             assert dense >= sparse - THEOREM_SLACK, f"{subs}: {dense!r} < {sparse!r}"
 
+    @pytest.mark.parametrize("level, n_k, batch", [(2, 1, 1), (6, 4, 3)])
+    def test_trials_equal_separate_map_and_selector_draws(self, level, n_k, batch):
+        # a trial draws its maps and its selectors in one block; drawing the
+        # maps as a block and each selector with ``uniform`` gives the same trial
+        side = 1 << level
+        report = verify_theorem(trials=12, seed=500 + level, level=level, n_k=n_k, batch=batch)
+        dense = ResolutionSet.dense(n_k, level)
+        for t in report.trials:
+            rng = SplitMix64(500 + level + t.trial)
+            pred, gt = rng.uniform_block(2 * batch * side * side).reshape(2, batch, side, side)
+            subs = tuple(i for i in range(n_k) if rng.uniform() < 0.5) + (n_k, level)
+            assert t.sparse_levels == subs
+            assert t.loglik_sparse == log_likelihood(list(pred), list(gt), subs).loglik
+            assert t.loglik_dense == log_likelihood(list(pred), list(gt), dense).loglik
+        assert len({t.sparse_levels for t in report.trials}) > 1
+
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
             verify_theorem(trials=0, seed=1, level=4, n_k=2)
@@ -244,6 +260,12 @@ class TestVerifyTheorem:
             verify_theorem(trials=1, seed=1, level=4, n_k=4)
         with pytest.raises(ValueError):
             verify_theorem(trials=1, seed=1, level=4, n_k=0)
+
+    @pytest.mark.parametrize("batch", [0, -1])
+    def test_batch_must_be_positive(self, batch):
+        # checked up front, not from the empty batch after the draw
+        with pytest.raises(ValueError, match=rf"^batch must be >= 1, got {batch}$"):
+            verify_theorem(trials=1, seed=1, level=4, n_k=2, batch=batch)
 
 
 class TestVarianceStationarity:

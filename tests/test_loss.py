@@ -53,6 +53,48 @@ class TestStack:
             assert d.shape == want.shape and d.dtype == want.dtype
             assert np.array_equal(d, want)
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32, np.int64])
+    @pytest.mark.parametrize("level", [0, 3, 7])
+    @pytest.mark.parametrize("batch", [1, 3])
+    def test_array_path_equals_sequence_path_bit_for_bit(self, dtype, level, batch):
+        # two arrays of one shape are checked once and subtracted in one call;
+        # a sequence of their maps goes through the per-pair loop
+        side = 1 << level
+        draws = SplitMix64(80 + level).uniform_block(2 * batch * side * side, -50.0, 50.0)
+        pred, gt = draws.reshape(2, batch, side, side).astype(dtype)
+        d = _stack(pred, gt)
+        want = _stack(list(pred), list(gt))
+        assert d.dtype == want.dtype == np.float64 and d.shape == (batch, side, side)
+        assert d.tobytes() == want.tobytes()
+
+    def test_array_path_returns_a_c_contiguous_residual(self):
+        # the pooling and the norms sum in memory order, so a transposed
+        # batch must give the residual of its C-ordered copy
+        pred, gt = np.array(random_map_batch(81, 4, 3, -2.0, 2.0))
+        pred_t, gt_t = pred.transpose(0, 2, 1), np.asfortranarray(gt.transpose(0, 2, 1))
+        d, want = _stack(pred_t, gt_t), _stack(list(pred_t), list(gt_t))
+        assert d.flags.c_contiguous
+        assert d.tobytes() == want.tobytes()
+        assert _same(_evaluate(d, 3, True, True), _evaluate(want, 3, True, True))
+
+    @pytest.mark.parametrize("pred_shape, gt_shape, message", [
+        ((0, 4, 4), (0, 4, 4), "batches must be non-empty"),
+        ((2, 4, 4), (3, 4, 4), "batch sizes differ: 2 predictions vs 3 ground truths"),
+        ((2, 4, 4), (2, 2, 2), "pair 0: prediction level 2, ground truth level 1; "
+                               "a batch needs a single map level (2)"),
+        ((2, 4, 4), (2, 4, 2), "a map must be square with a power-of-two side, got shape (4, 2)"),
+        ((2, 4, 2), (2, 4, 4), "a map must be square with a power-of-two side, got shape (4, 2)"),
+        ((2, 6, 6), (2, 4, 4), "a map must be square with a power-of-two side, got shape (6, 6)"),
+    ])
+    def test_array_batches_keep_their_messages(self, pred_shape, gt_shape, message):
+        # empty arrays fail first and arrays of two shapes in the per-pair loop;
+        # TestBatchForms covers same-shape arrays that are not square power-of-two maps
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            _stack(np.zeros(pred_shape), np.zeros(gt_shape))
+        # the same message as for the arrays' maps in a sequence
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            _stack(list(np.zeros(pred_shape)), list(np.zeros(gt_shape)))
+
 
 _SET = ResolutionSet((0, 2, 3, 4))
 
@@ -96,6 +138,11 @@ class TestBatchForms:
         pred32, gt32 = pred.astype(np.float32), gt.astype(np.float32)
         from_maps32 = fn([DensityMap(4, p) for p in pred32], [DensityMap(4, g) for g in gt32])
         assert _same(fn(pred32, gt32), from_maps32)
+        # and so is an integer batch
+        pred64, gt64 = (pred * 1000).astype(np.int64), (gt * 1000).astype(np.int64)
+        from_maps64 = fn([DensityMap(4, p) for p in pred64], [DensityMap(4, g) for g in gt64])
+        assert _same(fn(pred64, gt64), from_maps64)
+        assert _same(fn(list(pred64), list(gt64)), from_maps64)
 
     @pytest.mark.parametrize("shape", [(2, 4, 2), (2, 3, 3), (2, 0, 0), (2, 2, 2, 2), (4, 4)])
     def test_maps_must_be_square_with_a_power_of_two_side(self, shape):

@@ -79,6 +79,46 @@ def test_gaussian_block_matches_reference(count, mean, std):
     assert rng.next_u64() == ref.next_u64()  # an odd count still spends a whole pair
 
 
+@pytest.mark.parametrize("count", [rng_module._OFFSET_COUNT - 1, rng_module._OFFSET_COUNT,
+                                   rng_module._OFFSET_COUNT + 1])
+def test_uniform_block_equals_scalar_mixing_around_the_offset_table(count):
+    # up to _OFFSET_COUNT draws add the counter to the offset table, longer
+    # ones compute their offsets; draw 100 puts the counter at 2^64 - 1
+    seed = (_MASK - 100 * _GAMMA) & _MASK
+    rng, ref = SplitMix64(seed), _ScalarStream(seed)
+    assert rng.uniform_block(count).tolist() == ref.uniform_block(count).tolist()
+    assert rng._state == ref._state
+
+
+def test_writing_to_a_block_leaves_later_draws_alone():
+    # a block is a fresh array, never a view of the offset table
+    rng, ref = SplitMix64(9), _ScalarStream(9)
+    first = rng.uniform_block(64)
+    ref.uniform_block(64)
+    first[:] = -1.0
+    assert rng.uniform_block(64).tolist() == ref.uniform_block(64).tolist()
+    assert SplitMix64(9).uniform_block(64).tolist() == _ScalarStream(9).uniform_block(64).tolist()
+    assert not rng_module._OFFSETS.flags.writeable
+
+
+@pytest.mark.parametrize("draw, count", [("uniform_block", -1), ("uniform_block", -5),
+                                         ("gaussian_block", -1), ("gaussian_block", -3)])
+def test_a_negative_count_is_rejected_without_moving_the_stream(draw, count):
+    # before, uniform_block(-1) moved the counter back one draw
+    rng = SplitMix64(1)
+    with pytest.raises(ValueError, match=rf"^count must be >= 0, got {count}$"):
+        getattr(rng, draw)(count)
+    assert rng._state == 1
+    assert rng.uniform() == SplitMix64(1).uniform()
+
+
+@pytest.mark.parametrize("draw", ["uniform_block", "gaussian_block"])
+def test_a_zero_count_draws_nothing(draw):
+    rng = SplitMix64(1)
+    assert getattr(rng, draw)(0).shape == (0,)
+    assert rng._state == 1
+
+
 @pytest.mark.parametrize("low, high", [(3, 2), (0, -1)])
 def test_randint_rejects_an_empty_range(low, high):
     # without the check, span 0 returns low - 1
