@@ -5,7 +5,9 @@ The .dmap format is line 1 ``<rows> <cols>`` (ASCII digits) followed by
 be equal and a power of two, and only blank lines may follow the last row. A
 points CSV is one ``x,y`` pair per line, with blank lines and an optional
 ``x,y`` header line allowed. Both readers decode UTF-8 whatever the locale,
-skipping a leading byte-order mark, and parse floats in numpy's ``loadtxt``
+skipping a leading byte-order mark. A line ends only at a newline (``\n``,
+``\r\n`` or ``\r``), so other whitespace, a form feed or U+2028 included,
+separates the values of one row. Floats are parsed in numpy's ``loadtxt``
 grammar, which unlike Python's ``float`` rejects ``1_0`` and non-ASCII digits;
 the command line reads its float flags with ``parse_float`` in that grammar too.
 Both writers format each line with one ``%.17g`` format string (17 significant
@@ -104,9 +106,14 @@ def _parse_rows(path, rows: list[tuple[int, str]], cols: int, delimiter: str | N
 
 def read_dmap(path) -> DensityMap:
     with open(path, encoding="utf-8-sig") as fh:
-        lines = fh.read().splitlines()
-    if not lines:
+        text = fh.read()
+    if not text:
         raise ParseError(path, 1, "empty file, expected '<rows> <cols>' header")
+    # only "\n" ends a line, as in a points CSV; str.splitlines would also end
+    # one at \x0c, \x1c or U+2028, which split values within a row
+    lines = text.split("\n")
+    if not lines[-1]:
+        lines.pop()  # the newline that ends the last line
     header = lines[0].split()
     if len(header) != 2:
         raise ParseError(path, 1, f"expected '<rows> <cols>', got {lines[0]!r}")

@@ -29,8 +29,11 @@ beside an array. ``_terms`` pools ``d`` to each requested level, each from
 the next finer one, and forms the residual differences; each caller takes
 the norms of just the maps it reads (``_evaluate`` all of them, the
 likelihood only the base level and the pairs). ``_evaluate`` adds the log
-terms, the variances and the gradient. Training calls this core directly on
-its arrays.
+terms, the variances and the gradient. It consumes ``d``: the gradient is
+written into ``d`` and returned in it, so no full-size array is made beside
+the residual, which is always a fresh array that no caller reads again
+(``_stack``'s, or training's ``pred - gt``). Training calls this core
+directly on its arrays.
 
 Replication is the adjoint of sum pooling, and the coarse part of ``r``
 pools to zero, so the gradient is the replicated residuals:
@@ -57,7 +60,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .pyramid import DensityMap, _pool_sum, _replicate
+from .pyramid import _SLAB_CELLS, DensityMap, _pool_sum, _replicate
 
 # a (B, side, side) array, or a sequence of square 2^level x 2^level maps
 Batch = np.ndarray | Sequence[DensityMap | np.ndarray]
@@ -152,9 +155,26 @@ def _sq_norm(x) -> float:
     """Batch mean of the per-sample squared L2 norm of a (B, side, side) array.
 
     The same pairwise sums and division as ``np.mean(np.sum(x * x, axis=(1, 2)))``
-    without the wrappers' per-call overhead.
+    without the wrappers' per-call overhead. A C-contiguous array of more than
+    ``_SLAB_CELLS`` cells is squared a slab at a time, so no full-size square
+    is made. The bits stay numpy's: its pairwise sum of a power-of-two run
+    adds the sums of the two halves, so a map's slab sums, added in halves,
+    are the map's sum.
     """
-    return float(np.add.reduce(np.add.reduce(x * x, axis=(1, 2))) / x.shape[0])
+    if x.size <= _SLAB_CELLS or not x.flags.c_contiguous:
+        return float(np.add.reduce(np.add.reduce(x * x, axis=(1, 2))) / x.shape[0])
+    run = min(x[0].size, _SLAB_CELLS)  # cells per sum: a whole map, or a slab of one
+    runs = x.reshape(-1, run)
+    step = _SLAB_CELLS // run
+    square = np.empty((step, run))
+    sums = np.empty(len(runs))
+    for k in range(0, len(runs), step):
+        part = runs[k:k + step]
+        np.add.reduce(np.multiply(part, part, out=square[:len(part)]), axis=1, out=sums[k:k + step])
+    sums = sums.reshape(len(x), -1)
+    while sums.shape[1] > 1:
+        sums = sums[:, 0::2] + sums[:, 1::2]
+    return float(np.add.reduce(sums[:, 0]) / x.shape[0])
 
 
 def _terms(d, levels: Sequence[int]):
@@ -231,10 +251,15 @@ def _evaluate(d, n, include_regularizer, want_gradient):
     """The loss core on a stacked (B, side, side) residual, at the level ``_level(d[0])``.
 
     Returns the breakdown and, when ``want_gradient``, the gradient with
-    respect to the prediction as one array of the same shape (else None).
+    respect to the prediction (else None). The gradient is written into
+    ``d`` and returned in it, so ``d`` is consumed and must be C-contiguous.
+    Its bits are those of replicating the coarse gradient to the full grid,
+    adding ``d`` and scaling by ``2/B``.
     """
     level = _level(d[0])
     _check_n(n, level)
+    if not d.flags.c_contiguous:
+        raise ValueError("the residual must be C-contiguous, since the gradient is written into it")
 
     levels = tuple(range(n + 1))
     pooled, diffs = _terms(d, levels)
@@ -267,11 +292,17 @@ def _evaluate(d, n, include_regularizer, want_gradient):
     for j in range(1, n + 1):
         grad = _replicate(grad, j)
         grad += diffs[(j - 1, j)] / (ldiff_vals[(j - 1, j)] + DEFAULT_EPSILON)
-    grad = _replicate(grad, level)
+    # the last replication, along columns only, is broadcast over each block's
+    # rows of d; nothing reads d or its aliases (pooled[level]) after this
+    f = d.shape[-1] >> n
+    rows = d.reshape(len(d), 1 << n, f, d.shape[-1])
+    cols = grad.repeat(f, axis=-1)[:, :, None, :]
     if include_regularizer:
-        grad += d
-    grad *= 2.0 / len(d)
-    return breakdown, grad
+        rows += cols
+    else:
+        rows[...] = cols
+    d *= 2.0 / len(d)
+    return breakdown, d
 
 
 def pml_loss(preds: Batch, gts: Batch, n: int) -> LossBreakdown:

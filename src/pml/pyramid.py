@@ -28,10 +28,14 @@ included. For C-contiguous input, ``np.add.reduce(reshape(...), axis=(-3, -1))``
 row's ``f`` contiguous cells, sequentially when ``f < 8`` and as its
 8-accumulator pairwise tree (for ``f == 8``: three halvings
 ``x[..., 0::2] + x[..., 1::2]``) otherwise, and then adds the ``f`` row sums
-in order. Large inputs with ``f <= 8`` rebuild that order from whole-array
-strided adds, because numpy's multi-axis reduction calls its inner loop once
-per block row. Pooling to level 0 (one pairwise sum over all ``f^2`` cells),
-``f >= 16``, small inputs and non-contiguous ones keep numpy's expression.
+in order. Large inputs with ``f <= 8`` rebuild that order from strided
+adds, because numpy's multi-axis reduction calls its inner loop once per
+block row. Each block row's sums depend on its cells alone, so inputs of
+more than ``_SLAB_CELLS`` cells (1 MiB of float64, half a 2 MiB L2 cache)
+are pooled a slab of whole block rows at a time into one output, in
+numpy's order still, and no temporary outgrows a slab. Pooling to level 0
+(one pairwise sum over all ``f^2`` cells), ``f >= 16``, small inputs and
+non-contiguous ones keep numpy's expression.
 
 All operations are pure. A ``DensityMap`` copies its data, checks it and
 makes the copy read-only, so a map never shares memory with its source. The
@@ -186,13 +190,14 @@ def rasterize(ann: PointAnnotations, level: int) -> DensityMap:
 
 
 _STRIDED_MIN_CELLS = 2048  # below this, numpy's one reduction call beats a few strided adds
+_SLAB_CELLS = 1 << 17  # 1 MiB of float64: larger arrays are pooled, and normed, a slab at a time
 
 
 def _pool_sum(data: np.ndarray, to_level: int) -> np.ndarray:
     """Block sums of a (..., side, side) array down to the 2^to_level grid.
 
     The source level is read from the side. The sums are numpy's own, bit
-    for bit (module docstring).
+    for bit, also where a large input is pooled in slabs (module docstring).
     """
     factor = data.shape[-1] >> to_level
     if factor == 1:
@@ -202,15 +207,30 @@ def _pool_sum(data: np.ndarray, to_level: int) -> np.ndarray:
             or not data.flags.c_contiguous):
         shaped = data.reshape(data.shape[:-2] + (out_side, factor, out_side, factor))
         return np.add.reduce(shaped, axis=(-3, -1))
+    if data.size <= _SLAB_CELLS:
+        rows = _column_sums(data, factor)
+        return np.add.reduce(rows.reshape(data.shape[:-2] + (out_side, factor, out_side)),
+                             axis=-2)
+    # whole block rows, _SLAB_CELLS cells or fewer at a time, into one output
+    blocks = data.reshape(-1, factor, data.shape[-1])
+    out = np.empty(data.shape[:-2] + (out_side, out_side))
+    out_rows = out.reshape(-1, out_side)
+    step = max(1, _SLAB_CELLS // blocks[0].size)
+    for k in range(0, len(blocks), step):
+        np.add.reduce(_column_sums(blocks[k:k + step], factor), axis=-2, out=out_rows[k:k + step])
+    return out
+
+
+def _column_sums(data: np.ndarray, factor: int) -> np.ndarray:
+    """Sums of each run of ``factor`` adjacent columns, in numpy's order for that run."""
     if factor == 8:
         rows = data[..., 0::2] + data[..., 1::2]
         rows = rows[..., 0::2] + rows[..., 1::2]
-        rows = rows[..., 0::2] + rows[..., 1::2]
-    else:
-        rows = data[..., 0::factor] + data[..., 1::factor]
-        for k in range(2, factor):
-            rows += data[..., k::factor]
-    return np.add.reduce(rows.reshape(data.shape[:-2] + (out_side, factor, out_side)), axis=-2)
+        return rows[..., 0::2] + rows[..., 1::2]
+    rows = data[..., 0::factor] + data[..., 1::factor]
+    for k in range(2, factor):
+        rows += data[..., k::factor]
+    return rows
 
 
 def _replicate(data: np.ndarray, to_level: int) -> np.ndarray:

@@ -442,18 +442,18 @@ def train(
     # the range comes first, so the provider is never asked for an epoch after the last step
     for step, (obs, gt) in zip(range(1, steps + 1), _batches(provider, seed, cfg.batch)):
         pred, cache = model._forward_cache(obs, work)
-        d = pred - gt
+        d = pred - gt  # both losses write their prediction gradient into d
         with np.errstate(over="ignore", invalid="ignore"):  # a non-finite loss raises below
             if loss_kind == "pml":
-                bd, dpred = loss_mod._evaluate(d, cfg.n, with_regularizer, want_gradient=True)
+                bd, _ = loss_mod._evaluate(d, cfg.n, with_regularizer, want_gradient=True)
                 loss_value = bd.total
             else:
                 loss_value = loss_mod._sq_norm(d)
-                dpred = (2.0 / len(d)) * d
+                d *= 2.0 / len(d)
         if not math.isfinite(loss_value):
             raise TrainingDiverged(step, loss_value, _snapshot(model, rows))
 
-        grad = model._backward(cache, dpred)
+        grad = model._backward(cache, d)
         grad, norm, clipped = clip_by_global_norm(grad, cfg.clip_norm)
         model.params = opt.step(model.params, grad)
 

@@ -249,8 +249,9 @@ TOKEN_OUTCOMES = [
     ("#1", "bad float"), ("1,5", "bad float"), ("'1'", "bad float"), ("\x00", "bad float"),
 ]
 TOKENS = [token for token, _ in TOKEN_OUTCOMES]
-SEPARATORS = [" ", "  ", "\t", "\x0b", "\x0c", "\x1c", "\x1f", "\xa0", "\u2003", " \t"]
-LINE_BREAKS = {"\x0b", "\x0c", "\x1c"}  # str.splitlines ends a line at these
+# \x0b, \x0c, \x1c, \x85 and U+2028 end a line for str.splitlines, but not for the readers
+SEPARATORS = [" ", "  ", "\t", "\x0b", "\x0c", "\x1c", "\x1f", "\x85", "\xa0", "\u2003",
+              "\u2028", " \t"]
 
 
 class TestNumpyParseMatchesRowParser:
@@ -314,16 +315,25 @@ class TestNumpyParseMatchesRowParser:
     @pytest.mark.parametrize("sep", SEPARATORS)
     def test_separator(self, tmp_path, sep):
         path = tmp_path / "m.dmap"
-        path.write_text(f"2 2\n1{sep}2\n{sep}3{sep}4{sep}\n", newline="")
-        if sep in LINE_BREAKS:
-            assert _outcome(path) == ("error", 2, " expected 2 values, found 1")
-        else:
-            assert read_dmap(path).data.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+        path.write_text(f"2 2\n1{sep}2\n{sep}3{sep}4{sep}\n", encoding="utf-8", newline="")
+        assert read_dmap(path).data.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+
+    @pytest.mark.parametrize("brk", ["\x0c", "\u2028"])
+    def test_splitlines_break_ends_no_row(self, tmp_path, brk):
+        # before, the dmap reader split lines with str.splitlines and named line 3 (the good
+        # row "3 4") for "expected 2 values, found 0"; loadtxt and the points reader agree
+        path = tmp_path / "m.dmap"
+        path.write_text(f"2 2\n1 2{brk}\n3 4\n", encoding="utf-8")
+        assert read_dmap(path).data.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+        assert np.loadtxt(path, skiprows=1, encoding="utf-8").tolist() == [[1.0, 2.0], [3.0, 4.0]]
+        csv = tmp_path / "pts.csv"
+        csv.write_text(f"x,y\n1,2{brk}\n3,4\n", encoding="utf-8")
+        assert read_points_csv(csv, 10.0).points.tolist() == [[1.0, 2.0], [3.0, 4.0]]
 
     def test_loadtxt_splits_where_str_split_does(self):
         # the row loop counts values with str.split; numpy must split each line the same way
-        spaces = [c for c in map(chr, range(0x110000))
-                  if c.isspace() and len(f"1{c}2".splitlines()) == 1]
+        # (text mode turns "\r" into "\n", so only "\n" ends a line)
+        spaces = [c for c in map(chr, range(0x110000)) if c.isspace() and c not in "\r\n"]
         rows = np.loadtxt([f"1{c}2" for c in spaces], dtype=np.float64, comments=None, ndmin=2)
         assert rows.tolist() == [[1.0, 2.0]] * len(spaces)
 

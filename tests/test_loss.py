@@ -1,6 +1,7 @@
 import hashlib
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,9 +16,11 @@ from pml.likelihood import (
     special_case_likelihood,
 )
 from pml.loss import (
+    DEFAULT_EPSILON,
     _evaluate,
     _sq_norm,
     _stack,
+    _terms,
     alpha_coefficients,
     l2_level,
     l_diff,
@@ -27,7 +30,7 @@ from pml.loss import (
     pml_loss,
     total_loss,
 )
-from pml.pyramid import DensityMap, ResolutionSet, downsample_sum, residual
+from pml.pyramid import DensityMap, ResolutionSet, _replicate, downsample_sum, residual
 from pml.rng import SplitMix64
 
 # the gradient digest and the near-fit and pure-count-offset terms and gradients
@@ -41,6 +44,26 @@ class TestSqNorm:
         for batch in range(1, 9):
             x = rng.uniform_block(batch * side * side, -2.0, 2.0).reshape(batch, side, side)
             assert _sq_norm(x) == float(np.mean(np.sum(x * x, axis=(1, 2))))
+
+    @pytest.mark.parametrize("batch", [1, 3, 17])
+    def test_slabs_equal_the_whole_batch_sum(self, batch):
+        # above _SLAB_CELLS the squares are summed a slab at a time, and a level-9 or
+        # level-10 map's slab sums are added in halves; level 10 at 17 maps is left out
+        rng = np.random.default_rng(240 + batch)
+        for level in range(11 if batch < 17 else 10):
+            shape = (batch, 1 << level, 1 << level)
+            x = rng.standard_normal(shape) * np.exp2(rng.integers(-60, 61, shape))
+            assert _sq_norm(x) == float(np.mean(np.sum(x * x, axis=(1, 2))))
+            # a transposed batch keeps numpy's expression, which sums in memory order
+            t = x.transpose(0, 2, 1)
+            assert _sq_norm(t) == float(np.mean(np.sum(t * t, axis=(1, 2))))
+
+    def test_thirty_two_slabs_of_one_map_are_added_in_halves(self):
+        # a level-11 map is 32 slabs, the first count whose pairwise sum is not also the
+        # plain reduction of the slab sums (numpy's 8 accumulators take 2 or 8 of them
+        # whole); on this map that reduction is one rounding off
+        x = np.random.default_rng(250).standard_normal((1, 2048, 2048))
+        assert _sq_norm(x) == float(np.mean(np.sum(x * x, axis=(1, 2))))
 
 
 class TestStack:
@@ -155,6 +178,18 @@ class TestBatchForms:
         message = "pair 0: prediction level 1, ground truth level 2; a batch needs a single map level (1)"
         with pytest.raises(ValueError, match=re.escape(message)):
             l2_level(np.zeros((1, 2, 2)), np.zeros((1, 4, 4)), 0)
+
+    @pytest.mark.parametrize("name", ENTRY_POINTS)
+    def test_entry_points_leave_their_inputs_alone(self, name):
+        # the gradient is written into the residual, which is never the caller's array
+        preds, gts = random_map_batch(72, 4, 3, -2.0, 2.0)
+        pred, gt = np.array(preds), np.array(gts)
+        for p, g in [(pred, gt), (pred.astype(np.float32), gt.astype(np.float32)),
+                     (preds, gts), (list(pred), list(gt))]:
+            maps = list(p) + list(g)
+            before = [np.array(m).tobytes() for m in maps]
+            ENTRY_POINTS[name](p, g)
+            assert [np.array(m).tobytes() for m in maps] == before
 
     def test_fd_gradient_leaves_its_input_alone(self):
         pred, gt = np.array(random_map_batch(71, 2, 2))
@@ -404,7 +439,7 @@ class TestLossGradient:
         # total minus the log terms' own gradient is (2/B) * d, up to rounding
         preds, gts = random_map_batch(18, 3, 2)
         d = _stack(preds, gts)
-        log_part = _evaluate(d, 2, include_regularizer=False, want_gradient=True)[1]
+        log_part = _evaluate(d.copy(), 2, include_regularizer=False, want_gradient=True)[1]
         grads = loss_gradient(preds, gts, 2)
         for b, g in enumerate(grads):
             np.testing.assert_allclose(g - log_part[b], 2.0 * d[b] / len(grads), rtol=0, atol=1e-14)
@@ -442,6 +477,59 @@ class TestLossGradient:
         assert bd.total == 10959.98393355991
         assert hashlib.sha256(b"".join(g.tobytes() for g in grads)).hexdigest() == (
             "02983fee146bcf61fd66ff33be37e8b6f4f905543fa2aebeb4effaaf1548d8c1")
+
+    @pytest.mark.parametrize("regularizer", [True, False])
+    @pytest.mark.parametrize("level, batch", [(0, 2), (5, 3), (9, 3)])
+    def test_gradient_is_written_into_the_residual(self, level, batch, regularizer):
+        # the coarse gradient at level n, replicated to the full grid, plus d when
+        # regularized, times 2/B: the bits of replicating it whole and adding d
+        d = _stack(*random_map_batch(40 + level, level, batch, -1.0, 1.0))
+        for n in sorted({0, max(level - 1, 0), level}):
+            residual_d = d.copy()
+            bd, grad = _evaluate(residual_d, n, regularizer, True)
+            assert grad is residual_d
+            pooled, diffs = _terms(d, tuple(range(n + 1)))
+            g = pooled[0] / (bd.l2_per_level[0] + DEFAULT_EPSILON)
+            for j in range(1, n + 1):
+                g = _replicate(g, j)
+                g += diffs[(j - 1, j)] / (bd.ldiff_per_pair[(j - 1, j)] + DEFAULT_EPSILON)
+            full = _replicate(g, level) + d if regularizer else _replicate(g, level)
+            assert grad.tobytes() == (full * (2.0 / batch)).tobytes()
+
+    def test_residual_that_is_not_c_contiguous_rejected(self):
+        # reshaping it would copy, and the gradient written into the copy would be lost
+        d = _stack(*random_map_batch(41, 3, 2)).transpose(0, 2, 1)
+        with pytest.raises(ValueError, match="must be C-contiguous"):
+            _evaluate(d, 2, True, True)
+
+
+class TestPeakMemory:
+    """The loss core forms the (8, 512, 512) residual and little else of its size."""
+
+    @pytest.fixture(scope="class")
+    def batch(self):
+        return random_map_batch(42, 9, 8)
+
+    @pytest.mark.parametrize("name, call", [
+        ("loss_value_and_gradient", lambda p, g: loss_value_and_gradient(p, g, 6)),
+        ("total_loss", lambda p, g: total_loss(p, g, 6)),
+        ("log_likelihood", lambda p, g: log_likelihood(p, g, ResolutionSet.dense(6, 9))),
+    ])
+    def test_peak_is_at_most_a_quarter_above_the_residual(self, batch, name, call):
+        # tracemalloc sees numpy's buffers; the residual is 16 MiB
+        call(*batch)
+        started = not tracemalloc.is_tracing()
+        if started:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            call(*batch)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            if started:
+                tracemalloc.stop()
+        assert peak <= 1.25 * (8 * 512 * 512 * 8), f"{name}: peak {peak / 2**20:.1f} MiB"
 
 
 class TestOptimalSigma:

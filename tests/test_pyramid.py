@@ -219,6 +219,21 @@ class TestPoolSumOrder:
         x = mixed_cells[:batch << (2 * level)].reshape(batch, 1 << level, 1 << level)
         _assert_same_bits(_pool_sum(x, 0), _numpy_block_sum(x, level, 0))
 
+    @pytest.mark.parametrize("batch", [1, 3, 17])
+    def test_slabs_match_numpy(self, batch):
+        # batches above _SLAB_CELLS are pooled a slab of whole block rows at a time,
+        # and 17 maps fill no whole number of slabs; level 10 is left out at 17 maps,
+        # which would take 140 MB
+        rng = np.random.default_rng(230 + batch)
+        for level in range(1, 11 if batch < 17 else 10):
+            side = 1 << level
+            shape = (batch, side, side)
+            x = rng.standard_normal(shape) * np.exp2(rng.integers(-60, 61, shape))
+            x[rng.random(shape) < 0.15] = -0.0
+            x[..., : side // 2, : side // 2] = -0.0
+            for target in range(level):
+                _assert_same_bits(_pool_sum(x, target), _numpy_block_sum(x, level, target))
+
     @given(st.integers(5, 8), st.integers(1, 4), st.data())
     @settings(max_examples=40, deadline=None)
     def test_palette_maps_match_numpy(self, level, batch, data):
