@@ -147,6 +147,7 @@ def write_points_csv(path, ann: PointAnnotations) -> None:
 
 
 def read_points_csv(path, scene_size: float) -> PointAnnotations:
+    PointAnnotations(np.empty((0, 2)), scene_size)  # a bad size must not blame a point
     with open(path, encoding="utf-8-sig") as fh:
         lines = [line.strip() for line in fh.read().split("\n")]
     rows = [(lineno, line) for lineno, line in enumerate(lines, start=1)

@@ -12,8 +12,11 @@ tables from the runs. All cell runs for a given (base seed, repeat) share the
 model init and the scene stream; only the loss differs, so ablation
 differences are attributable to the loss alone. Training scenes are
 regenerated every epoch from an epoch-indexed seed instead of augmenting a
-fixed set. A cell scores its test scenes as validation does, with
-``predict_counts`` and the count reduction ``count_errors`` that ``evaluate`` uses.
+fixed set. ``_epoch_seeds`` is the one seed schedule: ``train_stream`` makes
+its scenes from those seeds and ``stream_manifest`` writes their configs, so
+the manifest hash names the scenes that were trained on. A cell scores its
+test scenes as validation does, with ``predict_counts`` and the count
+reduction ``count_errors`` that ``evaluate`` uses.
 """
 
 from __future__ import annotations
@@ -100,15 +103,16 @@ class BenchmarkConfig:
         return -(-self.steps // self.steps_per_epoch)
 
 
+def _epoch_seeds(cfg: BenchmarkConfig, base_seed: int, epoch: int) -> list[int]:
+    """The scene seeds of one training epoch, read by the stream and its manifest alike."""
+    stream_seed = derive_seed(base_seed, _TRAIN)
+    return [derive_seed(stream_seed, epoch, i) for i in range(cfg.scenes_per_epoch)]
+
+
 def train_stream(cfg: BenchmarkConfig, base_seed: int):
     """Epoch-indexed scene provider; depends only on (config, base seed)."""
-    stream_seed = derive_seed(base_seed, _TRAIN)
-
     def provider(epoch: int) -> list[Scene]:
-        return [
-            generate_scene(cfg.scene_config(derive_seed(stream_seed, epoch, i)))
-            for i in range(cfg.scenes_per_epoch)
-        ]
+        return [generate_scene(cfg.scene_config(s)) for s in _epoch_seeds(cfg, base_seed, epoch)]
 
     return provider
 
@@ -120,12 +124,11 @@ def stream_manifest(cfg: BenchmarkConfig, base_seed: int) -> str:
     Each line is ``json.dumps(config.__dict__, sort_keys=True)``. Only the
     seed varies and "seed" sorts last, so the lines share one head.
     """
-    stream_seed = derive_seed(base_seed, _TRAIN)
     fields = dict(cfg.scene_config(0).__dict__)
     del fields["seed"]
     head = json.dumps(fields, sort_keys=True)[:-1] + ', "seed": '
-    lines = [f"{head}{derive_seed(stream_seed, epoch, i)}}}"
-             for epoch in range(cfg.epochs) for i in range(cfg.scenes_per_epoch)]
+    lines = [f"{head}{s}}}"
+             for epoch in range(cfg.epochs) for s in _epoch_seeds(cfg, base_seed, epoch)]
     return "\n".join(lines) + "\n"
 
 

@@ -338,13 +338,14 @@ class Adam:
 
 
 class TrainingDiverged(RuntimeError):
-    """Raised when the loss stops being finite; carries a diagnostic snapshot."""
+    """Raised when the loss stops being finite, with the step, its loss and its
+    pml ``LossBreakdown`` (None for plain L2, which has no breakdown)."""
 
-    def __init__(self, step: int, loss_value: float, snapshot: dict):
+    def __init__(self, step: int, loss_value: float, breakdown: loss_mod.LossBreakdown | None):
         super().__init__(f"non-finite loss {loss_value} at step {step}")
         self.step = step
         self.loss_value = loss_value
-        self.snapshot = snapshot
+        self.breakdown = breakdown
 
 
 @dataclass(frozen=True)
@@ -426,7 +427,8 @@ def train(
     step. One ``Workspace`` serves every forward, backward and validation
     pass of the call and is dropped when it returns. A step whose loss is
     not finite (a non-finite prediction always makes it so) raises
-    ``TrainingDiverged``. The loss guard is ``loss.DEFAULT_EPSILON``.
+    ``TrainingDiverged`` with that step's pml breakdown (None for plain L2).
+    The loss guard is ``loss.DEFAULT_EPSILON``.
     """
     if loss_kind not in ("pml", "l2"):
         raise ValueError(f"loss_kind must be 'pml' or 'l2', got {loss_kind!r}")
@@ -448,10 +450,10 @@ def train(
                 bd, _ = loss_mod._evaluate(d, cfg.n, with_regularizer, want_gradient=True)
                 loss_value = bd.total
             else:
-                loss_value = loss_mod._sq_norm(d)
+                bd, loss_value = None, loss_mod._sq_norm(d)
                 d *= 2.0 / len(d)
         if not math.isfinite(loss_value):
-            raise TrainingDiverged(step, loss_value, _snapshot(model, rows))
+            raise TrainingDiverged(step, loss_value, bd)
 
         grad = model._backward(cache, d)
         grad, norm, clipped = clip_by_global_norm(grad, cfg.clip_norm)
@@ -489,14 +491,3 @@ def _epoch_order(count: int, seed: int, epoch: int) -> list[int]:
         j = rng.randint(0, i)
         order[i], order[j] = order[j], order[i]
     return order
-
-
-def _snapshot(model: TinyModel, rows: Sequence[TraceRow]) -> dict:
-    c = model.channels
-    with np.errstate(over="ignore"):  # the norm of diverged parameters may overflow to inf
-        return {
-            "param_norm": float(np.linalg.norm(model.params)),
-            "param_max": float(np.max(np.abs(model.params))),
-            "recent_losses": [r.loss for r in rows[-5:]],
-            "architecture": f"conv3x3(1->{c}) tanh -> conv3x3({c}->1) softplus",
-        }

@@ -178,6 +178,17 @@ class TestRasterizeCommand:
         assert code == 1
         assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize("size", ["nan", "-1", "0"])
+    def test_invalid_scene_size_blames_the_size_not_a_point(self, tmp_path, capsys, size):
+        # the size is checked before any point is compared with it, so no valid point is blamed
+        csv, out = tmp_path / "p.csv", tmp_path / "o.dmap"
+        csv.write_text("x,y\n0.5,0.5\n")
+        assert main(["rasterize", "--points", str(csv), "--scene-size", size,
+                     "--level", "2", "--out", str(out)]) == 1
+        assert not out.exists()
+        assert capsys.readouterr().err == (
+            f"error: scene_size must be finite and > 0, got {float(size)}\n")
+
     def test_parse_error_reports_line(self, tmp_path, capsys):
         csv = tmp_path / "pts.csv"
         csv.write_text("0.5,0.5\nbroken\n")

@@ -153,6 +153,13 @@ class TestPointsCsv:
         with pytest.raises(ParseError, match=":4: point"):
             read_points_csv(p, 1.0)
 
+    @pytest.mark.parametrize("size", [float("nan"), -1.0, 0.0])
+    def test_invalid_scene_size_blames_the_size_not_a_point(self, tmp_path, size):
+        p = tmp_path / "pts.csv"
+        p.write_text("x,y\n0.5,0.5\n")
+        with pytest.raises(ValueError, match=f"^scene_size must be finite and > 0, got {size}$"):
+            read_points_csv(p, size)
+
     def test_blank_lines_and_any_header_spelling_allowed(self, tmp_path):
         p = tmp_path / "pts.csv"
         p.write_text(" X, Y \n\n0.25,0.5\n \t \n 0.75 , 0.125\n\n")

@@ -21,6 +21,7 @@ from pml.metrics import (
     run_benchmark_cell,
     stream_manifest,
     stream_manifest_hash,
+    train_stream,
 )
 from pml.pyramid import DensityMap
 from pml.rng import derive_seed
@@ -130,6 +131,14 @@ class TestStreams:
         want = [json.dumps(cfg.scene_config(derive_seed(seed, epoch, i)).__dict__, sort_keys=True)
                 for epoch in range(cfg.epochs) for i in range(cfg.scenes_per_epoch)]
         assert stream_manifest(cfg, 9) == "\n".join(want) + "\n"
+
+    def test_provider_scenes_are_the_manifest_lines(self):
+        # the scenes that train sees are the ones the manifest hash names, in order
+        provider, per_epoch = train_stream(TINY, 5), TINY.scenes_per_epoch
+        lines = stream_manifest(TINY, 5).splitlines()
+        for epoch in range(TINY.epochs):
+            got = [json.dumps(s.config.__dict__, sort_keys=True) for s in provider(epoch)]
+            assert got == lines[epoch * per_epoch:(epoch + 1) * per_epoch]
 
     def test_benchmark_manifest_is_pinned(self):
         # every scene config of the default benchmark stream; JSON, so BLAS-independent

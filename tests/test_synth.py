@@ -8,7 +8,7 @@ import pytest
 
 from conftest import float64_dispatch
 from pml import loss as loss_mod
-from pml.loss import total_loss, loss_gradient
+from pml.loss import LossBreakdown, total_loss, loss_gradient
 from pml.metrics import BenchmarkConfig
 from pml.pyramid import DensityMap, PointAnnotations
 from pml.rng import SplitMix64
@@ -514,15 +514,22 @@ class TestTrain:
         for s in scenes:
             assert np.all(result.model.forward(s.observation).data > 0.0)
 
-    def test_divergence_aborts_with_snapshot(self):
+    @pytest.mark.parametrize("loss_kind", ["pml", "l2"])
+    def test_divergence_aborts_with_the_steps_breakdown(self, loss_kind):
+        # a NaN output bias makes the first loss NaN; the pml loss reports that
+        # step's breakdown, and plain L2 has none
         scenes = _small_scenes(8, 4)
         model = TinyModel.initialize(channels=2, seed=5)
         model.params[-1] = np.nan
-        with pytest.raises(TrainingDiverged) as info, np.errstate(invalid="ignore"):
-            train(model, _each_epoch(scenes), _cfg(steps=3), loss_kind="l2", seed=0,
+        with pytest.raises(TrainingDiverged) as info:
+            train(model, _each_epoch(scenes), _cfg(steps=3, n=2), loss_kind=loss_kind, seed=0,
                   with_regularizer=True)
-        assert info.value.step == 1
-        assert "param_norm" in info.value.snapshot
+        assert info.value.step == 1 and math.isnan(info.value.loss_value)
+        if loss_kind == "pml":
+            assert isinstance(info.value.breakdown, LossBreakdown)
+            assert math.isnan(info.value.breakdown.total)
+        else:
+            assert info.value.breakdown is None
 
     def test_invalid_loss_kind_rejected(self):
         scenes = _small_scenes(9, 4)
