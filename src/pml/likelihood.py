@@ -25,7 +25,10 @@ comparison below exact. For the dense set {0..n, L} the sum collapses to
 Each form computes its own log arguments, so the two stay independent checks
 of each other, and ``_report`` assembles both reports. Every function takes
 its batches as the loss does: a ``(B, side, side)`` array or a sequence of
-square maps, validated by ``loss._stack``.
+square maps, validated by ``loss._batch_level``. None of them forms the
+full-size residual ``pred - gt`` of a batch of more than ``_SLAB_CELLS``
+cells: ``loss._pool_residual`` subtracts and pools it a slab at a time to
+the finest sub-level, which is all a likelihood reads.
 
 Refining a resolution set (inserting intermediate levels, extending down to
 level 0) never lowers ll*: each insertion replaces one log term with a
@@ -43,10 +46,10 @@ from typing import Iterable, Mapping
 from .loss import (
     DEFAULT_EPSILON,
     Batch,
-    _level,
+    _batch_level,
+    _pool_residual,
     _sigma_from_terms,
     _sq_norm,
-    _stack,
     _terms,
     l2_level,
     l_diff_pair,
@@ -101,10 +104,10 @@ def log_likelihood(
     levels: ResolutionSet | Iterable[int],
 ) -> LikelihoodReport:
     """Variance-profiled relative log-likelihood for an arbitrary resolution set."""
-    d = _stack(preds, gts)
-    levels = _checked_set(levels, _level(d[0]))
+    level = _batch_level(preds, gts)
+    levels = _checked_set(levels, level)
     subs = levels.sub_levels
-    pooled, diffs = _terms(d, subs)
+    pooled, diffs = _terms(_pool_residual(preds, gts, level, subs[-1]), subs)
     args = {(a, b): 4.0 ** b * _sq_norm(r) / (4.0 ** b - 4.0 ** a) for (a, b), r in diffs.items()}
     return _report(levels, args, 4.0 ** subs[0], _sq_norm(pooled[subs[0]]))
 
@@ -115,9 +118,9 @@ def special_case_likelihood(
     n: int,
 ) -> LikelihoodReport:
     """Collapsed form for the dense set {0..n} plus the prediction level."""
-    d = _stack(preds, gts)
-    levels = ResolutionSet.dense(n, _level(d[0]))
-    pooled, diffs = _terms(d, levels.sub_levels)
+    level = _batch_level(preds, gts)
+    levels = ResolutionSet.dense(n, level)
+    pooled, diffs = _terms(_pool_residual(preds, gts, level, n), levels.sub_levels)
     args = {pair: (4.0 / 3.0) * _sq_norm(r) for pair, r in diffs.items()}
     return _report(levels, args, 1.0, _sq_norm(pooled[0]))
 
@@ -135,7 +138,7 @@ def likelihood_with_variances(
     it evaluates its terms through the public ``l2_level``/``l_diff_pair``
     rather than the array core the profiled forms share.
     """
-    subs = _checked_set(levels, _level(_stack(preds, gts)[0])).sub_levels
+    subs = _checked_set(levels, _batch_level(preds, gts)).sub_levels
     total = 0.0
     for j in range(1, len(subs)):
         a, b = subs[j - 1], subs[j]
@@ -166,9 +169,9 @@ def optimal_variances(
 
     Terms below ``DEFAULT_EPSILON`` fall back to it, as in the loss's log guard.
     """
-    d = _stack(preds, gts)
-    subs = _checked_set(levels, _level(d[0])).sub_levels
-    pooled, diffs = _terms(d, subs)
+    level = _batch_level(preds, gts)
+    subs = _checked_set(levels, level).sub_levels
+    pooled, diffs = _terms(_pool_residual(preds, gts, level, subs[-1]), subs)
     l2 = {subs[0]: _sq_norm(pooled[subs[0]])}
     ldiff = {pair: _sq_norm(r) for pair, r in diffs.items()}
     return _sigma_from_terms(l2, ldiff, subs)[0]

@@ -22,18 +22,23 @@ means are computed before the log, in batch-index order, so results are
 reproducible.
 
 The public functions take a batch as a ``(B, side, side)`` array or as a
-sequence of square maps (``DensityMap``s or arrays); ``_stack`` validates it
-and forms ``d`` once, and gradients come back as one array of that shape.
-The array core reads every array's level from its side, so no level travels
-beside an array. ``_terms`` pools ``d`` to each requested level, each from
-the next finer one, and forms the residual differences; each caller takes
-the norms of just the maps it reads (``_evaluate`` all of them, the
-likelihood only the base level and the pairs). ``_evaluate`` adds the log
-terms, the variances and the gradient. It consumes ``d``: the gradient is
-written into ``d`` and returned in it, so no full-size array is made beside
-the residual, which is always a fresh array that no caller reads again
-(``_stack``'s, or training's ``pred - gt``). Training calls this core
-directly on its arrays.
+sequence of square maps (``DensityMap``s or arrays), which ``_batch_level``
+validates. Only the gradient path forms ``d``: ``pml_loss``, ``total_loss``
+and ``loss_value_and_gradient`` through ``_stack``, and training, which
+calls ``_evaluate`` on its own ``pred - gt``; gradients come back as one
+array of the batch's shape. The functions that read only pooled levels
+(``l2_level`` below the map level, ``l_diff_pair`` and the likelihood) get
+the residual pooled to their finest level from ``_pool_residual``, which
+subtracts and pools a batch of more than ``_SLAB_CELLS`` cells a slab at a
+time. The array core reads every array's level from its side, so no level
+travels beside an array. ``_terms`` pools the residual to each requested
+level, each from the next finer one, and forms the residual differences;
+each caller takes the norms of just the maps it reads (``_evaluate`` all of
+them, the likelihood only the base level and the pairs). ``_evaluate`` adds
+the log terms, the variances and the gradient. It consumes ``d``: the
+gradient is written into ``d`` and returned in it, so no full-size array is
+made beside the residual, which is always a fresh array that no caller reads
+again (``_stack``'s, or training's).
 
 Replication is the adjoint of sum pooling, and the coarse part of ``r``
 pools to zero, so the gradient is the replicated residuals:
@@ -60,7 +65,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .pyramid import _SLAB_CELLS, DensityMap, _pool_sum, _replicate
+from .pyramid import _SLAB_CELLS, DensityMap, _pool_rows, _pool_sum, _replicate
 
 # a (B, side, side) array, or a sequence of square 2^level x 2^level maps
 Batch = np.ndarray | Sequence[DensityMap | np.ndarray]
@@ -121,34 +126,97 @@ def _level(m) -> int:
     return side.bit_length() - 1
 
 
-def _stack(preds: Batch, gts: Batch) -> np.ndarray:
-    """Validate a prediction/ground-truth batch and form its residual once.
+def _batch_level(preds: Batch, gts: Batch) -> int:
+    """Validate a prediction/ground-truth batch and return its map level.
 
     This is the boundary between batches and the array core: both batches
-    non-empty and of equal length, every map square and at one level.
-    Returns ``d = pred - gt`` of shape (B, side, side); ``_level(d[0])`` is
-    the batch's level. Two arrays of one shape are checked once and
-    subtracted in one call, which gives the per-pair loop's values.
+    non-empty and of equal length, every map square and at one level. Two
+    arrays of one shape are checked once, through their first map.
     """
     if len(preds) == 0 or len(gts) == 0:
         raise ValueError("batches must be non-empty")
     if len(preds) != len(gts):
         raise ValueError(f"batch sizes differ: {len(preds)} predictions vs {len(gts)} ground truths")
-    if isinstance(preds, np.ndarray) and isinstance(gts, np.ndarray) and preds.shape == gts.shape:
-        _level(preds[0])
-        return np.subtract(preds, gts, dtype=np.float64, order="C")
     level = _level(preds[0])
+    if not _one_array_shape(preds, gts):
+        for k, (p, g) in enumerate(zip(preds, gts)):
+            p_level, g_level = _level(p), _level(g)
+            if p_level != level or g_level != level:
+                raise ValueError(
+                    f"pair {k}: prediction level {p_level}, ground truth level {g_level}; "
+                    f"a batch needs a single map level ({level})"
+                )
+    return level
+
+
+def _one_array_shape(preds: Batch, gts: Batch) -> bool:
+    """Whether the batches are two arrays of one shape, which are checked and subtracted whole."""
+    return (isinstance(preds, np.ndarray) and isinstance(gts, np.ndarray)
+            and preds.shape == gts.shape)
+
+
+def _stack(preds: Batch, gts: Batch) -> np.ndarray:
+    """Validate a batch and form its residual ``d = pred - gt`` once, for the gradient path.
+
+    Returns a fresh C-contiguous (B, side, side) array; ``_level(d[0])`` is
+    the batch's level. It is ``_pool_residual`` at the map level, where
+    nothing is pooled.
+    """
+    level = _batch_level(preds, gts)
+    return _pool_residual(preds, gts, level, level)
+
+
+def _pool_residual(preds: Batch, gts: Batch, level: int, t: int) -> np.ndarray:
+    """``_pool_sum(pred - gt, t)`` of a batch that ``_batch_level`` found at ``level``, bit for bit.
+
+    A batch of at most ``_SLAB_CELLS`` cells, or ``t == level``, where there
+    is nothing to pool, forms the residual: two arrays of one shape in one
+    subtraction, which gives the per-pair loop's values. A larger batch never
+    forms it. It is subtracted a slab of whole block rows at a time into one
+    reused float64 buffer of at most ``_SLAB_CELLS`` cells (whole maps, or
+    rows of one map; one block row if that is larger), and ``_pool_rows``
+    pools the slab into the output, as ``_pool_sum`` pools a whole residual. At
+    ``t == 0`` a map is one block, which numpy sums pairwise; the map's slab
+    sums are added in halves, which is that sum (``_sq_norm``).
+    """
     side = 1 << level
-    d = np.empty((len(preds), side, side))
-    for k, (p, g) in enumerate(zip(preds, gts)):
-        p_level, g_level = _level(p), _level(g)
-        if p_level != level or g_level != level:
-            raise ValueError(
-                f"pair {k}: prediction level {p_level}, ground truth level {g_level}; "
-                f"a batch needs a single map level ({level})"
-            )
-        np.subtract(p, g, out=d[k], dtype=np.float64)
-    return d
+    if len(preds) << 2 * level <= _SLAB_CELLS or t == level:
+        if _one_array_shape(preds, gts):
+            return _pool_sum(np.subtract(preds, gts, dtype=np.float64, order="C"), t)
+        d = np.empty((len(preds), side, side))
+        for k, (p, g) in enumerate(zip(preds, gts)):
+            np.subtract(p, g, out=d[k], dtype=np.float64)
+        return _pool_sum(d, t)
+    factor = side >> t
+    # a slab is whole maps of half a slab or less (two level-8 maps in one pooled slower
+    # than one) or rows of one map
+    maps = max(1, _SLAB_CELLS >> (2 * level + 1))
+    rows = min(side, max(factor if t else 1, _SLAB_CELLS // side))
+    slab = np.empty((min(maps, len(preds)), rows, side))
+    out = np.empty((len(preds), 1 << t, 1 << t) if t else (len(preds), side // rows))
+    out_rows = out.reshape(-1, 1 << t)
+    arrays = _one_array_shape(preds, gts)
+    for k in range(0, len(preds), maps):
+        part = slab[:len(preds) - k]
+        for r in range(0, side, rows):
+            if arrays:
+                np.subtract(preds[k:k + maps, r:r + rows], gts[k:k + maps, r:r + rows],
+                            out=part, dtype=np.float64)
+            else:
+                for j in range(len(part)):
+                    np.subtract(np.asarray(preds[k + j])[r:r + rows],
+                                np.asarray(gts[k + j])[r:r + rows], out=part[j], dtype=np.float64)
+            if t:
+                first = (k << t) + r // factor
+                _pool_rows(part.reshape(-1, factor, side), factor,
+                           out_rows[first:first + part.size // (factor * side)])
+            else:
+                out[k:k + len(part), r // rows] = np.add.reduce(part.reshape(len(part), -1), axis=1)
+    if t:
+        return out
+    while out.shape[1] > 1:
+        out = out[:, 0::2] + out[:, 1::2]
+    return out.reshape(-1, 1, 1)
 
 
 def _sq_norm(x) -> float:
@@ -180,17 +248,15 @@ def _sq_norm(x) -> float:
 def _terms(d, levels: Sequence[int]):
     """Residual pyramid of the (B, side, side) residual ``d`` at the increasing ``levels``.
 
-    The levels must lie in [0, L], where 2^L is the side of ``d``, which
-    ``_stack`` or ``_evaluate`` has checked. Each level is pooled from the
-    next finer requested level. Returns ``(pooled, diffs)``: per level the
-    pooled residual, whose ``_sq_norm`` is its l2, and per consecutive pair
-    (a, b) the residual difference ``r = pooled[b] - 4^(a-b) * rep(pooled[a])``,
-    whose ``_sq_norm`` is ``l_diff``. Callers take the norms of just the maps
-    they read.
+    ``d`` is the residual, or the residual already pooled to ``levels[-1]``,
+    and the levels lie in [0, L], where 2^L is its side; the caller has
+    checked them. Each level is pooled from the next finer requested level.
+    Returns ``(pooled, diffs)``: per level the pooled residual, whose
+    ``_sq_norm`` is its l2, and per consecutive pair (a, b) the residual
+    difference ``r = pooled[b] - 4^(a-b) * rep(pooled[a])``, whose
+    ``_sq_norm`` is ``l_diff``. Callers take the norms of just the maps they
+    read.
     """
-    level = d.shape[-1].bit_length() - 1  # _level(d[0]) without its repeated checks
-    if levels[0] < 0 or levels[-1] > level:
-        raise ValueError(f"requested levels {tuple(levels)} must lie in [0, {level}], the map level")
     pooled: dict[int, np.ndarray] = {}
     finer = d
     for i in reversed(levels):
@@ -200,16 +266,24 @@ def _terms(d, levels: Sequence[int]):
     return pooled, diffs
 
 
+def _batch_terms(preds: Batch, gts: Batch, levels: Sequence[int]):
+    """``_terms`` of a batch's residual at the increasing ``levels``, pooled by ``_pool_residual``."""
+    level = _batch_level(preds, gts)
+    if levels[0] < 0 or levels[-1] > level:
+        raise ValueError(f"requested levels {tuple(levels)} must lie in [0, {level}], the map level")
+    return _terms(_pool_residual(preds, gts, level, levels[-1]), levels)
+
+
 def l2_level(preds: Batch, gts: Batch, i: int) -> float:
     """Batch-mean squared error between sum-downsamples at level ``i``."""
-    return _sq_norm(_terms(_stack(preds, gts), (i,))[0][i])
+    return _sq_norm(_batch_terms(preds, gts, (i,))[0][i])
 
 
 def l_diff_pair(preds: Batch, gts: Batch, j1: int, j2: int) -> float:
     """Difference loss for an arbitrary level pair j1 < j2."""
     if not 0 <= j1 < j2:
         raise ValueError(f"need 0 <= coarse < fine, got ({j1}, {j2})")
-    return _sq_norm(_terms(_stack(preds, gts), (j1, j2))[1][(j1, j2)])
+    return _sq_norm(_batch_terms(preds, gts, (j1, j2))[1][(j1, j2)])
 
 
 def l_diff(preds: Batch, gts: Batch, j: int) -> float:

@@ -198,6 +198,9 @@ def _pool_sum(data: np.ndarray, to_level: int) -> np.ndarray:
 
     The source level is read from the side. The sums are numpy's own, bit
     for bit, also where a large input is pooled in slabs (module docstring).
+    Of the loss and likelihood, only the gradient path hands this function a
+    full-size residual; the read-only functions pool theirs a slab at a time
+    as they subtract it (``loss._pool_residual``), with the same bits.
     """
     factor = data.shape[-1] >> to_level
     if factor == 1:
@@ -217,8 +220,21 @@ def _pool_sum(data: np.ndarray, to_level: int) -> np.ndarray:
     out_rows = out.reshape(-1, out_side)
     step = max(1, _SLAB_CELLS // blocks[0].size)
     for k in range(0, len(blocks), step):
-        np.add.reduce(_column_sums(blocks[k:k + step], factor), axis=-2, out=out_rows[k:k + step])
+        _pool_rows(blocks[k:k + step], factor, out_rows[k:k + step])
     return out
+
+
+def _pool_rows(blocks: np.ndarray, factor: int, out: np.ndarray) -> None:
+    """Pool whole block rows, a (k, factor, side) slab, into ``out`` of shape (k, side // factor).
+
+    The sums are the ones ``_pool_sum`` gives the whole input, since a block
+    row's sums depend on its cells alone: column sums and an in-order reduce
+    of the row sums below factor 16, numpy's own reshape-reduce from 16 up.
+    """
+    if factor < 16:
+        np.add.reduce(_column_sums(blocks, factor), axis=-2, out=out)
+    else:
+        np.add.reduce(blocks.reshape(len(blocks), factor, -1, factor), axis=(-3, -1), out=out)
 
 
 def _column_sums(data: np.ndarray, factor: int) -> np.ndarray:

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import fd_loss_gradient, random_map_batch
+from pml import loss as loss_mod
 from pml.likelihood import (
     likelihood_with_variances,
     log_likelihood,
@@ -17,7 +18,9 @@ from pml.likelihood import (
 )
 from pml.loss import (
     DEFAULT_EPSILON,
+    _batch_level,
     _evaluate,
+    _pool_residual,
     _sq_norm,
     _stack,
     _terms,
@@ -30,7 +33,15 @@ from pml.loss import (
     pml_loss,
     total_loss,
 )
-from pml.pyramid import DensityMap, ResolutionSet, _replicate, downsample_sum, residual
+from pml.pyramid import (
+    _SLAB_CELLS,
+    DensityMap,
+    ResolutionSet,
+    _pool_sum,
+    _replicate,
+    downsample_sum,
+    residual,
+)
 from pml.rng import SplitMix64
 
 # the gradient digest and the near-fit and pure-count-offset terms and gradients
@@ -119,23 +130,36 @@ class TestStack:
             _stack(list(np.zeros(pred_shape)), list(np.zeros(gt_shape)))
 
 
-_SET = ResolutionSet((0, 2, 3, 4))
+def _level_of(batch) -> int:
+    """The map level of a batch, read from its first map's side."""
+    return np.shape(batch[0])[-1].bit_length() - 1
 
-# every loss and likelihood entry point, on a level-4 batch
+
+def _set(batch, *subs) -> ResolutionSet:
+    """The resolution set of ``subs`` and the batch's level."""
+    return ResolutionSet(subs + (_level_of(batch),))
+
+
+# every loss and likelihood entry point; on a level-4 batch they read levels up to 4,
+# and on a level-8 batch the read-only ones pool to factors 64, 32, 4 and 2 and to one cell
 ENTRY_POINTS = {
     "l2_level": lambda p, g: l2_level(p, g, 2),
-    "l_diff_pair": lambda p, g: l_diff_pair(p, g, 1, 3),
+    "l_diff_pair": lambda p, g: l_diff_pair(p, g, _level_of(p) - 3, _level_of(p) - 1),
     "l_diff": lambda p, g: l_diff(p, g, 2),
     "pml_loss": lambda p, g: pml_loss(p, g, 3),
     "total_loss": lambda p, g: total_loss(p, g, 3),
     "loss_value_and_gradient": lambda p, g: loss_value_and_gradient(p, g, 3),
     "loss_gradient": lambda p, g: loss_gradient(p, g, 3),
-    "log_likelihood": lambda p, g: log_likelihood(p, g, _SET),
-    "special_case_likelihood": lambda p, g: special_case_likelihood(p, g, 2),
-    "optimal_variances": lambda p, g: optimal_variances(p, g, _SET),
+    "log_likelihood": lambda p, g: log_likelihood(p, g, _set(p, 0, 2, 3)),
+    "special_case_likelihood": lambda p, g: special_case_likelihood(p, g, _level_of(p) - 2),
+    "optimal_variances": lambda p, g: optimal_variances(p, g, _set(p, 0, 2, _level_of(p) - 1)),
     "likelihood_with_variances":
-        lambda p, g: likelihood_with_variances(p, g, _SET, {0: 0.5, 1: 0.25, 2: 0.125}),
+        lambda p, g: likelihood_with_variances(p, g, _set(p, 0, 2, 3), {0: 0.5, 1: 0.25, 2: 0.125}),
 }
+
+# a level-4 batch of 3 maps (768 cells) forms its residual; a level-8 batch of 3 maps
+# has more than _SLAB_CELLS cells, so the read-only entry points pool it a slab at a time
+BATCH_SHAPES = [(4, 3), (8, 3)]
 
 
 def _same(a, b) -> bool:
@@ -151,21 +175,25 @@ class TestBatchForms:
     @pytest.mark.parametrize("name", ENTRY_POINTS)
     def test_array_and_map_batches_agree(self, name):
         fn = ENTRY_POINTS[name]
-        preds, gts = random_map_batch(70, 4, 3, -2.0, 2.0)
-        pred, gt = np.array(preds), np.array(gts)
-        assert pred.shape == (3, 16, 16)
-        from_maps = fn(preds, gts)
-        assert _same(fn(pred, gt), from_maps)
-        assert _same(fn(list(pred), list(gt)), from_maps)
-        # a float32 batch is subtracted in float64, as its maps would be
-        pred32, gt32 = pred.astype(np.float32), gt.astype(np.float32)
-        from_maps32 = fn([DensityMap(4, p) for p in pred32], [DensityMap(4, g) for g in gt32])
-        assert _same(fn(pred32, gt32), from_maps32)
-        # and so is an integer batch
-        pred64, gt64 = (pred * 1000).astype(np.int64), (gt * 1000).astype(np.int64)
-        from_maps64 = fn([DensityMap(4, p) for p in pred64], [DensityMap(4, g) for g in gt64])
-        assert _same(fn(pred64, gt64), from_maps64)
-        assert _same(fn(list(pred64), list(gt64)), from_maps64)
+        for level, batch in BATCH_SHAPES:
+            preds, gts = random_map_batch(70, level, batch, -2.0, 2.0)
+            pred, gt = np.array(preds), np.array(gts)
+            assert pred.shape == (batch, 1 << level, 1 << level)
+            from_maps = fn(preds, gts)
+            assert _same(fn(pred, gt), from_maps)
+            assert _same(fn(list(pred), list(gt)), from_maps)
+            # a float32 batch is subtracted in float64, as its maps would be
+            pred32, gt32 = pred.astype(np.float32), gt.astype(np.float32)
+            from_maps32 = fn([DensityMap(level, p) for p in pred32],
+                             [DensityMap(level, g) for g in gt32])
+            assert _same(fn(pred32, gt32), from_maps32)
+            assert _same(fn(list(pred32), list(gt32)), from_maps32)
+            # and so is an integer batch
+            pred64, gt64 = (pred * 1000).astype(np.int64), (gt * 1000).astype(np.int64)
+            from_maps64 = fn([DensityMap(level, p) for p in pred64],
+                             [DensityMap(level, g) for g in gt64])
+            assert _same(fn(pred64, gt64), from_maps64)
+            assert _same(fn(list(pred64), list(gt64)), from_maps64)
 
     @pytest.mark.parametrize("shape", [(2, 4, 2), (2, 3, 3), (2, 0, 0), (2, 2, 2, 2), (4, 4)])
     def test_maps_must_be_square_with_a_power_of_two_side(self, shape):
@@ -181,15 +209,18 @@ class TestBatchForms:
 
     @pytest.mark.parametrize("name", ENTRY_POINTS)
     def test_entry_points_leave_their_inputs_alone(self, name):
-        # the gradient is written into the residual, which is never the caller's array
-        preds, gts = random_map_batch(72, 4, 3, -2.0, 2.0)
-        pred, gt = np.array(preds), np.array(gts)
-        for p, g in [(pred, gt), (pred.astype(np.float32), gt.astype(np.float32)),
-                     (preds, gts), (list(pred), list(gt))]:
-            maps = list(p) + list(g)
-            before = [np.array(m).tobytes() for m in maps]
-            ENTRY_POINTS[name](p, g)
-            assert [np.array(m).tobytes() for m in maps] == before
+        # the gradient is written into the residual, which is never the caller's array,
+        # and the slabs are subtracted into a buffer of their own
+        for level, batch in BATCH_SHAPES:
+            preds, gts = random_map_batch(72, level, batch, -2.0, 2.0)
+            pred, gt = np.array(preds), np.array(gts)
+            for p, g in [(pred, gt), (pred.astype(np.float32), gt.astype(np.float32)),
+                         ((pred * 1000).astype(np.int64), (gt * 1000).astype(np.int64)),
+                         (preds, gts), (list(pred), list(gt))]:
+                maps = list(p) + list(g)
+                before = [np.array(m).tobytes() for m in maps]
+                ENTRY_POINTS[name](p, g)
+                assert [np.array(m).tobytes() for m in maps] == before
 
     def test_fd_gradient_leaves_its_input_alone(self):
         pred, gt = np.array(random_map_batch(71, 2, 2))
@@ -503,33 +534,187 @@ class TestLossGradient:
             _evaluate(d, 2, True, True)
 
 
-class TestPeakMemory:
-    """The loss core forms the (8, 512, 512) residual and little else of its size."""
+def _same_bits(got, want) -> bool:
+    """Equal arrays of one shape, zero signs included."""
+    return (got.shape == want.shape and np.array_equal(got, want)
+            and np.array_equal(np.signbit(got), np.signbit(want)))
 
-    @pytest.fixture(scope="class")
-    def batch(self):
-        return random_map_batch(42, 9, 8)
+
+def _batch_forms(pred, gt):
+    """A float64 (B, side, side) batch pair in every form the entry points take."""
+    level = _level_of(pred)
+    yield [DensityMap(level, p) for p in pred], [DensityMap(level, g) for g in gt]
+    yield pred, gt
+    yield pred.astype(np.float32), gt.astype(np.float32)
+    big = 2.0 ** 62
+    yield np.clip(pred, -big, big).astype(np.int64), np.clip(gt, -big, big).astype(np.int64)
+    yield list(pred), list(gt)
+    yield pred.transpose(0, 2, 1), gt.transpose(0, 2, 1)
+    yield np.asfortranarray(pred), np.asfortranarray(gt)
+
+
+# a loss_large-shaped batch: 8 level-9 maps, a 16 MiB residual
+@pytest.fixture(scope="module")
+def large_batch():
+    return random_map_batch(42, 9, 8)
+
+
+class TestPoolResidual:
+    """``_pool_residual`` is ``_pool_sum(_stack(p, g), t)`` without forming the residual."""
+
+    @staticmethod
+    def _check_every_form_and_level(rng, level, batch):
+        # normals scaled by 2^-60..2^60, some residuals -0.0 and a quadrant of -0.0 blocks
+        side = 1 << level
+        shape = (batch, side, side)
+        pred = rng.standard_normal(shape) * np.exp2(rng.integers(-60, 61, shape))
+        gt = rng.standard_normal(shape) * np.exp2(rng.integers(-60, 61, shape))
+        zeros = rng.random(shape) < 0.15
+        zeros[..., : side // 2, : side // 2] = True
+        pred[zeros], gt[zeros] = -0.0, 0.0
+        for p, g in _batch_forms(pred, gt):
+            assert _batch_level(p, g) == level
+            d = _stack(p, g)
+            for t in range(level + 1):
+                assert _same_bits(_pool_residual(p, g, level, t), _pool_sum(d, t)), (level, t)
+
+    @pytest.mark.parametrize("batch", [1, 3, 17])
+    def test_equals_pooling_the_formed_residual_bit_for_bit(self, batch):
+        # level 10 is left out at 17 maps, which would take about 140 MB
+        rng = np.random.default_rng(260 + batch)
+        for level in range(11 if batch < 17 else 10):
+            self._check_every_form_and_level(rng, level, batch)
+
+    @pytest.mark.parametrize("level", range(2, 8))
+    def test_small_maps_share_a_slab_bit_for_bit(self, level):
+        # maps of half a slab or less are subtracted several to a slab, and 3 maps
+        # more than a slab's worth leave a short last slab
+        self._check_every_form_and_level(np.random.default_rng(270 + level), level,
+                                         (_SLAB_CELLS >> 2 * level) + 3)
+
+    # the read-only entry points on a level-9 batch
+    READ_ONLY = {
+        "log_likelihood": lambda p, g: log_likelihood(p, g, ResolutionSet.dense(6, 9)).loglik,
+        "special_case_likelihood": lambda p, g: special_case_likelihood(p, g, 6).loglik,
+        "optimal_variances": lambda p, g: optimal_variances(p, g, ResolutionSet.dense(6, 9))[6],
+        "l2_level": lambda p, g: l2_level(p, g, 6),
+        "l2_level_0": lambda p, g: l2_level(p, g, 0),
+        "l_diff_pair": lambda p, g: l_diff_pair(p, g, 5, 6),
+        "l_diff_pair_2_7": lambda p, g: l_diff_pair(p, g, 2, 7),
+        "l_diff": lambda p, g: l_diff(p, g, 6),
+        "likelihood_with_variances": lambda p, g: likelihood_with_variances(
+            p, g, ResolutionSet((0, 5, 6, 9)), {0: 1.0, 1: 2.0, 2: 3.0}),
+    }
+    # their values on the loss_large-shaped batch as float.hex, the ones the code gave
+    # when it formed the residual and pooled it whole
+    VALUES = {
+        "log_likelihood": "-0x1.feb39c351ee3ap+14",
+        "special_case_likelihood": "-0x1.feb39c351ee3ap+14",
+        "optimal_variances": "0x1.53b32be686e49p+3",
+        "l2_level": "0x1.526baeaaeab86p+15",
+        "l2_level_0": "0x1.07f447d65fc35p+15",
+        "l_diff_pair": "0x1.fd8cc1d9ca56ep+14",
+        "l_diff_pair_2_7": "0x1.52229e7d9cc48p+15",
+        "l_diff": "0x1.fd8cc1d9ca56ep+14",
+        "likelihood_with_variances": "-0x1.34f3cfa864f24p+15",
+    }
+
+    @pytest.mark.parametrize("name", READ_ONLY)
+    def test_read_only_entry_points_keep_their_values(self, large_batch, name):
+        # the loss_large check only asks for a finite log-likelihood
+        assert self.READ_ONLY[name](*large_batch).hex() == self.VALUES[name]
+
+    def test_likelihood_reports_keep_every_term(self, large_batch):
+        report = log_likelihood(*large_batch, ResolutionSet.dense(6, 9))
+        assert report.base_term.hex() == "-0x1.4db09619162e1p+2"
+        assert [v.hex() for v in report.terms.values()] == [
+            "-0x1.001694654843ap+4", "-0x1.0056623282580p+6", "-0x1.fe62e0e3ae2bcp+7",
+            "-0x1.fe13e6c025e52p+9", "-0x1.003aa02abb144p+12", "-0x1.00527d7fd8c48p+14"]
+        sigma = optimal_variances(*large_batch, ResolutionSet.dense(6, 9))
+        assert [v.hex() for v in sigma.values()] == [
+            "0x1.07f447d65fc35p+15", "0x1.50674f0443922p+13", "0x1.53ea4bcb79de6p+11",
+            "0x1.4416a4f7d1b38p+9", "0x1.42031d053b7a4p+7", "0x1.52620b23d8004p+5",
+            "0x1.53b32be686e49p+3"]
+
+    BAD_BATCHES = {
+        "empty": (lambda p, g: ([], []), "batches must be non-empty"),
+        "unequal": (lambda p, g: (p, g[:2]),
+                    "batch sizes differ: 3 predictions vs 2 ground truths"),
+        "non_square": (lambda p, g: (p, [g[0], g[1][:, :256], g[2]]),
+                       "a map must be square with a power-of-two side, got shape (512, 256)"),
+        "mixed_levels": (lambda p, g: (p, g[:2] + [DensityMap(8, np.zeros((256, 256)))]),
+                         "pair 2: prediction level 9, ground truth level 8; "
+                         "a batch needs a single map level (9)"),
+        "arrays_at_two_levels": (lambda p, g: (np.array(p), np.zeros((3, 256, 256))),
+                                 "pair 0: prediction level 9, ground truth level 8; "
+                                 "a batch needs a single map level (9)"),
+    }
+
+    @pytest.mark.parametrize("case", BAD_BATCHES)
+    @pytest.mark.parametrize("name", READ_ONLY)
+    def test_bad_batches_fail_before_any_pooling(self, monkeypatch, case, name):
+        def refuse(*args):
+            raise AssertionError("pooled before the batch was checked")
+
+        monkeypatch.setattr(loss_mod, "_pool_sum", refuse)
+        monkeypatch.setattr(loss_mod, "_pool_rows", refuse)
+        preds, gts = random_map_batch(90, 9, 3)
+        make, message = self.BAD_BATCHES[case]
+        p, g = make(preds, [m.data for m in gts])
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            self.READ_ONLY[name](p, g)
+
+    def test_level_above_the_maps_fails_before_any_pooling(self, monkeypatch):
+        monkeypatch.setattr(loss_mod, "_pool_sum", None)
+        monkeypatch.setattr(loss_mod, "_pool_rows", None)
+        preds, gts = random_map_batch(91, 8, 3)
+        message = "requested levels (5, 9) must lie in [0, 8], the map level"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            l_diff_pair(preds, gts, 5, 9)
+
+
+def _peak_over_residual(batch, call) -> float:
+    """``tracemalloc``'s peak of a warm call on the batch, over its 16 MiB residual."""
+    call(*batch)
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        call(*batch)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if started:
+            tracemalloc.stop()
+    return peak / (8 * 512 * 512 * 8)
+
+
+class TestPeakMemory:
+    """The gradient path forms the (8, 512, 512) residual and little else of its size;
+    the read-only entry points never form it."""
 
     @pytest.mark.parametrize("name, call", [
         ("loss_value_and_gradient", lambda p, g: loss_value_and_gradient(p, g, 6)),
         ("total_loss", lambda p, g: total_loss(p, g, 6)),
-        ("log_likelihood", lambda p, g: log_likelihood(p, g, ResolutionSet.dense(6, 9))),
+        ("pml_loss", lambda p, g: pml_loss(p, g, 6)),
     ])
-    def test_peak_is_at_most_a_quarter_above_the_residual(self, batch, name, call):
-        # tracemalloc sees numpy's buffers; the residual is 16 MiB
-        call(*batch)
-        started = not tracemalloc.is_tracing()
-        if started:
-            tracemalloc.start()
-        try:
-            tracemalloc.reset_peak()
-            base = tracemalloc.get_traced_memory()[0]
-            call(*batch)
-            peak = tracemalloc.get_traced_memory()[1] - base
-        finally:
-            if started:
-                tracemalloc.stop()
-        assert peak <= 1.25 * (8 * 512 * 512 * 8), f"{name}: peak {peak / 2**20:.1f} MiB"
+    def test_peak_is_at_most_a_quarter_above_the_residual(self, large_batch, name, call):
+        ratio = _peak_over_residual(large_batch, call)
+        print(f"{name}: peak {ratio:.3f}x the residual")
+        assert ratio <= 1.25, f"{name}: peak {ratio:.3f}x the residual"
+
+    @pytest.mark.parametrize("name, call", [
+        ("log_likelihood", lambda p, g: log_likelihood(p, g, ResolutionSet.dense(6, 9))),
+        ("special_case_likelihood", lambda p, g: special_case_likelihood(p, g, 6)),
+        ("optimal_variances", lambda p, g: optimal_variances(p, g, ResolutionSet.dense(6, 9))),
+        ("l2_level", lambda p, g: l2_level(p, g, 6)),
+        ("l_diff_pair", lambda p, g: l_diff_pair(p, g, 5, 6)),
+    ])
+    def test_read_only_peak_is_at_most_a_quarter_of_the_residual(self, large_batch, name, call):
+        ratio = _peak_over_residual(large_batch, call)
+        print(f"{name}: peak {ratio:.3f}x the residual")
+        assert ratio <= 0.25, f"{name}: peak {ratio:.3f}x the residual"
 
 
 class TestOptimalSigma:
