@@ -30,15 +30,16 @@ array of the batch's shape. The functions that read only pooled levels
 (``l2_level`` below the map level, ``l_diff_pair`` and the likelihood) get
 the residual pooled to their finest level from ``_pool_residual``, which
 subtracts and pools a batch of more than ``_SLAB_CELLS`` cells a slab at a
-time. The array core reads every array's level from its side, so no level
-travels beside an array. ``_terms`` pools the residual to each requested
-level, each from the next finer one, and forms the residual differences;
-each caller takes the norms of just the maps it reads (``_evaluate`` all of
-them, the likelihood only the base level and the pairs). ``_evaluate`` adds
-the log terms, the variances and the gradient. It consumes ``d``: the
-gradient is written into ``d`` and returned in it, so no full-size array is
-made beside the residual, which is always a fresh array that no caller reads
-again (``_stack``'s, or training's).
+time when its maps hold half a slab or more (level 8 up) and the finest
+level is above 0. The array core reads every array's level from its side,
+so no level travels beside an array. ``_terms`` pools the residual to each
+requested level, each from the next finer one, and forms the residual
+differences; each caller takes the norms of just the maps it reads
+(``_evaluate`` all of them, the likelihood only the base level and the
+pairs). ``_evaluate`` adds the log terms, the variances and the gradient.
+It consumes ``d``: the gradient is written into ``d`` and returned in it,
+so no full-size array is made beside the residual, which is always a fresh
+array that no caller reads again (``_stack``'s, or training's).
 
 Replication is the adjoint of sum pooling, and the coarse part of ``r``
 pools to zero, so the gradient is the replicated residuals:
@@ -169,18 +170,19 @@ def _stack(preds: Batch, gts: Batch) -> np.ndarray:
 def _pool_residual(preds: Batch, gts: Batch, level: int, t: int) -> np.ndarray:
     """``_pool_sum(pred - gt, t)`` of a batch that ``_batch_level`` found at ``level``, bit for bit.
 
-    A batch of at most ``_SLAB_CELLS`` cells, or ``t == level``, where there
-    is nothing to pool, forms the residual: two arrays of one shape in one
-    subtraction, which gives the per-pair loop's values. A larger batch never
-    forms it. It is subtracted a slab of whole block rows at a time into one
-    reused float64 buffer of at most ``_SLAB_CELLS`` cells (whole maps, or
-    rows of one map; one block row if that is larger), and ``_pool_rows``
-    pools the slab into the output, as ``_pool_sum`` pools a whole residual. At
-    ``t == 0`` a map is one block, which numpy sums pairwise; the map's slab
-    sums are added in halves, which is that sum (``_sq_norm``).
+    A batch of at most ``_SLAB_CELLS`` cells, of maps under half a slab (a
+    map per slab pools them slower than the formed residual), or pooled to
+    level 0 or not at all (``t == level``) forms the residual: two
+    arrays of one shape in one subtraction, which gives the per-pair loop's
+    values. A larger batch of larger maps never forms it. Each map is
+    subtracted a slab of whole block rows at a time into one reused float64
+    buffer of at most ``_SLAB_CELLS`` cells (one block row if that is more),
+    and ``_pool_rows`` pools the slab into the output, as ``_pool_sum`` pools
+    a whole residual.
     """
     side = 1 << level
-    if len(preds) << 2 * level <= _SLAB_CELLS or t == level:
+    if (len(preds) << 2 * level <= _SLAB_CELLS or 2 << 2 * level < _SLAB_CELLS
+            or t in (0, level)):
         if _one_array_shape(preds, gts):
             return _pool_sum(np.subtract(preds, gts, dtype=np.float64, order="C"), t)
         d = np.empty((len(preds), side, side))
@@ -188,35 +190,15 @@ def _pool_residual(preds: Batch, gts: Batch, level: int, t: int) -> np.ndarray:
             np.subtract(p, g, out=d[k], dtype=np.float64)
         return _pool_sum(d, t)
     factor = side >> t
-    # a slab is whole maps of half a slab or less (two level-8 maps in one pooled slower
-    # than one) or rows of one map
-    maps = max(1, _SLAB_CELLS >> (2 * level + 1))
-    rows = min(side, max(factor if t else 1, _SLAB_CELLS // side))
-    slab = np.empty((min(maps, len(preds)), rows, side))
-    out = np.empty((len(preds), 1 << t, 1 << t) if t else (len(preds), side // rows))
-    out_rows = out.reshape(-1, 1 << t)
-    arrays = _one_array_shape(preds, gts)
-    for k in range(0, len(preds), maps):
-        part = slab[:len(preds) - k]
+    rows = max(factor, min(side, _SLAB_CELLS // side))
+    slab = np.empty((rows, side))
+    out = np.empty((len(preds), 1 << t, 1 << t))
+    for k, (p, g) in enumerate(zip(preds, gts)):
+        p, g = np.asarray(p), np.asarray(g)
         for r in range(0, side, rows):
-            if arrays:
-                np.subtract(preds[k:k + maps, r:r + rows], gts[k:k + maps, r:r + rows],
-                            out=part, dtype=np.float64)
-            else:
-                for j in range(len(part)):
-                    np.subtract(np.asarray(preds[k + j])[r:r + rows],
-                                np.asarray(gts[k + j])[r:r + rows], out=part[j], dtype=np.float64)
-            if t:
-                first = (k << t) + r // factor
-                _pool_rows(part.reshape(-1, factor, side), factor,
-                           out_rows[first:first + part.size // (factor * side)])
-            else:
-                out[k:k + len(part), r // rows] = np.add.reduce(part.reshape(len(part), -1), axis=1)
-    if t:
-        return out
-    while out.shape[1] > 1:
-        out = out[:, 0::2] + out[:, 1::2]
-    return out.reshape(-1, 1, 1)
+            np.subtract(p[r:r + rows], g[r:r + rows], out=slab, dtype=np.float64)
+            _pool_rows(slab, factor, out[k, r // factor:(r + rows) // factor])
+    return out
 
 
 def _sq_norm(x) -> float:

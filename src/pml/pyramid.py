@@ -208,33 +208,39 @@ def _pool_sum(data: np.ndarray, to_level: int) -> np.ndarray:
     out_side = 1 << to_level
     if (to_level == 0 or factor >= 16 or data.size < _STRIDED_MIN_CELLS
             or not data.flags.c_contiguous):
-        shaped = data.reshape(data.shape[:-2] + (out_side, factor, out_side, factor))
-        return np.add.reduce(shaped, axis=(-3, -1))
+        return _block_sums(data, factor)
     if data.size <= _SLAB_CELLS:
         rows = _column_sums(data, factor)
         return np.add.reduce(rows.reshape(data.shape[:-2] + (out_side, factor, out_side)),
                              axis=-2)
     # whole block rows, _SLAB_CELLS cells or fewer at a time, into one output
-    blocks = data.reshape(-1, factor, data.shape[-1])
+    rows = data.reshape(-1, data.shape[-1])
     out = np.empty(data.shape[:-2] + (out_side, out_side))
     out_rows = out.reshape(-1, out_side)
-    step = max(1, _SLAB_CELLS // blocks[0].size)
-    for k in range(0, len(blocks), step):
-        _pool_rows(blocks[k:k + step], factor, out_rows[k:k + step])
+    step = max(1, _SLAB_CELLS // (factor * data.shape[-1]))
+    for k in range(0, len(out_rows), step):
+        _pool_rows(rows[k * factor:(k + step) * factor], factor, out_rows[k:k + step])
     return out
 
 
-def _pool_rows(blocks: np.ndarray, factor: int, out: np.ndarray) -> None:
-    """Pool whole block rows, a (k, factor, side) slab, into ``out`` of shape (k, side // factor).
+def _pool_rows(rows: np.ndarray, factor: int, out: np.ndarray) -> None:
+    """Pool a (k * factor, side) slab of whole block rows into ``out`` of shape (k, side // factor).
 
     The sums are the ones ``_pool_sum`` gives the whole input, since a block
     row's sums depend on its cells alone: column sums and an in-order reduce
-    of the row sums below factor 16, numpy's own reshape-reduce from 16 up.
+    of the row sums below factor 16, and from 16 up ``_block_sums``, which
+    ``_pool_sum`` itself takes there.
     """
     if factor < 16:
-        np.add.reduce(_column_sums(blocks, factor), axis=-2, out=out)
+        np.add.reduce(_column_sums(rows, factor).reshape(len(out), factor, -1), axis=-2, out=out)
     else:
-        np.add.reduce(blocks.reshape(len(blocks), factor, -1, factor), axis=(-3, -1), out=out)
+        _block_sums(rows, factor, out)
+
+
+def _block_sums(data: np.ndarray, factor: int, out: np.ndarray | None = None) -> np.ndarray:
+    """Sums of the factor x factor blocks of a (..., rows, side) array: numpy's reshape-reduce."""
+    shape = data.shape[:-2] + (data.shape[-2] // factor, factor, data.shape[-1] // factor, factor)
+    return np.add.reduce(data.reshape(shape), axis=(-3, -1), out=out)
 
 
 def _column_sums(data: np.ndarray, factor: int) -> np.ndarray:

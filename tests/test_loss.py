@@ -586,9 +586,9 @@ class TestPoolResidual:
             self._check_every_form_and_level(rng, level, batch)
 
     @pytest.mark.parametrize("level", range(2, 8))
-    def test_small_maps_share_a_slab_bit_for_bit(self, level):
-        # maps of half a slab or less are subtracted several to a slab, and 3 maps
-        # more than a slab's worth leave a short last slab
+    def test_small_maps_pool_the_formed_residual(self, monkeypatch, level):
+        # maps under half a slab form the residual, however many more than a slab they fill
+        monkeypatch.setattr(loss_mod, "_pool_rows", None)
         self._check_every_form_and_level(np.random.default_rng(270 + level), level,
                                          (_SLAB_CELLS >> 2 * level) + 3)
 
