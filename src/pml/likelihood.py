@@ -26,10 +26,10 @@ Each form computes its own log arguments, so the two stay independent checks
 of each other, and ``_report`` assembles both reports. Every function takes
 its batches as the loss does: a ``(B, side, side)`` array or a sequence of
 square maps, validated by ``loss._batch_level``. None of them forms the
-full-size residual ``pred - gt`` of a batch of more than ``_SLAB_CELLS``
-cells of level-8 or larger maps: ``loss._pool_residual`` subtracts and pools
-it a slab at a time to the finest sub-level, which is all a likelihood
-reads, unless that sub-level is 0.
+full-size residual ``pred - gt`` of a batch of level-8 or larger maps:
+``loss._pool_residual`` subtracts and pools it a slab at a time to the
+finest sub-level, which is all a likelihood reads, unless that sub-level
+is 0.
 
 Refining a resolution set (inserting intermediate levels, extending down to
 level 0) never lowers ll*: each insertion replaces one log term with a

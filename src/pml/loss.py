@@ -23,23 +23,20 @@ reproducible.
 
 The public functions take a batch as a ``(B, side, side)`` array or as a
 sequence of square maps (``DensityMap``s or arrays), which ``_batch_level``
-validates. Only the gradient path forms ``d``: ``pml_loss``, ``total_loss``
-and ``loss_value_and_gradient`` through ``_stack``, and training, which
-calls ``_evaluate`` on its own ``pred - gt``; gradients come back as one
-array of the batch's shape. The functions that read only pooled levels
-(``l2_level`` below the map level, ``l_diff_pair`` and the likelihood) get
-the residual pooled to their finest level from ``_pool_residual``, which
-subtracts and pools a batch of more than ``_SLAB_CELLS`` cells a slab at a
-time when its maps hold half a slab or more (level 8 up) and the finest
-level is above 0. The array core reads every array's level from its side,
-so no level travels beside an array. ``_terms`` pools the residual to each
-requested level, each from the next finer one, and forms the residual
-differences; each caller takes the norms of just the maps it reads
-(``_evaluate`` all of them, the likelihood only the base level and the
-pairs). ``_evaluate`` adds the log terms, the variances and the gradient.
-It consumes ``d``: the gradient is written into ``d`` and returned in it,
-so no full-size array is made beside the residual, which is always a fresh
-array that no caller reads again (``_stack``'s, or training's).
+validates. Only the loss core ``_evaluate`` forms ``d``: ``pml_loss``,
+``total_loss``, ``loss_value_and_gradient`` and training pass it their batch,
+and gradients come back as one array of the batch's shape. The functions
+that read only pooled levels (``l2_level`` below the map level,
+``l_diff_pair`` and the likelihood) get the residual pooled to their finest
+level from ``_pool_residual``, which subtracts and pools a batch a slab at a
+time when its maps hold half of ``_SLAB_CELLS`` or more (level 8 up) and the
+finest level lies strictly between 0 and the map level. The array core reads
+every array's level from its side, so no level travels beside an array.
+``_terms`` pools the residual to each requested level, each from the next
+finer one, and forms the residual differences; each caller takes the norms
+of just the maps it reads (``_evaluate`` all of them, the likelihood only
+the base level and the pairs). ``_evaluate`` adds the log terms, the
+variances and the gradient.
 
 Replication is the adjoint of sum pooling, and the coarse part of ``r``
 pools to zero, so the gradient is the replicated residuals:
@@ -156,33 +153,21 @@ def _one_array_shape(preds: Batch, gts: Batch) -> bool:
             and preds.shape == gts.shape)
 
 
-def _stack(preds: Batch, gts: Batch) -> np.ndarray:
-    """Validate a batch and form its residual ``d = pred - gt`` once, for the gradient path.
-
-    Returns a fresh C-contiguous (B, side, side) array; ``_level(d[0])`` is
-    the batch's level. It is ``_pool_residual`` at the map level, where
-    nothing is pooled.
-    """
-    level = _batch_level(preds, gts)
-    return _pool_residual(preds, gts, level, level)
-
-
 def _pool_residual(preds: Batch, gts: Batch, level: int, t: int) -> np.ndarray:
     """``_pool_sum(pred - gt, t)`` of a batch that ``_batch_level`` found at ``level``, bit for bit.
 
-    A batch of at most ``_SLAB_CELLS`` cells, of maps under half a slab (a
-    map per slab pools them slower than the formed residual), or pooled to
-    level 0 or not at all (``t == level``) forms the residual: two
-    arrays of one shape in one subtraction, which gives the per-pair loop's
-    values. A larger batch of larger maps never forms it. Each map is
+    A batch of maps under half a slab (a map per slab pools them slower than
+    the formed residual), or pooled to level 0 or not at all (``t ==
+    level``, the loss core's fresh C-ordered residual) forms the residual:
+    two arrays of one shape in one subtraction, which gives the per-pair
+    loop's values. A batch of larger maps never forms it. Each map is
     subtracted a slab of whole block rows at a time into one reused float64
     buffer of at most ``_SLAB_CELLS`` cells (one block row if that is more),
     and ``_pool_rows`` pools the slab into the output, as ``_pool_sum`` pools
     a whole residual.
     """
     side = 1 << level
-    if (len(preds) << 2 * level <= _SLAB_CELLS or 2 << 2 * level < _SLAB_CELLS
-            or t in (0, level)):
+    if 2 << 2 * level < _SLAB_CELLS or t in (0, level):
         if _one_array_shape(preds, gts):
             return _pool_sum(np.subtract(preds, gts, dtype=np.float64, order="C"), t)
         d = np.empty((len(preds), side, side))
@@ -303,19 +288,18 @@ def _check_n(n: int, level: int) -> None:
         raise ValueError(f"n = {n} exceeds prediction level {level}")
 
 
-def _evaluate(d, n, include_regularizer, want_gradient):
-    """The loss core on a stacked (B, side, side) residual, at the level ``_level(d[0])``.
+def _evaluate(preds: Batch, gts: Batch, n, include_regularizer, want_gradient):
+    """The loss core: a batch's breakdown and, when ``want_gradient``, its gradient (else None).
 
-    Returns the breakdown and, when ``want_gradient``, the gradient with
-    respect to the prediction (else None). The gradient is written into
-    ``d`` and returned in it, so ``d`` is consumed and must be C-contiguous.
-    Its bits are those of replicating the coarse gradient to the full grid,
+    The gradient with respect to the prediction is one (B, side, side)
+    array. The core forms the residual ``d`` as a fresh C-ordered array and
+    writes the gradient into it, so no other full-size array is made. Its
+    bits are those of replicating the coarse gradient to the full grid,
     adding ``d`` and scaling by ``2/B``.
     """
-    level = _level(d[0])
+    level = _batch_level(preds, gts)
     _check_n(n, level)
-    if not d.flags.c_contiguous:
-        raise ValueError("the residual must be C-contiguous, since the gradient is written into it")
+    d = _pool_residual(preds, gts, level, level)
 
     levels = tuple(range(n + 1))
     pooled, diffs = _terms(d, levels)
@@ -363,17 +347,17 @@ def _evaluate(d, n, include_regularizer, want_gradient):
 
 def pml_loss(preds: Batch, gts: Batch, n: int) -> LossBreakdown:
     """Log-sum loss over levels 0..n, without the full-resolution regularizer."""
-    return _evaluate(_stack(preds, gts), n, include_regularizer=False, want_gradient=False)[0]
+    return _evaluate(preds, gts, n, include_regularizer=False, want_gradient=False)[0]
 
 
 def total_loss(preds: Batch, gts: Batch, n: int) -> LossBreakdown:
     """Log-sum loss over levels 0..n plus the plain full-resolution squared error."""
-    return _evaluate(_stack(preds, gts), n, include_regularizer=True, want_gradient=False)[0]
+    return _evaluate(preds, gts, n, include_regularizer=True, want_gradient=False)[0]
 
 
 def loss_value_and_gradient(preds: Batch, gts: Batch, n: int) -> tuple[LossBreakdown, np.ndarray]:
     """``total_loss``'s breakdown and its (B, side, side) gradient per predicted cell, in one pass."""
-    return _evaluate(_stack(preds, gts), n, include_regularizer=True, want_gradient=True)
+    return _evaluate(preds, gts, n, include_regularizer=True, want_gradient=True)
 
 
 def loss_gradient(preds: Batch, gts: Batch, n: int) -> np.ndarray:

@@ -64,12 +64,12 @@ def _summary(est: np.ndarray, true: np.ndarray) -> MetricsSummary:
 class BenchmarkConfig:
     """The benchmark's training set-up, each default and range rule stated only here.
 
-    Grids are 64x64. Scenes follow ``SceneConfig``'s defaults at the prediction level,
+    The grid is ``SceneConfig``'s (64x64). Scenes follow its defaults at the prediction level,
     the model ``TinyModel.initialize``'s, and the loss guard is ``loss.DEFAULT_EPSILON``.
     Construction and ``dataclasses.replace`` reject a set-up that cannot train.
     """
 
-    level: int = 6
+    level: int = SceneConfig.obs_level
     channels: int = 6
     n: int = 4
     steps: int = 2000

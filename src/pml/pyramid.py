@@ -198,9 +198,10 @@ def _pool_sum(data: np.ndarray, to_level: int) -> np.ndarray:
 
     The source level is read from the side. The sums are numpy's own, bit
     for bit, also where a large input is pooled in slabs (module docstring).
-    Of the loss and likelihood, only the gradient path hands this function a
-    full-size residual; the read-only functions pool theirs a slab at a time
-    as they subtract it (``loss._pool_residual``), with the same bits.
+    Of the loss and likelihood, only the loss core (``loss._evaluate``) hands
+    this function a full-size residual; the read-only functions pool theirs a
+    slab at a time as they subtract it (``loss._pool_residual``), with the
+    same bits.
     """
     factor = data.shape[-1] >> to_level
     if factor == 1:
@@ -258,8 +259,6 @@ def _column_sums(data: np.ndarray, factor: int) -> np.ndarray:
 def _replicate(data: np.ndarray, to_level: int) -> np.ndarray:
     """Copy each cell of a (..., side, side) array into its descendants on the 2^to_level grid."""
     factor = (1 << to_level) // data.shape[-1]
-    if factor == 1:
-        return data
     return data.repeat(factor, axis=-2).repeat(factor, axis=-1)
 
 

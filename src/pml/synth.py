@@ -428,7 +428,8 @@ def train(
     pass of the call and is dropped when it returns. A step whose loss is
     not finite (a non-finite prediction always makes it so) raises
     ``TrainingDiverged`` with that step's pml breakdown (None for plain L2).
-    The loss guard is ``loss.DEFAULT_EPSILON``.
+    The loss guard is ``loss.DEFAULT_EPSILON``. The pml core takes each step's
+    ``(pred, gt)`` and returns the gradient; plain L2 forms its own residual.
     """
     if loss_kind not in ("pml", "l2"):
         raise ValueError(f"loss_kind must be 'pml' or 'l2', got {loss_kind!r}")
@@ -444,12 +445,12 @@ def train(
     # the range comes first, so the provider is never asked for an epoch after the last step
     for step, (obs, gt) in zip(range(1, steps + 1), _batches(provider, seed, cfg.batch)):
         pred, cache = model._forward_cache(obs, work)
-        d = pred - gt  # both losses write their prediction gradient into d
         with np.errstate(over="ignore", invalid="ignore"):  # a non-finite loss raises below
             if loss_kind == "pml":
-                bd, _ = loss_mod._evaluate(d, cfg.n, with_regularizer, want_gradient=True)
+                bd, d = loss_mod._evaluate(pred, gt, cfg.n, with_regularizer, want_gradient=True)
                 loss_value = bd.total
             else:
+                d = pred - gt
                 bd, loss_value = None, loss_mod._sq_norm(d)
                 d *= 2.0 / len(d)
         if not math.isfinite(loss_value):

@@ -8,6 +8,10 @@ from pml.pyramid import DensityMap
 from pml.rng import SplitMix64
 
 
+# the numpy release the dispatch-keyed bit pins pass on, the one CI installs; a pin
+# mismatch under another numpy still fails, and its message names both versions
+PINNED_NUMPY = "2.4.6"
+
 # pyproject.toml ignores this warning too, but a test's own filterwarnings("error")
 # mark would turn it back into the error that ends the session (see there)
 _HYPOTHESIS_REPORT_WARNING = "ignore:mypy_extensions.TypedDict is deprecated:DeprecationWarning"
@@ -33,6 +37,11 @@ def random_map_batch(seed: int, level: int, batch: int, low: float = 0.0, high: 
     return preds, gts
 
 
+def numpy_versions() -> str:
+    """The running and the pinned numpy, for a bit pin's failure message."""
+    return f"numpy {np.__version__} running, pins recorded on numpy {PINNED_NUMPY}"
+
+
 def float64_dispatch() -> str:
     """Name the float64 ``exp``/``log``/``log1p`` kernels numpy runs here.
 
@@ -54,7 +63,7 @@ def float64_dispatch() -> str:
     if __cpu_features__.get("X86_V4") or __cpu_features__.get("AVX512_SKX"):
         return "avx512"
     found = " ".join(k for k, on in __cpu_features__.items() if on)
-    return f"non-libm kernels without AVX-512 (numpy {np.__version__}, CPU features: {found})"
+    return f"non-libm kernels without AVX-512 ({numpy_versions()}, CPU features: {found})"
 
 
 @pytest.fixture

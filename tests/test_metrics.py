@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import float64_dispatch
+from conftest import float64_dispatch, numpy_versions
 from pml import metrics
 from pml.metrics import (
     _TEST,
@@ -237,9 +237,11 @@ class TestBenchmarkCell:
     @pytest.mark.parametrize("loss_kind", ["pml", "l2"])
     def test_short_cell_bits_are_pinned(self, loss_kind):
         dispatch = float64_dispatch()
-        assert dispatch in self.SHORT_CELL_BITS, f"no pinned training bits for numpy's {dispatch}"
+        assert dispatch in self.SHORT_CELL_BITS, (
+            f"no pinned training bits for numpy's {dispatch}; {numpy_versions()}")
         cfg = BenchmarkConfig(steps=60, scenes_per_epoch=8, val_count=4, test_count=6, val_every=20)
         run = run_benchmark_cell(cfg, 3001, loss_kind)
         got = (hashlib.sha256(run.result.trace_csv().encode()).hexdigest(),
                repr(run.metrics.mae), repr(run.metrics.mse))
-        assert got == self.SHORT_CELL_BITS[dispatch][loss_kind], f"float64 dispatch: {dispatch}"
+        assert got == self.SHORT_CELL_BITS[dispatch][loss_kind], (
+            f"float64 dispatch: {dispatch}; {numpy_versions()}")

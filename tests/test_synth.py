@@ -6,7 +6,7 @@ import re
 import numpy as np
 import pytest
 
-from conftest import float64_dispatch
+from conftest import float64_dispatch, numpy_versions
 from pml import loss as loss_mod
 from pml.loss import LossBreakdown, total_loss, loss_gradient
 from pml.metrics import BenchmarkConfig
@@ -158,13 +158,15 @@ class TestGenerateScene:
     def test_benchmark_scene_bits_are_pinned(self, seed, changes, digest):
         digests = {"avx512": digest, "libm": self.LIBM_SCENE_DIGESTS[seed]}
         dispatch = float64_dispatch()
-        assert dispatch in digests, f"no pinned scene digests for numpy's {dispatch}"
+        assert dispatch in digests, (
+            f"no pinned scene digests for numpy's {dispatch}; {numpy_versions()}")
         cfg = dataclasses.replace(BenchmarkConfig().scene_config(seed), **changes)
         scene = generate_scene(cfg)
         h = hashlib.sha256()
         for a in (scene.annotations.points, scene.observation, scene.gt_map.data):
             h.update(np.ascontiguousarray(a, dtype="<f8").tobytes())
-        assert h.hexdigest() == digests[dispatch], f"float64 dispatch: {dispatch}"
+        assert h.hexdigest() == digests[dispatch], (
+            f"float64 dispatch: {dispatch}; {numpy_versions()}")
 
     @staticmethod
     def _offset_attempts(cfg):
