@@ -28,7 +28,6 @@ from .likelihood import (
     verify_theorem,
 )
 from .metrics import (
-    BenchmarkConfig,
     MetricsSummary,
     ablation_run,
     compare_pml_vs_l2,
@@ -48,6 +47,7 @@ from .pyramid import (
 )
 from .synth import (
     Adam,
+    BenchmarkConfig,
     Scene,
     SceneConfig,
     TinyModel,

@@ -16,24 +16,23 @@ fixed set. ``_epoch_seeds`` is the one seed schedule: ``train_stream`` makes
 its scenes from those seeds and ``stream_manifest`` writes their configs, so
 the manifest hash names the scenes that were trained on. A cell scores its
 test scenes as validation does, with ``predict_counts`` and the count
-reduction ``count_errors`` that ``evaluate`` uses.
+reduction ``count_errors`` that ``evaluate`` uses. The training set-up,
+``BenchmarkConfig``, comes from ``synth``.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import math
 from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
 
-from .loss import _check_n
 from .pyramid import DensityMap
 from .rng import derive_seed
-from .synth import (Scene, SceneConfig, TinyModel, TrainResult, count_errors, generate_scene,
-                    predict_counts, train)
+from .synth import (BenchmarkConfig, Scene, TinyModel, TrainResult, count_errors,
+                    generate_scene, predict_counts, train)
 
 # sub-stream tags so the train/val/test/model streams never collide
 _TRAIN, _VAL, _TEST, _MODEL = 1, 2, 3, 4
@@ -58,49 +57,6 @@ def evaluate(preds: Sequence[DensityMap], gts: Sequence[DensityMap]) -> MetricsS
 def _summary(est: np.ndarray, true: np.ndarray) -> MetricsSummary:
     mae, mse = count_errors(est, true)
     return MetricsSummary(mae, mse, tuple(zip(est.tolist(), true.tolist())))
-
-
-@dataclass(frozen=True)
-class BenchmarkConfig:
-    """The benchmark's training set-up, each default and range rule stated only here.
-
-    The grid is ``SceneConfig``'s (64x64). Scenes follow its defaults at the prediction level,
-    the model ``TinyModel.initialize``'s, and the loss guard is ``loss.DEFAULT_EPSILON``.
-    Construction and ``dataclasses.replace`` reject a set-up that cannot train.
-    """
-
-    level: int = SceneConfig.obs_level
-    channels: int = 6
-    n: int = 4
-    steps: int = 2000
-    lr: float = 1e-3
-    clip_norm: float = 10.0
-    batch: int = 2
-    scenes_per_epoch: int = 32
-    val_count: int = 32
-    test_count: int = 200
-    val_every: int = 200
-
-    def __post_init__(self):
-        for name, low in (("steps", 1), ("channels", 1), ("batch", 1), ("scenes_per_epoch", 1),
-                          ("test_count", 1), ("val_count", 0), ("val_every", 0)):
-            if getattr(self, name) < low:
-                raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
-        for name in ("lr", "clip_norm"):
-            if not 0.0 <= getattr(self, name) < math.inf:  # NaN fails too
-                raise ValueError(f"{name} must be finite and >= 0, got {getattr(self, name)}")
-        _check_n(self.n, self.level)
-
-    def scene_config(self, seed: int) -> SceneConfig:
-        return SceneConfig(seed=seed, obs_level=self.level)
-
-    @property
-    def steps_per_epoch(self) -> int:
-        return -(-self.scenes_per_epoch // self.batch)
-
-    @property
-    def epochs(self) -> int:
-        return -(-self.steps // self.steps_per_epoch)
 
 
 def _epoch_seeds(cfg: BenchmarkConfig, base_seed: int, epoch: int) -> list[int]:
@@ -177,7 +133,7 @@ def run_benchmark_cell(
 
 
 def compare_pml_vs_l2(
-    base_seeds: Sequence[int], cfg: BenchmarkConfig = BenchmarkConfig()
+    base_seeds: Sequence[int], cfg: BenchmarkConfig
 ) -> list[tuple[BenchmarkRun, BenchmarkRun]]:
     """Per seed, the (pml, l2) pair of runs: the regularized multi-resolution loss vs plain L2."""
     return [(run_benchmark_cell(cfg, s, "pml"), run_benchmark_cell(cfg, s, "l2"))
@@ -187,8 +143,8 @@ def compare_pml_vs_l2(
 def ablation_run(
     base_seed: int,
     n_values: Sequence[int],
-    repeats: int = 1,
-    cfg: BenchmarkConfig = BenchmarkConfig(),
+    repeats: int,
+    cfg: BenchmarkConfig,
 ) -> list[list[BenchmarkRun]]:
     """Per repeat, the runs of the sweep over n, each with the regularizer on then off.
 

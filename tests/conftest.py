@@ -56,10 +56,7 @@ def float64_dispatch() -> str:
     if all(np.array_equal(f(v), [g(t) for t in v]) for f, g, v in (
             (np.exp, math.exp, x), (np.log, math.log, pos), (np.log1p, math.log1p, pos))):
         return "libm"
-    try:
-        from numpy._core._multiarray_umath import __cpu_features__
-    except ImportError:  # numpy < 2
-        from numpy.core._multiarray_umath import __cpu_features__
+    from numpy._core._multiarray_umath import __cpu_features__
     if __cpu_features__.get("X86_V4") or __cpu_features__.get("AVX512_SKX"):
         return "avx512"
     found = " ".join(k for k, on in __cpu_features__.items() if on)

@@ -218,6 +218,17 @@ class TestPyramidCommand:
         assert code == 1
         assert capsys.readouterr().err.startswith("error: ")
 
+    def test_a_key_error_is_a_fault_not_an_input_error(self, tmp_path, monkeypatch):
+        # no command raises KeyError from its input, so one is a bug and propagates
+        def fault(*args):
+            raise KeyError("fault")
+
+        monkeypatch.setattr("pml.cli.build_pyramid", fault)
+        _write_map(tmp_path / "m.dmap", 2, 4)
+        with pytest.raises(KeyError, match="fault"):
+            main(["pyramid", "--map", str(tmp_path / "m.dmap"), "--levels", "0",
+                  "--out-dir", str(tmp_path / "pyr")])
+
 
 class TestTrainDemoCommand:
     def test_writes_deterministic_trace(self, tmp_path, capsys):

@@ -7,7 +7,7 @@ import re
 import numpy as np
 import pytest
 
-from conftest import random_map_batch
+from conftest import numpy_versions, random_map_batch
 from pml.cli import main
 from pml.likelihood import (
     THEOREM_SLACK,
@@ -112,7 +112,7 @@ class TestLogLikelihood:
         text = repr([(r.loglik, sorted(r.terms.items()), r.base_term, r.constant_part)
                      for r in reports])
         assert hashlib.sha256(text.encode()).hexdigest() == (
-            "0b96b4096bfd8ed0e65d94ff4b4af1149ec47d080bbf657bdfd3f61ca343c3da")
+            "0b96b4096bfd8ed0e65d94ff4b4af1149ec47d080bbf657bdfd3f61ca343c3da"), numpy_versions()
 
 
 @pytest.mark.parametrize("evaluate", [
@@ -158,7 +158,7 @@ class TestSpecialCaseLikelihood:
         text = repr([(r.loglik, sorted(r.terms.items()), r.base_term, r.constant_part)
                      for r in reports])
         assert hashlib.sha256(text.encode()).hexdigest() == (
-            "36d47bb3158e82612aca842aa8b2bc90594862ce0f04a0fe528d757dfbc3d394")
+            "36d47bb3158e82612aca842aa8b2bc90594862ce0f04a0fe528d757dfbc3d394"), numpy_versions()
 
     def test_negative_n_rejected(self):
         preds, gts = random_map_batch(37, 3, 2)
@@ -219,7 +219,7 @@ class TestVerifyTheorem:
                      "--nk", "3", "--out", str(out)]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == (
             "d2fd6329f85231803715c830df35923a3085179fb0bf3391cc20c06016541c10"
-        )
+        ), numpy_versions()
 
     def test_refinement_holds_on_trained_residuals(self):
         # the theorem on the residuals training reaches, not only on uniform

@@ -1,7 +1,9 @@
 import hashlib
+import inspect
 import json
 import math
 import re
+import typing
 from dataclasses import replace
 
 import numpy as np
@@ -10,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import float64_dispatch, numpy_versions
-from pml import metrics
+from pml import metrics, synth
 from pml.metrics import (
     _TEST,
     _TRAIN,
@@ -113,6 +115,16 @@ class TestBenchmarkConfig:
         cfg = BenchmarkConfig(lr=0.0, clip_norm=0.0, val_count=0, val_every=0, n=6)
         assert replace(cfg, n=0, steps=1, batch=1, scenes_per_epoch=1, test_count=1).n == 0
 
+    def test_lives_in_synth_and_no_function_restates_a_default(self):
+        cfg_type = typing.get_type_hints(synth.train)["cfg"]
+        assert cfg_type is synth.BenchmarkConfig is metrics.BenchmarkConfig
+        assert cfg_type.__module__ == "pml.synth"
+        for func, name in ((synth.TinyModel.initialize, "seed"),
+                           (metrics.compare_pml_vs_l2, "cfg"),
+                           (metrics.ablation_run, "repeats"), (metrics.ablation_run, "cfg")):
+            default = inspect.signature(func).parameters[name].default
+            assert default is inspect.Parameter.empty, f"{func.__qualname__}({name}={default!r})"
+
 
 class TestStreams:
     def test_manifest_covers_planned_epochs(self):
@@ -185,7 +197,7 @@ class TestAblation:
         monkeypatch.setattr(metrics, "train", no_training)
         message = f"n = {TINY.level + 1} exceeds prediction level {TINY.level}"
         with pytest.raises(ValueError, match=message):
-            ablation_run(9, [1, TINY.level + 1], cfg=TINY)
+            ablation_run(9, [1, TINY.level + 1], repeats=1, cfg=TINY)
 
     @pytest.mark.parametrize("repeats", [0, -1])
     def test_fewer_than_one_repeat_rejected(self, repeats):

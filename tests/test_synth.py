@@ -2,11 +2,13 @@ import dataclasses
 import hashlib
 import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
+from packaging.requirements import Requirement
 
-from conftest import float64_dispatch, numpy_versions
+from conftest import PINNED_NUMPY, float64_dispatch, numpy_versions
 from pml import loss as loss_mod
 from pml.loss import LossBreakdown, total_loss, loss_gradient
 from pml.metrics import BenchmarkConfig
@@ -210,7 +212,7 @@ class TestGenerateScene:
 
 class TestTinyModel:
     def test_zero_parameters_give_constant_activation(self):
-        model = TinyModel.initialize(channels=2)
+        model = TinyModel.initialize(channels=2, seed=0)
         model.params = np.zeros_like(model.params)
         out = model.forward(np.zeros((8, 8)))
         assert np.allclose(out.data, math.log(2.0))
@@ -601,7 +603,7 @@ class TestTrain:
             raise AssertionError("the loss set-up was not checked before the first epoch")
 
         with pytest.raises(ValueError, match="loss_kind 'l2'.*with_regularizer=True"):
-            train(TinyModel.initialize(channels=2), provider, _cfg(steps=1), loss_kind="l2",
+            train(TinyModel.initialize(channels=2, seed=0), provider, _cfg(steps=1), loss_kind="l2",
                   seed=0, with_regularizer=False)
 
     @pytest.mark.parametrize("loss_kind", ["pml", "l2"])
@@ -654,3 +656,16 @@ class TestSceneInvariants:
         scene = generate_scene(SMALL)
         with pytest.raises(AttributeError):
             scene.gt_map = None
+
+
+def test_ci_installs_the_pinned_numpy_that_pyproject_admits():
+    # the numpy the bit pins were recorded on is stated three times: CI's install,
+    # PINNED_NUMPY and the package's requirement; a change to one alone fails here
+    import tomllib  # Python 3.11 and later, as in CI
+
+    root = Path(__file__).resolve().parents[1]
+    ci = (root / ".github" / "workflows" / "tests.yml").read_text()
+    assert re.findall(r"numpy==(\S+)", ci) == [PINNED_NUMPY]
+    deps = tomllib.loads((root / "pyproject.toml").read_text())["project"]["dependencies"]
+    [numpy_req] = [r for r in map(Requirement, deps) if r.name == "numpy"]
+    assert numpy_req.specifier.contains(PINNED_NUMPY), f"{numpy_req} rejects {PINNED_NUMPY}"
