@@ -299,7 +299,7 @@ def main(argv=None) -> int:
     _echo(args.command, args)
     try:
         return args.func(args)
-    except (dmapio.ParseError, OSError, ValueError, MemoryError) as exc:
+    except (OSError, ValueError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except TrainingDiverged as exc:

@@ -12,27 +12,31 @@ tables from the runs. All cell runs for a given (base seed, repeat) share the
 model init and the scene stream; only the loss differs, so ablation
 differences are attributable to the loss alone. Training scenes are
 regenerated every epoch from an epoch-indexed seed instead of augmenting a
-fixed set. ``_epoch_seeds`` is the one seed schedule: ``train_stream`` makes
-its scenes from those seeds and ``stream_manifest`` writes their configs, so
-the manifest hash names the scenes that were trained on. A cell scores its
-test scenes as validation does, with ``predict_counts`` and the count
-reduction ``count_errors`` that ``evaluate`` uses. The training set-up,
+fixed set. This module holds every seed of a cell and hands ``synth.train``
+arrays: ``_epoch_seeds`` is the one training seed schedule, ``train_batches``
+stacks each step's batch from those seeds' scenes in a per-epoch shuffled
+order, and ``stream_manifest`` writes their configs, so the manifest hash
+names the scenes that were trained on. ``_fixed_set`` gives the validation
+and test sets as (observations, true counts), and a cell scores its test set
+as validation does, with ``predict_counts`` and the count reduction
+``count_errors`` that ``evaluate`` uses. The training set-up,
 ``BenchmarkConfig``, comes from ``synth``.
 """
 
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 from dataclasses import dataclass, replace
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from .pyramid import DensityMap
-from .rng import derive_seed
-from .synth import (BenchmarkConfig, Scene, TinyModel, TrainResult, count_errors,
-                    generate_scene, predict_counts, train)
+from .rng import SplitMix64, derive_seed
+from .synth import (BenchmarkConfig, TinyModel, TrainResult, count_errors, generate_scene,
+                    predict_counts, train)
 
 # sub-stream tags so the train/val/test/model streams never collide
 _TRAIN, _VAL, _TEST, _MODEL = 1, 2, 3, 4
@@ -65,12 +69,25 @@ def _epoch_seeds(cfg: BenchmarkConfig, base_seed: int, epoch: int) -> list[int]:
     return [derive_seed(stream_seed, epoch, i) for i in range(cfg.scenes_per_epoch)]
 
 
-def train_stream(cfg: BenchmarkConfig, base_seed: int):
-    """Epoch-indexed scene provider; depends only on (config, base seed)."""
-    def provider(epoch: int) -> list[Scene]:
-        return [generate_scene(cfg.scene_config(s)) for s in _epoch_seeds(cfg, base_seed, epoch)]
+def train_batches(cfg: BenchmarkConfig,
+                  base_seed: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Each training step's stacked (observations, ground truths), epoch after epoch.
 
-    return provider
+    Epoch ``e`` generates the scenes of ``_epoch_seeds(cfg, base_seed, e)``, shuffles
+    them with a Fisher-Yates stream of its own and stacks them ``cfg.batch`` at a time;
+    its last batch may be short. It depends only on (config, base seed).
+    """
+    stream_seed = derive_seed(base_seed, _TRAIN)
+    for epoch in itertools.count():
+        scenes = [generate_scene(cfg.scene_config(s)) for s in _epoch_seeds(cfg, base_seed, epoch)]
+        rng = SplitMix64(derive_seed(stream_seed, epoch))
+        for i in range(len(scenes) - 1, 0, -1):
+            j = rng.randint(0, i)
+            scenes[i], scenes[j] = scenes[j], scenes[i]
+        for start in range(0, len(scenes), cfg.batch):
+            group = scenes[start:start + cfg.batch]
+            yield (np.stack([s.observation for s in group]),
+                   np.stack([s.gt_map.data for s in group]))
 
 
 def stream_manifest(cfg: BenchmarkConfig, base_seed: int) -> str:
@@ -92,9 +109,16 @@ def stream_manifest_hash(cfg: BenchmarkConfig, base_seed: int) -> str:
     return hashlib.sha256(stream_manifest(cfg, base_seed).encode()).hexdigest()
 
 
-def _fixed_scenes(cfg: BenchmarkConfig, base_seed: int, tag: int, count: int) -> list[Scene]:
+def _fixed_set(cfg: BenchmarkConfig, base_seed: int, tag: int,
+               count: int) -> tuple[np.ndarray, np.ndarray]:
+    """A fixed scene set's (observations, true counts), filled in one scene at a time."""
     seed = derive_seed(base_seed, tag)
-    return [generate_scene(cfg.scene_config(derive_seed(seed, i))) for i in range(count)]
+    side = 1 << cfg.level
+    observations, counts = np.empty((count, side, side)), np.empty(count)
+    for i in range(count):
+        scene = generate_scene(cfg.scene_config(derive_seed(seed, i)))
+        observations[i], counts[i] = scene.observation, scene.gt_map.total()
+    return observations, counts
 
 
 @dataclass(frozen=True)
@@ -116,17 +140,16 @@ def run_benchmark_cell(
 ) -> BenchmarkRun:
     """Train one model with one loss on the shared stream and score test MAE."""
     model = TinyModel.initialize(cfg.channels, seed=derive_seed(base_seed, _MODEL))
-    result = train(model, train_stream(cfg, base_seed), cfg, loss_kind=loss_kind,
-                   seed=derive_seed(base_seed, _TRAIN), with_regularizer=with_regularizer,
-                   val_scenes=_fixed_scenes(cfg, base_seed, _VAL, cfg.val_count))
-    test = _fixed_scenes(cfg, base_seed, _TEST, cfg.test_count)
-    true = np.array([s.gt_map.total() for s in test])
+    result = train(model, train_batches(cfg, base_seed), cfg, loss_kind=loss_kind,
+                   with_regularizer=with_regularizer,
+                   val=_fixed_set(cfg, base_seed, _VAL, cfg.val_count))
+    test_obs, test_counts = _fixed_set(cfg, base_seed, _TEST, cfg.test_count)
     return BenchmarkRun(
         loss_kind=loss_kind,
         with_regularizer=with_regularizer,
         n=cfg.n,
         base_seed=base_seed,
-        metrics=_summary(predict_counts(result.model, test), true),
+        metrics=_summary(predict_counts(result.model, test_obs), test_counts),
         stream_hash=stream_manifest_hash(cfg, base_seed),
         result=result,
     )

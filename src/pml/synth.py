@@ -20,8 +20,10 @@ vector; both kernels are (C, 9) views of it, column k the 3x3 offset
 first stage, the hidden gradient and both weight gradients are plain matmuls
 with the 9-row patch matrix of a single-channel (B, H, W) stack, and the C->1
 second stage is one (9, C) matmul plus nine contiguous slice adds, with no
-C*9-row patch matrix. ``train`` runs Adam with global gradient-norm clipping,
-one step per stacked batch that ``_batches`` draws from the epoch provider.
+C*9-row patch matrix. ``train`` runs Adam with global gradient-norm clipping
+on the arrays it is handed: one step per stacked (observations, ground truths)
+batch, validated on an (observations, true counts) pair; ``metrics`` builds
+the benchmark's.
 
 Every large array of a step (padded stacks, patch matrices, the hidden
 activations and their gradient) lives in a ``Workspace`` and is written with
@@ -34,16 +36,15 @@ of its workspace and stays valid only until the next forward through it.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from typing import Iterable
 
 import numpy as np
 
 from . import loss as loss_mod
 from .pyramid import DensityMap, PointAnnotations, rasterize
-from .rng import SplitMix64, derive_seed
+from .rng import SplitMix64
 
 
 @dataclass(frozen=True)
@@ -419,21 +420,20 @@ class TrainResult:
         return "\n".join(lines) + "\n"
 
 
-def predict_counts(model: TinyModel, scenes: Sequence[Scene],
+def predict_counts(model: TinyModel, observations: np.ndarray,
                    work: Workspace | None = None) -> np.ndarray:
-    """Predicted total count per scene, two scenes per forward.
+    """Predicted total count of each (side, side) observation of the stack, two per forward.
 
     Two is the benchmark's training batch: a larger batch gives the same
     counts but spills the forward's temporaries out of the L2 cache. One
     workspace (a fresh one when ``work`` is None) serves the whole pass.
     """
     work = work or Workspace()
-    counts = []
-    for start in range(0, len(scenes), 2):
-        obs = np.stack([s.observation for s in scenes[start:start + 2]])
-        preds, _ = model._forward_cache(obs, work)
-        counts.extend(preds.sum(axis=(1, 2)).tolist())
-    return np.array(counts)
+    counts = np.empty(len(observations))
+    for start in range(0, len(observations), 2):
+        preds, _ = model._forward_cache(observations[start:start + 2], work)
+        counts[start:start + 2] = preds.sum(axis=(1, 2))
+    return counts
 
 
 def count_errors(est: np.ndarray, true: np.ndarray) -> tuple[float, float]:
@@ -442,35 +442,34 @@ def count_errors(est: np.ndarray, true: np.ndarray) -> tuple[float, float]:
     return float(np.mean(np.abs(err))), float(np.sqrt(np.mean(err * err)))
 
 
-def _counting_errors(model: TinyModel, scenes: Sequence[Scene],
+def _counting_errors(model: TinyModel, observations: np.ndarray, counts: np.ndarray,
                      work: Workspace | None = None) -> tuple[float, float]:
-    return count_errors(predict_counts(model, scenes, work),
-                        np.array([s.gt_map.total() for s in scenes]))
+    return count_errors(predict_counts(model, observations, work), counts)
 
 
 def train(
     model: TinyModel,
-    provider: Callable[[int], Sequence[Scene]],
+    batches: Iterable[tuple[np.ndarray, np.ndarray]],
     cfg: BenchmarkConfig,
     *,
     loss_kind: str,
-    seed: int,
     with_regularizer: bool,
-    val_scenes: Sequence[Scene] = (),
+    val: tuple[np.ndarray, np.ndarray],
 ) -> TrainResult:
-    """Run Adam on the chosen loss over a deterministic scene stream.
+    """Run Adam on the chosen loss, one step per batch of ``batches``.
 
     ``cfg``, valid by construction, gives ``steps``, ``lr``, ``clip_norm``,
-    ``batch``, ``n`` and ``val_every``. ``provider`` maps the epoch index to
-    that epoch's scene list, as ``metrics.train_stream`` does; ``_batches``
-    stacks it into one batch per step. A batch's level is read from its
-    shape, and the pml loss rejects an ``n`` above it. ``with_regularizer``
-    chooses whether the pml loss adds the full-resolution L2 term; plain L2
-    is that term alone, so it takes only True. ``val_every`` > 0 evaluates
-    counting MAE/MSE on ``val_scenes`` every that many steps and at the last
-    step. One ``Workspace`` serves every forward, backward and validation
-    pass of the call and is dropped when it returns. A step whose loss is
-    not finite (a non-finite prediction always makes it so) raises
+    ``n`` and ``val_every``. ``batches`` yields each step's stacked
+    ``(observations, ground truths)``, as ``metrics.train_batches`` does; no
+    batch is drawn after the last step, and batches that end before it raise
+    ``ValueError``. A batch's level is read from its shape, and the pml loss
+    rejects an ``n`` above it. ``with_regularizer`` chooses whether the pml
+    loss adds the full-resolution L2 term; plain L2 is that term alone, so it
+    takes only True. ``val_every`` > 0 evaluates counting MAE/MSE on ``val``,
+    an (observations, true counts) pair, every that many steps and at the
+    last step. One ``Workspace`` serves every forward, backward and
+    validation pass of the call and is dropped when it returns. A step whose
+    loss is not finite (a non-finite prediction always makes it so) raises
     ``TrainingDiverged`` with that step's pml breakdown (None for plain L2).
     The loss guard is ``loss.DEFAULT_EPSILON``. The pml core takes each step's
     ``(pred, gt)`` and returns the gradient; plain L2 forms its own residual.
@@ -481,13 +480,14 @@ def train(
         raise ValueError("loss_kind 'l2' is the full-resolution L2 term itself, "
                          "so it takes only with_regularizer=True")
     steps, val_every = cfg.steps, cfg.val_every
+    val_obs, val_counts = val
 
     model = TinyModel(channels=model.channels, params=model.params.copy())
     opt = Adam(model.params.size, lr=cfg.lr)
     work = Workspace()
     rows: list[TraceRow] = []
-    # the range comes first, so the provider is never asked for an epoch after the last step
-    for step, (obs, gt) in zip(range(1, steps + 1), _batches(provider, seed, cfg.batch)):
+    # the range comes first, so no batch is drawn after the last step
+    for step, (obs, gt) in zip(range(1, steps + 1), batches):
         pred, cache = model._forward_cache(obs, work)
         with np.errstate(over="ignore", invalid="ignore"):  # a non-finite loss raises below
             if loss_kind == "pml":
@@ -505,34 +505,9 @@ def train(
         model.params = opt.step(model.params, grad)
 
         val_mae = val_mse = None
-        if val_every > 0 and len(val_scenes) and (step % val_every == 0 or step == steps):
-            val_mae, val_mse = _counting_errors(model, val_scenes, work)
+        if val_every > 0 and len(val_counts) and (step % val_every == 0 or step == steps):
+            val_mae, val_mse = _counting_errors(model, val_obs, val_counts, work)
         rows.append(TraceRow(step, loss_value, norm, clipped, val_mae, val_mse))
+    if len(rows) < steps:
+        raise ValueError(f"batches ran out after {len(rows)} of {steps} steps")
     return TrainResult(model=model, rows=tuple(rows))
-
-
-def _batches(provider: Callable[[int], Sequence[Scene]], seed: int,
-             batch: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Each step's stacked (observations, ground truths), epoch after epoch.
-
-    Epoch ``e`` takes ``provider(e)``'s scenes ``batch`` at a time in
-    ``_epoch_order(count, seed, e)``'s order; its last batch may be short.
-    """
-    for epoch in itertools.count():
-        scenes = list(provider(epoch))
-        if not scenes:
-            raise ValueError(f"scene source produced no scenes for epoch {epoch}")
-        order = _epoch_order(len(scenes), seed, epoch)
-        for start in range(0, len(order), batch):
-            group = [scenes[i] for i in order[start:start + batch]]
-            yield (np.stack([s.observation for s in group]),
-                   np.stack([s.gt_map.data for s in group]))
-
-
-def _epoch_order(count: int, seed: int, epoch: int) -> list[int]:
-    rng = SplitMix64(derive_seed(seed, epoch))
-    order = list(range(count))
-    for i in range(count - 1, 0, -1):  # Fisher-Yates
-        j = rng.randint(0, i)
-        order[i], order[j] = order[j], order[i]
-    return order

@@ -19,9 +19,10 @@ from pml.likelihood import (
     verify_theorem,
 )
 from pml.loss import DEFAULT_EPSILON, l2_level
-from pml.metrics import _TEST, BenchmarkConfig, _fixed_scenes, run_benchmark_cell
+from pml.metrics import _TEST, BenchmarkConfig, run_benchmark_cell
 from pml.pyramid import DensityMap, ResolutionSet
-from pml.rng import SplitMix64
+from pml.rng import SplitMix64, derive_seed
+from pml.synth import generate_scene
 
 # the verify-theorem CSV and the log-likelihood and special-case reports are pinned by digest
 pytestmark = pytest.mark.dispatch
@@ -227,7 +228,8 @@ class TestVerifyTheorem:
         cfg = BenchmarkConfig(level=4, channels=2, n=2, steps=200, scenes_per_epoch=4,
                               val_count=2, test_count=16, val_every=200)
         model = run_benchmark_cell(cfg, 21, "pml").result.model
-        test = _fixed_scenes(cfg, 21, _TEST, cfg.test_count)
+        seed = derive_seed(21, _TEST)
+        test = [generate_scene(cfg.scene_config(derive_seed(seed, i))) for i in range(16)]
         preds = [model.forward(s.observation) for s in test]
         gts = [s.gt_map for s in test]
         dense = log_likelihood(preds, gts, (0, 1, 2, 3, 4)).loglik

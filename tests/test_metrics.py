@@ -17,16 +17,17 @@ from pml.metrics import (
     _TEST,
     _TRAIN,
     BenchmarkConfig,
-    _fixed_scenes,
+    _fixed_set,
     ablation_run,
     evaluate,
     run_benchmark_cell,
     stream_manifest,
     stream_manifest_hash,
-    train_stream,
+    train_batches,
 )
 from pml.pyramid import DensityMap
-from pml.rng import derive_seed
+from pml.rng import SplitMix64, derive_seed
+from pml.synth import SceneConfig, generate_scene
 
 TINY = BenchmarkConfig(
     level=4,
@@ -144,13 +145,26 @@ class TestStreams:
                 for epoch in range(cfg.epochs) for i in range(cfg.scenes_per_epoch)]
         assert stream_manifest(cfg, 9) == "\n".join(want) + "\n"
 
-    def test_provider_scenes_are_the_manifest_lines(self):
-        # the scenes that train sees are the ones the manifest hash names, in order
-        provider, per_epoch = train_stream(TINY, 5), TINY.scenes_per_epoch
-        lines = stream_manifest(TINY, 5).splitlines()
-        for epoch in range(TINY.epochs):
-            got = [json.dumps(s.config.__dict__, sort_keys=True) for s in provider(epoch)]
-            assert got == lines[epoch * per_epoch:(epoch + 1) * per_epoch]
+    @pytest.mark.parametrize("cfg", [TINY, replace(TINY, scenes_per_epoch=5)])
+    def test_batches_stack_the_manifest_scenes(self, cfg):
+        # the scenes that train sees are the ones the manifest hash names: epoch e
+        # stacks its manifest lines in the Fisher-Yates order of its own stream
+        per_epoch, per_batch = cfg.scenes_per_epoch, cfg.batch
+        lines = stream_manifest(cfg, 5).splitlines()
+        batches = train_batches(cfg, 5)
+        for epoch in range(cfg.epochs):
+            scenes = [generate_scene(SceneConfig(**json.loads(line)))
+                      for line in lines[epoch * per_epoch:(epoch + 1) * per_epoch]]
+            rng = SplitMix64(derive_seed(derive_seed(5, _TRAIN), epoch))
+            order = list(range(per_epoch))
+            for i in range(per_epoch - 1, 0, -1):
+                j = rng.randint(0, i)
+                order[i], order[j] = order[j], order[i]
+            for start in range(0, per_epoch, per_batch):
+                obs, gt = next(batches)
+                group = [scenes[i] for i in order[start:start + per_batch]]
+                assert np.array_equal(obs, [s.observation for s in group])
+                assert np.array_equal(gt, [s.gt_map.data for s in group])
 
     def test_benchmark_manifest_is_pinned(self):
         # every scene config of the default benchmark stream; JSON, so BLAS-independent
@@ -222,10 +236,14 @@ class TestBenchmarkCell:
         # an odd count leaves a one-scene tail in the two-per-forward pass
         cfg = replace(TINY, test_count=5)
         run = run_benchmark_cell(cfg, 13, "pml")
-        scenes = _fixed_scenes(cfg, 13, _TEST, cfg.test_count)
+        seed = derive_seed(13, _TEST)
+        scenes = [generate_scene(cfg.scene_config(derive_seed(seed, i))) for i in range(5)]
         want = evaluate([run.result.model.forward(s.observation) for s in scenes],
                         [s.gt_map for s in scenes])
         assert run.metrics == want
+        observations, counts = _fixed_set(cfg, 13, _TEST, cfg.test_count)
+        assert np.array_equal(observations, [s.observation for s in scenes])
+        assert counts.tolist() == [s.gt_map.total() for s in scenes]
 
     # sha256 of trace_csv() and repr of the test (MAE, MSE) of a short seed-3001 cell, per
     # float64 dispatch: training bits are part of the determinism contract, so a change

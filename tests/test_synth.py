@@ -1,12 +1,15 @@
 import dataclasses
 import hashlib
+import itertools
 import math
 import re
+import tomllib
 from pathlib import Path
 
 import numpy as np
 import pytest
 from packaging.requirements import Requirement
+from packaging.specifiers import SpecifierSet
 
 from conftest import PINNED_NUMPY, float64_dispatch, numpy_versions
 from pml import loss as loss_mod
@@ -21,7 +24,6 @@ from pml.synth import (
     TinyModel,
     TrainingDiverged,
     Workspace,
-    _batches,
     _conv3x3_single_output,
     _softplus,
     clip_by_global_norm,
@@ -46,9 +48,26 @@ def _cfg(**changes):
     return BenchmarkConfig(**{"level": 4, "channels": 2, **changes})
 
 
-def _each_epoch(scenes):
-    """An epoch provider that hands ``train`` the same scenes every epoch."""
-    return lambda epoch: scenes
+def _cycled(scenes, batch=2):
+    """``train``'s batches: ``scenes`` stacked ``batch`` at a time in order, over and over."""
+    obs, gt = np.stack([s.observation for s in scenes]), np.stack([s.gt_map.data for s in scenes])
+    while True:
+        for start in range(0, len(scenes), batch):
+            yield obs[start:start + batch], gt[start:start + batch]
+
+
+def _val(scenes):
+    """``train``'s validation pair: the scenes' stacked observations and true counts."""
+    return np.stack([s.observation for s in scenes]), np.array([s.gt_map.total() for s in scenes])
+
+
+NO_VAL = (np.empty((0, 16, 16)), np.empty(0))
+
+
+def _unreachable(message):
+    """Batches whose first draw fails the test: ``train`` must reject its set-up before it."""
+    raise AssertionError(message)
+    yield
 
 
 def _initialized(channels, seed, scale=1.0):
@@ -424,8 +443,8 @@ class TestWorkspace:
         scenes = _small_scenes(30, 7)
         model = TinyModel.initialize(channels=3, seed=8)
         cfg = _cfg(channels=3, steps=9, lr=1e-2, n=2, val_every=2)
-        runs = [train(model, _each_epoch(scenes), cfg, loss_kind="pml", seed=4,
-                      with_regularizer=True, val_scenes=scenes[:5])
+        runs = [train(model, _cycled(scenes), cfg, loss_kind="pml", with_regularizer=True,
+                      val=_val(scenes[:5]))
                 for _ in range(2)]
         assert runs[0].trace_csv().encode() == runs[1].trace_csv().encode()
         assert np.array_equal(runs[0].model.params, runs[1].model.params)
@@ -437,7 +456,7 @@ class TestPredictCounts:
         cfg = BenchmarkConfig()
         scenes = [generate_scene(cfg.scene_config(200 + i)) for i in range(65)]
         model = _initialized(cfg.channels, 3)
-        counts = predict_counts(model, scenes)
+        counts = predict_counts(model, np.stack([s.observation for s in scenes]))
         assert counts.tolist() == [model.forward(s.observation).total() for s in scenes]
 
 
@@ -475,8 +494,8 @@ class TestTrain:
     def test_zero_lr_keeps_parameters_and_metrics_constant(self):
         scenes = _small_scenes(0, 8)
         model = TinyModel.initialize(channels=2, seed=1)
-        result = train(model, _each_epoch(scenes), _cfg(steps=6, lr=0.0, n=2, val_every=2),
-                       loss_kind="pml", seed=3, with_regularizer=True, val_scenes=scenes[:4])
+        result = train(model, _cycled(scenes), _cfg(steps=6, lr=0.0, n=2, val_every=2),
+                       loss_kind="pml", with_regularizer=True, val=_val(scenes[:4]))
         assert np.array_equal(result.model.params, model.params)
         maes = [r.val_mae for r in result.rows if r.val_mae is not None]
         assert len(set(maes)) == 1
@@ -484,8 +503,8 @@ class TestTrain:
     def test_deterministic_given_seed(self):
         scenes = _small_scenes(5, 8)
         model = TinyModel.initialize(channels=2, seed=2)
-        a, b = (train(model, _each_epoch(scenes), _cfg(steps=10, n=2), loss_kind="pml", seed=9,
-                      with_regularizer=True) for _ in range(2))
+        a, b = (train(model, _cycled(scenes), _cfg(steps=10, n=2), loss_kind="pml",
+                      with_regularizer=True, val=NO_VAL) for _ in range(2))
         assert np.array_equal(a.model.params, b.model.params)
         assert a.rows == b.rows
 
@@ -493,28 +512,47 @@ class TestTrain:
         scenes = _small_scenes(6, 4)
         model = TinyModel.initialize(channels=2, seed=2)
         before = model.params.copy()
-        train(model, _each_epoch(scenes), _cfg(steps=3), loss_kind="l2", seed=0,
-              with_regularizer=True)
+        train(model, _cycled(scenes), _cfg(steps=3), loss_kind="l2", with_regularizer=True,
+              val=NO_VAL)
         assert np.array_equal(model.params, before)
 
-    # 4 scenes / batch 2 -> 2 steps per epoch; no epoch is asked for after the last step
-    @pytest.mark.parametrize("steps,epochs", [(5, [0, 1, 2]), (4, [0, 1])])
-    def test_epoch_provider_is_queried_per_epoch(self, steps, epochs):
-        seen = []
+    @pytest.mark.parametrize("steps", [4, 5])
+    def test_no_batch_is_drawn_after_the_last_step(self, steps):
+        drawn = []
 
-        def provider(epoch):
-            seen.append(epoch)
-            return _small_scenes(50 + epoch, 4)
+        def batches():
+            for batch in _cycled(_small_scenes(50, 4)):
+                drawn.append(len(drawn) + 1)
+                yield batch
 
         model = TinyModel.initialize(channels=2, seed=3)
-        train(model, provider, _cfg(steps=steps), loss_kind="l2", seed=0, with_regularizer=True)
-        assert seen == epochs
+        result = train(model, batches(), _cfg(steps=steps), loss_kind="l2", with_regularizer=True,
+                       val=NO_VAL)
+        assert drawn == list(range(1, steps + 1)) and len(result.rows) == steps
+
+    @pytest.mark.parametrize("count", [0, 3])
+    def test_batches_that_end_before_the_last_step_raise(self, count, monkeypatch):
+        # training does not silently stop short, and it steps once per batch it was handed
+        stepped = []
+        original = Adam.step
+
+        def step(opt, params, grad):
+            stepped.append(opt.t)
+            return original(opt, params, grad)
+
+        monkeypatch.setattr(Adam, "step", step)
+        model = TinyModel.initialize(channels=2, seed=3)
+        with pytest.raises(ValueError, match=f"^batches ran out after {count} of 5 steps$"):
+            train(model, itertools.islice(_cycled(_small_scenes(50, 4)), count),
+                  _cfg(steps=5, val_every=1), loss_kind="l2", with_regularizer=True,
+                  val=_val(_small_scenes(60, 2)))
+        assert stepped == list(range(count))
 
     def test_predictions_stay_positive_during_training(self):
         scenes = _small_scenes(7, 8)
         model = TinyModel.initialize(channels=2, seed=4)
-        result = train(model, _each_epoch(scenes), _cfg(steps=15, lr=1e-2, n=2), loss_kind="pml",
-                       seed=1, with_regularizer=True)
+        result = train(model, _cycled(scenes), _cfg(steps=15, lr=1e-2, n=2), loss_kind="pml",
+                       with_regularizer=True, val=NO_VAL)
         for s in scenes:
             assert np.all(result.model.forward(s.observation).data > 0.0)
 
@@ -526,8 +564,8 @@ class TestTrain:
         model = TinyModel.initialize(channels=2, seed=5)
         model.params[-1] = np.nan
         with pytest.raises(TrainingDiverged) as info:
-            train(model, _each_epoch(scenes), _cfg(steps=3, n=2), loss_kind=loss_kind, seed=0,
-                  with_regularizer=True)
+            train(model, _cycled(scenes), _cfg(steps=3, n=2), loss_kind=loss_kind,
+                  with_regularizer=True, val=NO_VAL)
         assert info.value.step == 1 and math.isnan(info.value.loss_value)
         if loss_kind == "pml":
             assert isinstance(info.value.breakdown, LossBreakdown)
@@ -539,49 +577,25 @@ class TestTrain:
         scenes = _small_scenes(9, 4)
         model = TinyModel.initialize(channels=2, seed=6)
         with pytest.raises(ValueError, match="loss_kind"):
-            train(model, _each_epoch(scenes), _cfg(steps=1), loss_kind="huber", seed=0,
-                  with_regularizer=True)
-
-    def test_an_empty_epoch_is_rejected(self):
-        def provider(epoch):
-            # without the check, an empty epoch is skipped, epoch after epoch
-            if epoch:
-                raise RuntimeError("scene source asked for a second epoch")
-            return []
-
-        with pytest.raises(ValueError, match="^scene source produced no scenes for epoch 0$"):
-            next(_batches(provider, 0, 2))
+            train(model, _cycled(scenes), _cfg(steps=1), loss_kind="huber", with_regularizer=True,
+                  val=NO_VAL)
 
     @pytest.mark.parametrize("batch", [0, -1])
     def test_batch_below_one_rejected_before_any_epoch(self, batch):
-        scenes = _small_scenes(11, 4)
-        seen = []
-
-        def provider(epoch):
-            # a bad batch once spun here epoch after epoch; fail instead of hanging
-            if len(seen) == 3:
-                raise RuntimeError("scene source asked for a fourth epoch")
-            seen.append(epoch)
-            return scenes
-
+        # a bad batch once made the scene stream spin epoch after epoch
         model = TinyModel.initialize(channels=2, seed=8)
         with pytest.raises(ValueError, match=f"batch must be >= 1, got {batch}"):
-            train(model, provider, _cfg(steps=2, batch=batch), loss_kind="l2", seed=0,
-                  with_regularizer=True)
-        assert seen == []
+            train(model, _unreachable("a batch was drawn"), _cfg(steps=2, batch=batch),
+                  loss_kind="l2", with_regularizer=True, val=NO_VAL)
 
     @pytest.mark.parametrize("loss_kind", ["pml", "l2"])
     @pytest.mark.parametrize("n,message", [(5, "n = 5 exceeds prediction level 4"),
                                            (-1, "n must be >= 0, got -1")])
     def test_n_outside_the_levels_rejected_for_both_losses(self, loss_kind, n, message):
         model = TinyModel.initialize(channels=2, seed=9)
-
-        def provider(epoch):
-            raise AssertionError("n was not checked before the first epoch")
-
         with pytest.raises(ValueError, match=message):
-            train(model, provider, _cfg(steps=1, n=n), loss_kind=loss_kind, seed=0,
-                  with_regularizer=True)
+            train(model, _unreachable("n was not checked before the first batch"),
+                  _cfg(steps=1, n=n), loss_kind=loss_kind, with_regularizer=True, val=NO_VAL)
 
     def test_batch_trains_at_its_own_level(self):
         # level-3 scenes train the same under cfg.level 4 as under 3, and the pml
@@ -589,22 +603,20 @@ class TestTrain:
         scenes = [generate_scene(dataclasses.replace(SMALL, seed=60 + i, obs_level=3))
                   for i in range(4)]
         model = TinyModel.initialize(channels=2, seed=9)
-        runs = [train(model, _each_epoch(scenes), _cfg(level=level, steps=5, n=2, val_every=2),
-                      loss_kind="pml", seed=0, with_regularizer=True, val_scenes=scenes[:3])
+        runs = [train(model, _cycled(scenes), _cfg(level=level, steps=5, n=2, val_every=2),
+                      loss_kind="pml", with_regularizer=True, val=_val(scenes[:3]))
                 for level in (4, 3)]
         assert runs[0].rows == runs[1].rows and len(runs[0].rows) == 5
         assert np.array_equal(runs[0].model.params, runs[1].model.params)
         with pytest.raises(ValueError, match="^n = 4 exceeds prediction level 3$"):
-            train(model, _each_epoch(scenes), _cfg(steps=5, n=4), loss_kind="pml", seed=0,
-                  with_regularizer=True)
+            train(model, _cycled(scenes), _cfg(steps=5, n=4), loss_kind="pml",
+                  with_regularizer=True, val=NO_VAL)
 
     def test_l2_without_its_one_term_rejected(self):
-        def provider(epoch):
-            raise AssertionError("the loss set-up was not checked before the first epoch")
-
         with pytest.raises(ValueError, match="loss_kind 'l2'.*with_regularizer=True"):
-            train(TinyModel.initialize(channels=2, seed=0), provider, _cfg(steps=1), loss_kind="l2",
-                  seed=0, with_regularizer=False)
+            train(TinyModel.initialize(channels=2, seed=0),
+                  _unreachable("the loss set-up was not checked before the first batch"),
+                  _cfg(steps=1), loss_kind="l2", with_regularizer=False, val=NO_VAL)
 
     @pytest.mark.parametrize("loss_kind", ["pml", "l2"])
     def test_divergence_raises_from_the_loss_check_with_its_loss(self, loss_kind, monkeypatch):
@@ -623,8 +635,8 @@ class TestTrain:
         model = TinyModel.initialize(channels=2, seed=5)
         model.params[-1] = np.inf
         with pytest.raises(TrainingDiverged) as info:
-            train(model, _each_epoch(_small_scenes(8, 4)), _cfg(steps=3, n=2),
-                  loss_kind=loss_kind, seed=0, with_regularizer=True)
+            train(model, _cycled(_small_scenes(8, 4)), _cfg(steps=3, n=2),
+                  loss_kind=loss_kind, with_regularizer=True, val=NO_VAL)
         [loss_value] = computed
         assert not math.isfinite(loss_value) and info.value.step == 1
         assert str(info.value) == f"non-finite loss {loss_value} at step 1"
@@ -635,8 +647,8 @@ class TestTrain:
     def test_trace_csv_layout(self):
         scenes = _small_scenes(10, 4)
         model = TinyModel.initialize(channels=2, seed=7)
-        result = train(model, _each_epoch(scenes), _cfg(steps=4, n=1, val_every=2),
-                       loss_kind="pml", seed=0, with_regularizer=True, val_scenes=scenes[:2])
+        result = train(model, _cycled(scenes), _cfg(steps=4, n=1, val_every=2),
+                       loss_kind="pml", with_regularizer=True, val=_val(scenes[:2]))
         lines = result.trace_csv().strip().splitlines()
         assert lines[0] == "step,loss,grad_norm,clipped,val_mae,val_mse"
         assert len(lines) == 5
@@ -660,12 +672,14 @@ class TestSceneInvariants:
 
 def test_ci_installs_the_pinned_numpy_that_pyproject_admits():
     # the numpy the bit pins were recorded on is stated three times: CI's install,
-    # PINNED_NUMPY and the package's requirement; a change to one alone fails here
-    import tomllib  # Python 3.11 and later, as in CI
-
+    # PINNED_NUMPY and the package's requirement; a change to one alone fails here.
+    # CI's one Python is stated twice, and the package must admit it
     root = Path(__file__).resolve().parents[1]
     ci = (root / ".github" / "workflows" / "tests.yml").read_text()
     assert re.findall(r"numpy==(\S+)", ci) == [PINNED_NUMPY]
-    deps = tomllib.loads((root / "pyproject.toml").read_text())["project"]["dependencies"]
-    [numpy_req] = [r for r in map(Requirement, deps) if r.name == "numpy"]
+    project = tomllib.loads((root / "pyproject.toml").read_text())["project"]
+    [numpy_req] = [r for r in map(Requirement, project["dependencies"]) if r.name == "numpy"]
     assert numpy_req.specifier.contains(PINNED_NUMPY), f"{numpy_req} rejects {PINNED_NUMPY}"
+    [python] = re.findall(r'python-version:\s*"([^"]+)"', ci)
+    requires = SpecifierSet(project["requires-python"])
+    assert requires.contains(python), f"requires-python {requires} rejects CI's Python {python}"
