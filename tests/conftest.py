@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -35,6 +36,21 @@ def random_map_batch(seed: int, level: int, batch: int, low: float = 0.0, high: 
     gts = [DensityMap(level, rng.uniform_block(side * side, low, high).reshape(side, side))
            for _ in range(batch)]
     return preds, gts
+
+
+def traced_peak(call) -> int:
+    """``tracemalloc``'s peak in bytes over ``call()``, above what was traced when it began."""
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        call()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if started:
+            tracemalloc.stop()
 
 
 def numpy_versions() -> str:

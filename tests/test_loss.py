@@ -1,14 +1,13 @@
 import hashlib
 import math
 import re
-import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import fd_loss_gradient, numpy_versions, random_map_batch
+from conftest import fd_loss_gradient, numpy_versions, random_map_batch, traced_peak
 from pml import loss as loss_mod
 from pml.likelihood import (
     likelihood_with_variances,
@@ -672,18 +671,7 @@ class TestPoolResidual:
 def _peak_over_residual(batch, call) -> float:
     """``tracemalloc``'s peak of a warm call on the batch, over its 16 MiB residual."""
     call(*batch)
-    started = not tracemalloc.is_tracing()
-    if started:
-        tracemalloc.start()
-    try:
-        tracemalloc.reset_peak()
-        base = tracemalloc.get_traced_memory()[0]
-        call(*batch)
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        if started:
-            tracemalloc.stop()
-    return peak / (8 * 512 * 512 * 8)
+    return traced_peak(lambda: call(*batch)) / (8 * 512 * 512 * 8)
 
 
 class TestPeakMemory:

@@ -11,13 +11,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import float64_dispatch, numpy_versions
+from conftest import float64_dispatch, numpy_versions, traced_peak
 from pml import metrics, synth
 from pml.metrics import (
     _TEST,
     _TRAIN,
     BenchmarkConfig,
-    _fixed_set,
+    _scene_stacks,
+    _set_seeds,
     ablation_run,
     evaluate,
     run_benchmark_cell,
@@ -241,9 +242,9 @@ class TestBenchmarkCell:
         want = evaluate([run.result.model.forward(s.observation) for s in scenes],
                         [s.gt_map for s in scenes])
         assert run.metrics == want
-        observations, counts = _fixed_set(cfg, 13, _TEST, cfg.test_count)
+        observations, gts = _scene_stacks(cfg, _set_seeds(13, _TEST, cfg.test_count))
         assert np.array_equal(observations, [s.observation for s in scenes])
-        assert counts.tolist() == [s.gt_map.total() for s in scenes]
+        assert np.array_equal(gts, [s.gt_map.data for s in scenes])
 
     # sha256 of trace_csv() and repr of the test (MAE, MSE) of a short seed-3001 cell, per
     # float64 dispatch: training bits are part of the determinism contract, so a change
@@ -275,3 +276,34 @@ class TestBenchmarkCell:
                repr(run.metrics.mae), repr(run.metrics.mse))
         assert got == self.SHORT_CELL_BITS[dispatch][loss_kind], (
             f"float64 dispatch: {dispatch}; {numpy_versions()}")
+
+
+OBSERVATION_BYTES = 64 * 64 * 8  # one default-level observation or ground-truth map
+
+
+class TestPeakMemory:
+    """A cell keeps one epoch of training scenes and one pair of test scenes alive."""
+
+    def test_cell_peak_does_not_grow_with_the_test_set(self):
+        cfg = BenchmarkConfig(steps=40, scenes_per_epoch=8, val_count=2, val_every=20)
+        cells = {count: replace(cfg, test_count=count) for count in (2, 200)}
+        run_benchmark_cell(cells[2], 5, "pml")  # lazy set-up is not the cell's
+        peaks = {count: traced_peak(lambda c=c: run_benchmark_cell(c, 5, "pml"))
+                 for count, c in cells.items()}
+        growth = (peaks[200] - peaks[2]) / OBSERVATION_BYTES
+        print(f"cell peak: {peaks[2] / 2**20:.2f} MiB at 2 test scenes, "
+              f"{peaks[200] / 2**20:.2f} MiB at 200, {growth:.1f} observations more")
+        assert growth <= 2, f"the cell peak grew by {growth:.1f} observations"
+
+    def test_stream_holds_one_epoch_while_it_draws_the_next(self):
+        cfg = BenchmarkConfig()
+        epoch_bytes = 2 * cfg.scenes_per_epoch * OBSERVATION_BYTES  # its two stacks
+
+        def first_epoch_then_the_second():
+            batches = train_batches(cfg, 5)
+            for _ in range(cfg.steps_per_epoch + 1):
+                held = next(batches)  # noqa: F841  (held while the next is drawn, as train does)
+
+        ratio = traced_peak(first_epoch_then_the_second) / epoch_bytes
+        print(f"stream peak: {ratio:.3f} epochs of stacks")
+        assert ratio <= 1.25, f"stream peak {ratio:.3f} epochs of stacks"
