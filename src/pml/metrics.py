@@ -16,16 +16,17 @@ fixed set. This module holds every seed of a cell and hands ``synth.train``
 arrays: ``_epoch_seeds`` is the one training seed schedule and ``_set_seeds``
 gives the validation and test seeds. ``_scene_stacks`` fills the
 (observations, ground truths) stacks of a list of seeds one scene at a time,
-and every scene of a cell is generated through it. ``train_batches`` fills
-each epoch's stacks in a per-epoch shuffled order and yields each step's batch
-as a copy of its slice, and ``stream_manifest`` writes the seeds' configs, so
-the manifest hash names the scenes that were trained on. A cell keeps one
-epoch of training stacks alive (2 MiB at the defaults), the validation
-observations and true counts, and, while it scores, one pair of test scenes:
-the test set is drawn and scored two scenes at a time through one
-``Workspace``, with ``predict_counts`` and the count reduction
-``count_errors`` that ``evaluate`` uses. ``tracemalloc``'s peak over a default
-cell is 7.4 MiB, against 10.3 MiB with a whole test stack and two live epochs.
+and every scene of a cell is generated through it. ``train_batches`` shuffles
+each epoch's seeds and fills each step's stacks from that step's seeds when the
+step is drawn, and ``stream_manifest`` writes the seeds' configs, so the
+manifest hash names the scenes that were trained on; the hash is fed one epoch
+of lines at a time. A cell keeps one step's training stacks alive, the
+validation observations and true counts, and, while it scores, one pair of test
+scenes: the test set is drawn and scored two scenes at a time through one
+``Workspace``, with ``predict_counts`` and the count reduction ``count_errors``
+that ``evaluate`` uses. ``tracemalloc``'s peak over a default cell is 4.5 MiB,
+against 7.4 MiB with a stacked epoch, separate backward buffers and the whole
+manifest text, and 10.3 MiB with a whole test stack and two live epochs besides.
 The training set-up, ``BenchmarkConfig``, comes from ``synth``.
 """
 
@@ -80,11 +81,10 @@ def train_batches(cfg: BenchmarkConfig,
     """Each training step's stacked (observations, ground truths), epoch after epoch.
 
     Epoch ``e`` shuffles the seeds of ``_epoch_seeds(cfg, base_seed, e)`` with a
-    Fisher-Yates stream of its own, fills the epoch's stacks from them in that order
-    and yields them ``cfg.batch`` scenes at a time; its last batch may be short. Each
-    batch is a copy of its slice, so a batch the consumer still holds does not keep
-    its epoch alive, and the previous epoch's stacks are released before the next
-    epoch is drawn. It depends only on (config, base seed).
+    Fisher-Yates stream of its own and yields them ``cfg.batch`` scenes at a time; its
+    last batch may be short. Each step's stacks are filled from its own seeds when it
+    is drawn, so the stream holds no epoch of stacks, only the batch it is filling
+    while the consumer holds the last one. It depends only on (config, base seed).
     """
     stream_seed = derive_seed(base_seed, _TRAIN)
     for epoch in itertools.count():
@@ -93,16 +93,12 @@ def train_batches(cfg: BenchmarkConfig,
         for i in range(len(seeds) - 1, 0, -1):
             j = rng.randint(0, i)
             seeds[i], seeds[j] = seeds[j], seeds[i]
-        observations = gts = None  # the last epoch goes before the next is drawn
-        observations, gts = _scene_stacks(cfg, seeds)
         for start in range(0, len(seeds), cfg.batch):
-            stop = start + cfg.batch
-            yield observations[start:stop].copy(), gts[start:stop].copy()
+            yield _scene_stacks(cfg, seeds[start:start + cfg.batch])
 
 
-def stream_manifest(cfg: BenchmarkConfig, base_seed: int) -> str:
-    """One JSON line per planned training scene config (scenes are pure
-    functions of their config, so this identifies the stream).
+def _manifest_epochs(cfg: BenchmarkConfig, base_seed: int) -> Iterator[str]:
+    """The manifest's text one training epoch at a time, each line ending in a newline.
 
     Each line is ``json.dumps(config.__dict__, sort_keys=True)``. Only the
     seed varies and "seed" sorts last, so the lines share one head.
@@ -110,13 +106,22 @@ def stream_manifest(cfg: BenchmarkConfig, base_seed: int) -> str:
     fields = dict(cfg.scene_config(0).__dict__)
     del fields["seed"]
     head = json.dumps(fields, sort_keys=True)[:-1] + ', "seed": '
-    lines = [f"{head}{s}}}"
-             for epoch in range(cfg.epochs) for s in _epoch_seeds(cfg, base_seed, epoch)]
-    return "\n".join(lines) + "\n"
+    for epoch in range(cfg.epochs):
+        yield "".join(f"{head}{s}}}\n" for s in _epoch_seeds(cfg, base_seed, epoch))
+
+
+def stream_manifest(cfg: BenchmarkConfig, base_seed: int) -> str:
+    """One JSON line per planned training scene config (scenes are pure
+    functions of their config, so this identifies the stream)."""
+    return "".join(_manifest_epochs(cfg, base_seed))
 
 
 def stream_manifest_hash(cfg: BenchmarkConfig, base_seed: int) -> str:
-    return hashlib.sha256(stream_manifest(cfg, base_seed).encode()).hexdigest()
+    """sha256 of ``stream_manifest``, fed one epoch of lines at a time."""
+    digest = hashlib.sha256()
+    for text in _manifest_epochs(cfg, base_seed):
+        digest.update(text.encode())
+    return digest.hexdigest()
 
 
 def _set_seeds(base_seed: int, tag: int, count: int) -> list[int]:

@@ -27,11 +27,13 @@ the benchmark's.
 
 Every large array of a step (padded stacks, patch matrices, the hidden
 activations and their gradient) lives in a ``Workspace`` and is written with
-``out=``. ``train`` makes one workspace per call and drops it on return, so
-its steps and validation passes reuse the same memory instead of allocating
-(and page-faulting) fresh temporaries; ``predict_counts`` makes one per pass
-and any other forward a fresh one of its own. A forward's cache holds views
-of its workspace and stays valid only until the next forward through it.
+``out=``; the backward's patch matrix and scratch reuse the memory of the
+forward's offset responses. ``train`` makes one workspace per call and drops
+it on return, so its steps and validation passes reuse the same memory instead
+of allocating (and page-faulting) fresh temporaries; ``predict_counts`` makes
+one per pass and any other forward a fresh one of its own. A forward's cache
+holds views of its workspace and stays valid only until the next forward
+through it.
 """
 
 from __future__ import annotations
@@ -184,18 +186,28 @@ class Workspace:
 
 
 class _Buffers:
-    """One shape's arrays. Padded ones keep their zero border; only interiors are written."""
+    """One shape's arrays. Padded ones keep their zero border; only interiors are written.
+
+    Arrays whose lifetimes do not overlap share memory. Nothing reads the forward's
+    offset responses ``y`` once the output is copied out of them, so the backward's
+    patch matrix ``cols_dz2`` is a view at the head of their block, and once ``dz1`` is
+    formed ``cols_dz2`` is spent and the ``1 - h*h`` scratch ``g`` is one there too.
+    The block is sized for the largest of the three; ``g`` outgrows ``y`` above 9
+    channels. Every view is C-contiguous, so each ufunc and matmul sees the shapes
+    and strides it would see on arrays of its own.
+    """
 
     def __init__(self, batch: int, side: int, channels: int):
-        pixels = batch * side * side
+        pixels, padded = batch * side * side, batch * (side + 2) ** 2
         self.xp = np.zeros((batch, side + 2, side + 2))  # observations, then dz2
         self.cols1 = np.empty((9, pixels))
         self.h = np.empty((channels, pixels))  # first-stage pre-activation, then h
         self.hp = np.zeros((channels, batch, side + 2, side + 2))
-        self.y = np.empty((9, batch * (side + 2) ** 2))  # offset responses; row 0 sums them
-        self.cols_dz2 = np.empty((9, pixels))
+        block = np.empty(max(9 * padded, channels * pixels))
+        self.y = block[:9 * padded].reshape(9, padded)  # offset responses; row 0 sums them
+        self.cols_dz2 = block[:9 * pixels].reshape(9, pixels)
         self.dh = np.empty((channels, pixels))  # dh, then dz1
-        self.g = np.empty((channels, pixels))  # 1 - h*h
+        self.g = block[:channels * pixels].reshape(channels, pixels)  # 1 - h*h
 
 
 def _patches(x: np.ndarray, xp: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -332,7 +344,8 @@ class TinyModel:
         """Parameter gradient, summed over the batch; dpreds (B, side, side).
 
         Writes none of the cache's arrays, so the cache stays valid for
-        another backward.
+        another backward; it overwrites the forward's offset responses, which
+        the cache does not hold.
         """
         cols1, h, z2, buf = cache
         w2 = self._unpack()[2]

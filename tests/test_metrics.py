@@ -167,6 +167,13 @@ class TestStreams:
                 assert np.array_equal(obs, [s.observation for s in group])
                 assert np.array_equal(gt, [s.gt_map.data for s in group])
 
+    # the default stream, and one whose 7 scenes make a short last batch in each epoch
+    @pytest.mark.parametrize("cfg", [BenchmarkConfig(),
+                                     BenchmarkConfig(scenes_per_epoch=7, batch=3)])
+    def test_manifest_hash_is_the_sha256_of_the_manifest(self, cfg):
+        want = hashlib.sha256(stream_manifest(cfg, 17).encode()).hexdigest()
+        assert stream_manifest_hash(cfg, 17) == want
+
     def test_benchmark_manifest_is_pinned(self):
         # every scene config of the default benchmark stream; JSON, so BLAS-independent
         assert stream_manifest_hash(BenchmarkConfig(), 3001) == (
@@ -282,7 +289,7 @@ OBSERVATION_BYTES = 64 * 64 * 8  # one default-level observation or ground-truth
 
 
 class TestPeakMemory:
-    """A cell keeps one epoch of training scenes and one pair of test scenes alive."""
+    """A cell keeps one step's training scenes and one pair of test scenes alive."""
 
     def test_cell_peak_does_not_grow_with_the_test_set(self):
         cfg = BenchmarkConfig(steps=40, scenes_per_epoch=8, val_count=2, val_every=20)
@@ -295,7 +302,7 @@ class TestPeakMemory:
               f"{peaks[200] / 2**20:.2f} MiB at 200, {growth:.1f} observations more")
         assert growth <= 2, f"the cell peak grew by {growth:.1f} observations"
 
-    def test_stream_holds_one_epoch_while_it_draws_the_next(self):
+    def test_stream_holds_one_step_while_it_draws_the_next(self):
         cfg = BenchmarkConfig()
         epoch_bytes = 2 * cfg.scenes_per_epoch * OBSERVATION_BYTES  # its two stacks
 
@@ -306,4 +313,12 @@ class TestPeakMemory:
 
         ratio = traced_peak(first_epoch_then_the_second) / epoch_bytes
         print(f"stream peak: {ratio:.3f} epochs of stacks")
-        assert ratio <= 1.25, f"stream peak {ratio:.3f} epochs of stacks"
+        assert ratio <= 0.5, f"stream peak {ratio:.3f} epochs of stacks"
+
+    def test_manifest_hash_holds_one_epoch_of_lines(self):
+        cfg = BenchmarkConfig()
+        peak = traced_peak(lambda: stream_manifest_hash(cfg, 5))
+        text_bytes = len(stream_manifest(cfg, 5))
+        print(f"manifest hash peak: {peak / 1024:.1f} KiB, "
+              f"the manifest {text_bytes / 1024:.0f} KiB")
+        assert peak < 64 * 1024, f"manifest hash peak {peak / 1024:.1f} KiB"

@@ -11,7 +11,7 @@ import pytest
 from packaging.requirements import Requirement
 from packaging.specifiers import SpecifierSet
 
-from conftest import PINNED_NUMPY, float64_dispatch, numpy_versions
+from conftest import PINNED_NUMPY, float64_dispatch, numpy_versions, traced_peak
 from pml import loss as loss_mod
 from pml.loss import LossBreakdown, total_loss, loss_gradient
 from pml.metrics import BenchmarkConfig
@@ -405,7 +405,7 @@ class TestWorkspace:
     """A reused workspace against the fresh path, which allocates every call."""
 
     @pytest.mark.parametrize("level", [0, 1, 4, 6])
-    @pytest.mark.parametrize("channels", [1, 3, 6])
+    @pytest.mark.parametrize("channels", [1, 3, 6, 12])  # at 12, 1 - h*h outgrows y at levels 4, 6
     def test_reused_workspace_matches_fresh_path(self, level, channels):
         side = 1 << level
         model = _initialized(channels, level + channels)
@@ -423,6 +423,12 @@ class TestWorkspace:
                     assert np.array_equal(got, want)
                 assert np.array_equal(model._backward(cache, dpreds), want_grad)
             model.params = model.params + rng.uniform_block(model.params.size, -0.1, 0.1)
+
+    def test_backward_buffers_share_the_offset_responses_memory(self):
+        # cols_dz2 and then 1 - h*h are views of the block of y; their lifetimes do not overlap
+        peak = traced_peak(lambda: Workspace().buffers(2, 64, 6))
+        print(f"workspace peak: {peak / 2**20:.2f} MiB for batch 2, side 64, 6 channels")
+        assert peak <= 2.5 * 2**20, f"workspace peak {peak / 2**20:.2f} MiB"
 
     def test_fresh_path_caches_are_independent(self):
         model = _initialized(3, 1)
