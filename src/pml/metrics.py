@@ -21,12 +21,10 @@ each epoch's seeds and fills each step's stacks from that step's seeds when the
 step is drawn, and ``stream_manifest`` writes the seeds' configs, so the
 manifest hash names the scenes that were trained on; the hash is fed one epoch
 of lines at a time. A cell keeps one step's training stacks alive, the
-validation observations and true counts, and, while it scores, one pair of test
-scenes: the test set is drawn and scored two scenes at a time through one
-``Workspace``, with ``predict_counts`` and the count reduction ``count_errors``
-that ``evaluate`` uses. ``tracemalloc``'s peak over a default cell is 4.5 MiB,
-against 7.4 MiB with a stacked epoch, separate backward buffers and the whole
-manifest text, and 10.3 MiB with a whole test stack and two live epochs besides.
+validation observations and true counts, and, while it scores, one
+``synth.SCORING_BATCH`` of test scenes, scored with ``predict_counts`` and the
+count reduction ``count_errors`` that ``evaluate`` uses. ``tracemalloc``'s peak
+over a default cell is 4.5 MiB.
 The training set-up, ``BenchmarkConfig``, comes from ``synth``.
 """
 
@@ -42,8 +40,8 @@ import numpy as np
 
 from .pyramid import DensityMap
 from .rng import SplitMix64, derive_seed
-from .synth import (BenchmarkConfig, TinyModel, TrainResult, Workspace, count_errors,
-                    generate_scene, predict_counts, train)
+from .synth import (SCORING_BATCH, BenchmarkConfig, TinyModel, TrainResult, Workspace,
+                    count_errors, generate_scene, predict_counts, train)
 
 # sub-stream tags so the train/val/test/model streams never collide
 _TRAIN, _VAL, _TEST, _MODEL = 1, 2, 3, 4
@@ -164,8 +162,8 @@ def run_benchmark_cell(
 ) -> BenchmarkRun:
     """Train one model with one loss on the shared stream and score test MAE.
 
-    The test set is drawn and scored two scenes at a time, the pairs ``predict_counts``
-    forms, through one ``Workspace``, so its memory does not grow with ``test_count``.
+    The test set is drawn and scored ``SCORING_BATCH`` scenes at a time through one
+    ``Workspace``, so its memory does not grow with ``test_count``.
     """
     model = TinyModel.initialize(cfg.channels, seed=derive_seed(base_seed, _MODEL))
     val_obs, val_gts = _scene_stacks(cfg, _set_seeds(base_seed, _VAL, cfg.val_count))
@@ -176,10 +174,11 @@ def run_benchmark_cell(
     test_seeds = _set_seeds(base_seed, _TEST, cfg.test_count)
     est, true = np.empty(cfg.test_count), np.empty(cfg.test_count)
     work = Workspace()
-    for start in range(0, cfg.test_count, 2):
-        obs, gts = _scene_stacks(cfg, test_seeds[start:start + 2])
-        est[start:start + 2] = predict_counts(result.model, obs, work)
-        true[start:start + 2] = gts.sum(axis=(1, 2))
+    for start in range(0, cfg.test_count, SCORING_BATCH):
+        part = slice(start, start + SCORING_BATCH)
+        obs, gts = _scene_stacks(cfg, test_seeds[part])
+        est[part] = predict_counts(result.model, obs, work)
+        true[part] = gts.sum(axis=(1, 2))
     return BenchmarkRun(
         loss_kind=loss_kind,
         with_regularizer=with_regularizer,

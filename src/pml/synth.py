@@ -28,12 +28,9 @@ the benchmark's.
 Every large array of a step (padded stacks, patch matrices, the hidden
 activations and their gradient) lives in a ``Workspace`` and is written with
 ``out=``; the backward's patch matrix and scratch reuse the memory of the
-forward's offset responses. ``train`` makes one workspace per call and drops
-it on return, so its steps and validation passes reuse the same memory instead
-of allocating (and page-faulting) fresh temporaries; ``predict_counts`` makes
-one per pass and any other forward a fresh one of its own. A forward's cache
-holds views of its workspace and stays valid only until the next forward
-through it.
+forward's offset responses. Every forward runs in its caller's workspace. A
+forward's cache holds views of its workspace and stays valid only until the
+next forward through it.
 """
 
 from __future__ import annotations
@@ -47,6 +44,10 @@ import numpy as np
 from . import loss as loss_mod
 from .pyramid import DensityMap, PointAnnotations, rasterize
 from .rng import SplitMix64
+
+# Scenes per scoring forward. It is the default training batch, so a validation pass
+# reuses the training step's buffer set, and at 2 each buffer fits a 2 MB L2 cache.
+SCORING_BATCH = 2
 
 
 @dataclass(frozen=True)
@@ -101,7 +102,7 @@ class BenchmarkConfig:
 
     def __post_init__(self):
         for name, low in (("steps", 1), ("channels", 1), ("batch", 1), ("scenes_per_epoch", 1),
-                          ("test_count", 1), ("val_count", 0), ("val_every", 0)):
+                          ("test_count", 1), ("val_count", 0), ("val_every", 1)):
             if getattr(self, name) < low:
                 raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
         for name in ("lr", "clip_norm"):
@@ -171,8 +172,7 @@ class Workspace:
 
     ``train`` makes one and passes it to every forward and validation pass,
     so a step writes into the same memory each time instead of allocating
-    (and page-faulting) fresh temporaries. A forward without a workspace
-    makes a fresh one for that call.
+    (and page-faulting) fresh temporaries.
     """
 
     def __init__(self):
@@ -306,7 +306,7 @@ class TinyModel:
         w2 = p[10 * c:19 * c].reshape(c, 9)
         return w1, b1, w2, p[19 * c]
 
-    def _forward_cache(self, observations: np.ndarray, work: Workspace | None = None):
+    def _forward_cache(self, observations: np.ndarray, work: Workspace):
         """Batched forward on any grid; observations (B, side, side) -> (preds, cache).
 
         Activations are kept channel-major (C, B, side, side). The first
@@ -315,15 +315,15 @@ class TinyModel:
         zero padded hidden stack gives each 3x3 offset's response, and the
         nine shifted 1-D slices of it add up to the output.
 
-        The large arrays live in ``work`` (a fresh ``Workspace`` when None)
-        and are written with ``out=``, so the bits do not depend on it. The
-        cache holds views of those arrays: it stays valid only until the
-        next forward through the same workspace. ``preds`` is never reused.
+        The large arrays live in ``work`` and are written with ``out=``, so
+        the bits do not depend on it. The cache holds views of those arrays:
+        it stays valid only until the next forward through the same
+        workspace. ``preds`` is never reused.
         """
         obs = np.asarray(observations, dtype=np.float64)
         if obs.ndim != 3 or obs.shape[1] != obs.shape[2]:
             raise ValueError(f"observation batch shape {obs.shape} is not (B, side, side)")
-        buf = (work or Workspace()).buffers(*obs.shape[:2], self.channels)
+        buf = work.buffers(*obs.shape[:2], self.channels)
         w1, b1, w2, b2 = self._unpack()
         cols1 = _patches(obs, buf.xp, buf.cols1)
         h = np.matmul(w1, cols1, out=buf.h)
@@ -337,7 +337,8 @@ class TinyModel:
 
     def forward(self, observation: np.ndarray) -> DensityMap:
         """One observation's density map, at the level its power-of-two side gives."""
-        preds, _ = self._forward_cache(np.asarray(observation, dtype=np.float64)[None])
+        preds, _ = self._forward_cache(np.asarray(observation, dtype=np.float64)[None],
+                                       Workspace())
         return DensityMap(loss_mod._level(preds[0]), preds[0])
 
     def _backward(self, cache, dpreds: np.ndarray) -> np.ndarray:
@@ -433,19 +434,14 @@ class TrainResult:
         return "\n".join(lines) + "\n"
 
 
-def predict_counts(model: TinyModel, observations: np.ndarray,
-                   work: Workspace | None = None) -> np.ndarray:
-    """Predicted total count of each (side, side) observation of the stack, two per forward.
-
-    Two is the benchmark's training batch: a larger batch gives the same
-    counts but spills the forward's temporaries out of the L2 cache. One
-    workspace (a fresh one when ``work`` is None) serves the whole pass.
-    """
-    work = work or Workspace()
+def predict_counts(model: TinyModel, observations: np.ndarray, work: Workspace) -> np.ndarray:
+    """Predicted total count of each (side, side) observation of the stack,
+    ``SCORING_BATCH`` per forward through ``work``."""
     counts = np.empty(len(observations))
-    for start in range(0, len(observations), 2):
-        preds, _ = model._forward_cache(observations[start:start + 2], work)
-        counts[start:start + 2] = preds.sum(axis=(1, 2))
+    for start in range(0, len(observations), SCORING_BATCH):
+        part = slice(start, start + SCORING_BATCH)
+        preds, _ = model._forward_cache(observations[part], work)
+        counts[part] = preds.sum(axis=(1, 2))
     return counts
 
 
@@ -456,7 +452,7 @@ def count_errors(est: np.ndarray, true: np.ndarray) -> tuple[float, float]:
 
 
 def _counting_errors(model: TinyModel, observations: np.ndarray, counts: np.ndarray,
-                     work: Workspace | None = None) -> tuple[float, float]:
+                     work: Workspace) -> tuple[float, float]:
     return count_errors(predict_counts(model, observations, work), counts)
 
 
@@ -478,9 +474,9 @@ def train(
     ``ValueError``. A batch's level is read from its shape, and the pml loss
     rejects an ``n`` above it. ``with_regularizer`` chooses whether the pml
     loss adds the full-resolution L2 term; plain L2 is that term alone, so it
-    takes only True. ``val_every`` > 0 evaluates counting MAE/MSE on ``val``,
-    an (observations, true counts) pair, every that many steps and at the
-    last step. One ``Workspace`` serves every forward, backward and
+    takes only True. Counting MAE/MSE on ``val``, an (observations, true
+    counts) pair, is evaluated every ``val_every`` steps and at the last step
+    unless it is empty. One ``Workspace`` serves every forward, backward and
     validation pass of the call and is dropped when it returns. A step whose
     loss is not finite (a non-finite prediction always makes it so) raises
     ``TrainingDiverged`` with that step's pml breakdown (None for plain L2).
@@ -518,7 +514,7 @@ def train(
         model.params = opt.step(model.params, grad)
 
         val_mae = val_mse = None
-        if val_every > 0 and len(val_counts) and (step % val_every == 0 or step == steps):
+        if len(val_counts) and (step % val_every == 0 or step == steps):
             val_mae, val_mse = _counting_errors(model, val_obs, val_counts, work)
         rows.append(TraceRow(step, loss_value, norm, clipped, val_mae, val_mse))
     if len(rows) < steps:

@@ -100,9 +100,9 @@ class TestBenchmarkConfig:
         *(({name: value}, f"{name} must be finite and >= 0, got {value}")
           for name in ("lr", "clip_norm") for value in (math.nan, math.inf, -1.0)),
         *(({name: value}, f"{name} must be >= 1, got {value}")
-          for name in ("steps", "channels", "batch", "scenes_per_epoch", "test_count")
+          for name in ("steps", "channels", "batch", "scenes_per_epoch", "test_count", "val_every")
           for value in (0, -1)),
-        *(({name: -1}, f"{name} must be >= 0, got -1") for name in ("val_count", "val_every")),
+        ({"val_count": -1}, "val_count must be >= 0, got -1"),
         ({"n": -1}, "n must be >= 0, got -1"),
         ({"n": 7}, "n = 7 exceeds prediction level 6"),
         # a NaN clip_norm once turned clipping off without a word
@@ -114,7 +114,7 @@ class TestBenchmarkConfig:
             build(**changes)
 
     def test_boundary_values_accepted(self):
-        cfg = BenchmarkConfig(lr=0.0, clip_norm=0.0, val_count=0, val_every=0, n=6)
+        cfg = BenchmarkConfig(lr=0.0, clip_norm=0.0, val_count=0, val_every=1, n=6)
         assert replace(cfg, n=0, steps=1, batch=1, scenes_per_epoch=1, test_count=1).n == 0
 
     def test_lives_in_synth_and_no_function_restates_a_default(self):

@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import inspect
 import itertools
 import math
 import re
@@ -25,6 +26,7 @@ from pml.synth import (
     TrainingDiverged,
     Workspace,
     _conv3x3_single_output,
+    _counting_errors,
     _softplus,
     clip_by_global_norm,
     generate_scene,
@@ -259,9 +261,9 @@ class TestTinyModel:
         obs = SplitMix64(12).uniform_block(1024).reshape(32, 32)
         shifted = np.zeros_like(obs)
         shifted[1:, 1:] = obs[:-1, :-1]
-        _, cache = model._forward_cache(obs[None])
+        _, cache = model._forward_cache(obs[None], Workspace())
         z = cache[2][0]
-        _, cache_s = model._forward_cache(shifted[None])
+        _, cache_s = model._forward_cache(shifted[None], Workspace())
         z_s = cache_s[2][0]
         # two 3x3 stages reach 2 cells; compare cells untouched by borders
         np.testing.assert_allclose(z_s[3:-2, 3:-2], z[2:-3, 2:-3], atol=1e-12)
@@ -275,10 +277,10 @@ class TestTinyModel:
 
         def loss_of(params):
             m = TinyModel(3, params)
-            preds, _ = m._forward_cache(obs)
+            preds, _ = m._forward_cache(obs, Workspace())
             return total_loss(preds, gts, 2).total
 
-        preds, cache = model._forward_cache(obs)
+        preds, cache = model._forward_cache(obs, Workspace())
         analytic = model._backward(cache, loss_gradient(preds, gts, 2))
         fd = np.zeros_like(model.params)
         for i in range(model.params.size):
@@ -391,7 +393,7 @@ class TestPatchMatrixReference:
         obs = rng.uniform_block(batch * side * side).reshape(batch, side, side)
         dpreds = rng.uniform_block(batch * side * side, -1.0, 1.0).reshape(batch, side, side)
         preds, h, z2, want_grad = _reference_model(model.params, channels, obs, dpreds)
-        got_preds, cache = model._forward_cache(obs)
+        got_preds, cache = model._forward_cache(obs, Workspace())
         for got, want in ((got_preds, preds), (cache[1], h), (cache[2], z2)):
             assert got.shape == want.shape and _rel_err(got, want) < 1e-12
         grad = model._backward(cache, dpreds)
@@ -402,7 +404,7 @@ class TestPatchMatrixReference:
 
 
 class TestWorkspace:
-    """A reused workspace against the fresh path, which allocates every call."""
+    """A reused workspace against a fresh one per call."""
 
     @pytest.mark.parametrize("level", [0, 1, 4, 6])
     @pytest.mark.parametrize("channels", [1, 3, 6, 12])  # at 12, 1 - h*h outgrows y at levels 4, 6
@@ -415,7 +417,7 @@ class TestWorkspace:
             for batch in (2, 1, 3):
                 obs = rng.uniform_block(batch * side * side).reshape(batch, side, side)
                 dpreds = rng.uniform_block(batch * side * side, -1.0, 1.0).reshape(obs.shape)
-                want_preds, want_cache = model._forward_cache(obs)
+                want_preds, want_cache = model._forward_cache(obs, Workspace())
                 want_grad = model._backward(want_cache, dpreds)
                 preds, cache = model._forward_cache(obs, work)
                 assert np.array_equal(preds, want_preds)
@@ -435,13 +437,17 @@ class TestWorkspace:
         rng = SplitMix64(77)
         obs = rng.uniform_block(4 * 256).reshape(2, 2, 16, 16)
         dpreds = rng.uniform_block(2 * 256, -1.0, 1.0).reshape(2, 16, 16)
-        preds, cache = model._forward_cache(obs[0])
+        preds, cache = model._forward_cache(obs[0], Workspace())
         kept = [a.copy() for a in (preds, *cache[:3])]
         grad = model._backward(cache, dpreds)
-        model._forward_cache(obs[1])
+        model._forward_cache(obs[1], Workspace())
         for got, want in zip((preds, *cache[:3]), kept):
             assert np.array_equal(got, want)
         assert np.array_equal(model._backward(cache, dpreds), grad)
+
+    @pytest.mark.parametrize("func", [TinyModel._forward_cache, predict_counts, _counting_errors])
+    def test_every_forward_runs_in_its_callers_workspace(self, func):
+        assert inspect.signature(func).parameters["work"].default is inspect.Parameter.empty
 
     def test_identical_train_calls_give_identical_trace_csv(self):
         # 7 scenes in batches of 2 and 5 validation scenes in pairs: the
@@ -462,7 +468,7 @@ class TestPredictCounts:
         cfg = BenchmarkConfig()
         scenes = [generate_scene(cfg.scene_config(200 + i)) for i in range(65)]
         model = _initialized(cfg.channels, 3)
-        counts = predict_counts(model, np.stack([s.observation for s in scenes]))
+        counts = predict_counts(model, np.stack([s.observation for s in scenes]), Workspace())
         assert counts.tolist() == [model.forward(s.observation).total() for s in scenes]
 
 
