@@ -105,15 +105,14 @@ def _parse_rows(path, rows: list[tuple[int, str]], cols: int, delimiter: str | N
 
 
 def read_dmap(path) -> DensityMap:
+    # read line by line, so the whole file text is never held beside its lines;
+    # only a newline ends a line, as in a points CSV (text mode reads "\r\n" and
+    # "\r" as "\n"), while str.splitlines would also end one at \x0c, \x1c or
+    # U+2028, which split values within a row
     with open(path, encoding="utf-8-sig") as fh:
-        text = fh.read()
-    if not text:
+        lines = [line[:-1] if line.endswith("\n") else line for line in fh]
+    if not lines:
         raise ParseError(path, 1, "empty file, expected '<rows> <cols>' header")
-    # only "\n" ends a line, as in a points CSV; str.splitlines would also end
-    # one at \x0c, \x1c or U+2028, which split values within a row
-    lines = text.split("\n")
-    if not lines[-1]:
-        lines.pop()  # the newline that ends the last line
     header = lines[0].split()
     if len(header) != 2:
         raise ParseError(path, 1, f"expected '<rows> <cols>', got {lines[0]!r}")

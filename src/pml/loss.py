@@ -23,20 +23,21 @@ reproducible.
 
 The public functions take a batch as a ``(B, side, side)`` array or as a
 sequence of square maps (``DensityMap``s or arrays), which ``_batch_level``
-validates. Only the loss core ``_evaluate`` forms ``d``: ``pml_loss``,
-``total_loss``, ``loss_value_and_gradient`` and training pass it their batch,
-and gradients come back as one array of the batch's shape. The functions
-that read only pooled levels (``l2_level`` below the map level,
-``l_diff_pair`` and the likelihood) get the residual pooled to their finest
-level from ``_pool_residual``, which subtracts and pools a batch a slab at a
-time when its maps hold half of ``_SLAB_CELLS`` or more (level 8 up) and the
-finest level lies strictly between 0 and the map level. The array core reads
-every array's level from its side, so no level travels beside an array.
-``_terms`` pools the residual to each requested level, each from the next
-finer one, and forms the residual differences; each caller takes the norms
-of just the maps it reads (``_evaluate`` all of them, the likelihood only
-the base level and the pairs). ``_evaluate`` adds the log terms, the
-variances and the gradient.
+validates. ``pml_loss``, ``total_loss``, ``loss_value_and_gradient`` and
+training pass their batch to the loss core ``_evaluate``, and gradients come
+back as one array of the batch's shape. Only the gradient path always forms
+``d``. The loss without a gradient and the functions that read only pooled
+levels (``l2_level`` below the map level, ``l_diff_pair`` and the
+likelihood) get the residual pooled to their finest level, and
+``total_loss`` its regularizer, from ``_pool_residual``. It subtracts and
+pools a batch a slab at a time when its maps hold half of ``_SLAB_CELLS`` or
+more (level 8 up) and the finest level lies strictly between 0 and the map
+level, and forms ``d`` otherwise. The array core reads every array's level
+from its side, so no level travels beside an array. ``_terms`` pools the
+residual to each requested level, each from the next finer one, and forms
+the residual differences; each caller takes the norms of just the maps it
+reads (``_evaluate`` all of them, the likelihood only the base level and the
+pairs). ``_evaluate`` adds the log terms, the variances and the gradient.
 
 Replication is the adjoint of sum pooling, and the coarse part of ``r``
 pools to zero, so the gradient is the replicated residuals:
@@ -153,37 +154,48 @@ def _one_array_shape(preds: Batch, gts: Batch) -> bool:
             and preds.shape == gts.shape)
 
 
-def _pool_residual(preds: Batch, gts: Batch, level: int, t: int) -> np.ndarray:
+def _pool_residual(preds: Batch, gts: Batch, level: int, t: int,
+                   norm: bool = False) -> np.ndarray | tuple[np.ndarray, float]:
     """``_pool_sum(pred - gt, t)`` of a batch that ``_batch_level`` found at ``level``, bit for bit.
 
-    A batch of maps under half a slab (a map per slab pools them slower than
-    the formed residual), or pooled to level 0 or not at all (``t ==
-    level``, the loss core's fresh C-ordered residual) forms the residual:
-    two arrays of one shape in one subtraction, which gives the per-pair
-    loop's values. A batch of larger maps never forms it. Each map is
-    subtracted a slab of whole block rows at a time into one reused float64
-    buffer of at most ``_SLAB_CELLS`` cells (one block row if that is more),
-    and ``_pool_rows`` pools the slab into the output, as ``_pool_sum`` pools
-    a whole residual.
+    With ``norm`` it returns ``(pooled, _sq_norm(pred - gt))``, the norm with
+    ``_sq_norm``'s bits. A batch of maps under half a slab (a map per slab
+    pools them slower than the formed residual), or pooled to level 0 or not
+    at all (``t == level``, the loss core's fresh C-ordered residual) forms
+    the residual: two arrays of one shape in one subtraction, which gives the
+    per-pair loop's values. A batch of larger maps never forms it. Each map
+    is subtracted a slab of whole block rows at a time into one reused
+    float64 buffer of at most ``_SLAB_CELLS`` cells (one block row if that is
+    more), and ``_pool_rows`` pools the slab into the output, as ``_pool_sum``
+    pools a whole residual. For the norm the slab is then squared in place
+    and summed in ``_sq_norm``'s runs: a whole level-8 map, or ``_SLAB_CELLS``
+    cells of a larger one, which a slab always holds a whole number of.
     """
     side = 1 << level
     if 2 << 2 * level < _SLAB_CELLS or t in (0, level):
         if _one_array_shape(preds, gts):
-            return _pool_sum(np.subtract(preds, gts, dtype=np.float64, order="C"), t)
-        d = np.empty((len(preds), side, side))
-        for k, (p, g) in enumerate(zip(preds, gts)):
-            np.subtract(p, g, out=d[k], dtype=np.float64)
-        return _pool_sum(d, t)
+            d = np.subtract(preds, gts, dtype=np.float64, order="C")
+        else:
+            d = np.empty((len(preds), side, side))
+            for k, (p, g) in enumerate(zip(preds, gts)):
+                np.subtract(p, g, out=d[k], dtype=np.float64)
+        pooled = _pool_sum(d, t)
+        return (pooled, _sq_norm(d)) if norm else pooled
     factor = side >> t
     rows = max(factor, min(side, _SLAB_CELLS // side))
+    run = min(side * side, _SLAB_CELLS)
     slab = np.empty((rows, side))
     out = np.empty((len(preds), 1 << t, 1 << t))
+    sums = np.empty((len(preds), side * side // run))
     for k, (p, g) in enumerate(zip(preds, gts)):
         p, g = np.asarray(p), np.asarray(g)
         for r in range(0, side, rows):
             np.subtract(p[r:r + rows], g[r:r + rows], out=slab, dtype=np.float64)
             _pool_rows(slab, factor, out[k, r // factor:(r + rows) // factor])
-    return out
+            if norm:
+                runs = np.multiply(slab, slab, out=slab).reshape(-1, run)
+                np.add.reduce(runs, axis=1, out=sums[k, r * side // run:(r + rows) * side // run])
+    return (out, _mean_of_run_sums(sums)) if norm else out
 
 
 def _sq_norm(x) -> float:
@@ -192,9 +204,9 @@ def _sq_norm(x) -> float:
     The same pairwise sums and division as ``np.mean(np.sum(x * x, axis=(1, 2)))``
     without the wrappers' per-call overhead. A C-contiguous array of more than
     ``_SLAB_CELLS`` cells is squared a slab at a time, so no full-size square
-    is made. The bits stay numpy's: its pairwise sum of a power-of-two run
-    adds the sums of the two halves, so a map's slab sums, added in halves,
-    are the map's sum.
+    is made. The bits stay numpy's: it sums a C-contiguous map as one pairwise
+    run, and its pairwise sum of a power-of-two run adds the sums of the two
+    halves, so a map's slab sums, added in halves, are the map's sum.
     """
     if x.size <= _SLAB_CELLS or not x.flags.c_contiguous:
         return float(np.add.reduce(np.add.reduce(x * x, axis=(1, 2))) / x.shape[0])
@@ -206,10 +218,14 @@ def _sq_norm(x) -> float:
     for k in range(0, len(runs), step):
         part = runs[k:k + step]
         np.add.reduce(np.multiply(part, part, out=square[:len(part)]), axis=1, out=sums[k:k + step])
-    sums = sums.reshape(len(x), -1)
+    return _mean_of_run_sums(sums.reshape(len(x), -1))
+
+
+def _mean_of_run_sums(sums: np.ndarray) -> float:
+    """``_sq_norm`` from a (B, runs) array of each map's squared sums over its power-of-two runs."""
     while sums.shape[1] > 1:
         sums = sums[:, 0::2] + sums[:, 1::2]
-    return float(np.add.reduce(sums[:, 0]) / x.shape[0])
+    return float(np.add.reduce(sums[:, 0]) / len(sums))
 
 
 def _terms(d, levels: Sequence[int]):
@@ -292,26 +308,31 @@ def _evaluate(preds: Batch, gts: Batch, n, include_regularizer, want_gradient):
     """The loss core: a batch's breakdown and, when ``want_gradient``, its gradient (else None).
 
     The gradient with respect to the prediction is one (B, side, side)
-    array. The core forms the residual ``d`` as a fresh C-ordered array and
-    writes the gradient into it, so no other full-size array is made. Its
-    bits are those of replicating the coarse gradient to the full grid,
-    adding ``d`` and scaling by ``2/B``.
+    array. Only the gradient path forms the residual ``d``, as a fresh
+    C-ordered array, and writes the gradient into it, so no other full-size
+    array is made. Its bits are those of replicating the coarse gradient to
+    the full grid, adding ``d`` and scaling by ``2/B``. Without the gradient
+    the core reads the residual pooled to ``n`` and, with the regularizer,
+    its norm from ``_pool_residual``, which streams a batch of level-8 or
+    larger maps for 0 < n < L and never forms ``d``; the bits are the same.
     """
     level = _batch_level(preds, gts)
     _check_n(n, level)
-    d = _pool_residual(preds, gts, level, level)
+    t = level if want_gradient else n  # the finest level read: d itself for the gradient
+    if include_regularizer:
+        finest, regularizer = _pool_residual(preds, gts, level, t, norm=True)
+    else:
+        finest, regularizer = _pool_residual(preds, gts, level, t), 0.0
 
     levels = tuple(range(n + 1))
-    pooled, diffs = _terms(d, levels)
+    pooled, diffs = _terms(finest, levels)
     l2_vals = {i: _sq_norm(pooled[i]) for i in levels}
     ldiff_vals = {pair: _sq_norm(r) for pair, r in diffs.items()}
     pml = math.log(l2_vals[0] + DEFAULT_EPSILON)
     for j in range(1, n + 1):
         pml += math.log(ldiff_vals[(j - 1, j)] + DEFAULT_EPSILON)
-
-    regularizer = 0.0
     if include_regularizer:
-        regularizer = l2_vals[level] = _sq_norm(d)
+        l2_vals[level] = regularizer
 
     sigma, guarded = _sigma_from_terms(l2_vals, ldiff_vals, levels)
     breakdown = LossBreakdown(
@@ -334,6 +355,7 @@ def _evaluate(preds: Batch, gts: Batch, n, include_regularizer, want_gradient):
         grad += diffs[(j - 1, j)] / (ldiff_vals[(j - 1, j)] + DEFAULT_EPSILON)
     # the last replication, along columns only, is broadcast over each block's
     # rows of d; nothing reads d or its aliases (pooled[level]) after this
+    d = finest
     f = d.shape[-1] >> n
     rows = d.reshape(len(d), 1 << n, f, d.shape[-1])
     cols = grad.repeat(f, axis=-1)[:, :, None, :]

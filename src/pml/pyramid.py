@@ -195,10 +195,12 @@ def _pool_sum(data: np.ndarray, to_level: int) -> np.ndarray:
 
     The source level is read from the side. The sums are numpy's own, bit
     for bit, also where a large input is pooled in slabs (module docstring).
-    Of the loss and likelihood, only the loss core (``loss._evaluate``) hands
-    this function a full-size residual; the read-only functions pool theirs a
-    slab at a time as they subtract it (``loss._pool_residual``), with the
-    same bits.
+    Of the loss and likelihood, only the loss core's gradient path
+    (``loss._evaluate``) hands this function a full-size residual of level-8
+    or larger maps, but for a pooling to level 0, which sums each whole map
+    at once; the read-only functions, ``total_loss`` and ``pml_loss`` among
+    them, pool theirs a slab at a time as they subtract it
+    (``loss._pool_residual``), with the same bits.
     """
     factor = data.shape[-1] >> to_level
     if factor == 1:

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import pml
+from conftest import traced_peak
 from pml.cli import main
 from pml.dmapio import read_dmap, write_dmap
 from pml.metrics import BenchmarkConfig, run_benchmark_cell
@@ -69,6 +70,26 @@ class TestLossCommand:
                      "--n", "0"])
         assert code == 1
         assert "negative" in capsys.readouterr().err
+
+
+    def test_directory_peak(self, tmp_path, capsys):
+        # four level-8 pairs of density predictions and count-map ground truths, 4 MiB of
+        # maps: the loss streams the residual, and each file is read line by line
+        for sub in ("preds", "gts"):
+            (tmp_path / sub).mkdir()
+        rng = SplitMix64(40)
+        for i in range(4):
+            pred = rng.uniform_block(1 << 16, 0.0, 1e-3).reshape(256, 256)
+            points = PointAnnotations(rng.uniform_block(60).reshape(30, 2), 1.0)
+            write_dmap(tmp_path / "preds" / f"{i:02d}.dmap", DensityMap(8, pred))
+            write_dmap(tmp_path / "gts" / f"{i:02d}.dmap", rasterize(points, 8))
+        argv = ["loss", "--pred", str(tmp_path / "preds"), "--gt", str(tmp_path / "gts"),
+                "--n", "4", "--json"]
+        assert main(argv) == 0
+        peak = traced_peak(lambda: main(argv)) / 2 ** 20
+        capsys.readouterr()
+        print(f"pml loss over four level-8 pairs: peak {peak:.2f} MiB")
+        assert peak <= 5.0, f"pml loss over four level-8 pairs: peak {peak:.2f} MiB"
 
 
 class TestGradCheckCommand:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import traced_peak
 from pml.dmapio import (
     ParseError,
     parse_float,
@@ -51,6 +52,18 @@ class TestDmapRoundTrip:
         lines = path.read_text().splitlines()
         assert lines[0] == "2 2"
         assert lines[1].split() == ["1", "2"]
+
+
+class TestReadPeak:
+    def test_read_holds_one_copy_of_the_file_text(self, tmp_path):
+        # a level-8 map of %.17g densities, 1.4 MB of text; holding the whole text beside
+        # its split lines through the parse peaked at 2.75 times the file
+        path = tmp_path / "pred.dmap"
+        write_dmap(path, DensityMap(8, SplitMix64(5).uniform_block(1 << 16, 0.0, 1e-3).reshape(256, 256)))
+        read_dmap(path)
+        ratio = traced_peak(lambda: read_dmap(path)) / path.stat().st_size
+        print(f"read_dmap: peak {ratio:.2f}x the file")
+        assert ratio <= 2.0, f"read_dmap: peak {ratio:.2f}x the file"
 
 
 class TestDmapParseErrors:

@@ -34,10 +34,12 @@ from pml.loss import (
 from pml.pyramid import (
     _SLAB_CELLS,
     DensityMap,
+    PointAnnotations,
     ResolutionSet,
     _pool_sum,
     _replicate,
     downsample_sum,
+    rasterize,
     residual,
 )
 from pml.rng import SplitMix64
@@ -570,8 +572,11 @@ class TestPoolResidual:
         for p, g in _batch_forms(pred, gt):
             assert _batch_level(p, g) == level
             d = _pool_residual(p, g, level, level)
+            norm = repr(_sq_norm(d))
             for t in range(level + 1):
                 assert _same_bits(_pool_residual(p, g, level, t), _pool_sum(d, t)), (level, t)
+                pooled, got = _pool_residual(p, g, level, t, norm=True)
+                assert _same_bits(pooled, _pool_sum(d, t)) and repr(got) == norm, (level, t)
 
     @pytest.mark.parametrize("batch", [1, 3, 17])
     def test_equals_pooling_the_formed_residual_bit_for_bit(self, batch):
@@ -668,6 +673,54 @@ class TestPoolResidual:
             l_diff_pair(preds, gts, 5, 9)
 
 
+def _count_map_batch(seed: int, level: int, batch: int):
+    """Predictions in [0, 1) against ground truths that count points per cell."""
+    side = 1 << level
+    rng = SplitMix64(seed)
+    preds = rng.uniform_block(batch * side * side).reshape(batch, side, side)
+    gts = np.stack([rasterize(PointAnnotations(rng.uniform_block(2 * side, 0.0, 1.0).reshape(-1, 2),
+                                               1.0), level).data for _ in range(batch)])
+    return preds, gts
+
+
+def _negative_residual_batch(seed: int, level: int, batch: int):
+    """Ground truths 0.2 above predictions in [-0.1, 0.1): every residual is below zero."""
+    preds, _ = random_map_batch(seed, level, batch, -0.1, 0.1)
+    return preds, [DensityMap(level, p.data + 0.2) for p in preds]
+
+
+class TestReadOnlyLossBits:
+    """``total_loss`` and ``pml_loss``, which stream level-8 and larger batches for
+    0 < n < L, give the breakdown of the path that forms the residual, field for field."""
+
+    CASES = {
+        "level_8_batch_1": lambda: random_map_batch(300, 8, 1, -1.0, 1.0),
+        "level_8_batch_2": lambda: random_map_batch(301, 8, 2, -1.0, 1.0),
+        "level_8_batch_3": lambda: random_map_batch(302, 8, 3, -1.0, 1.0),
+        "level_9_batch_2": lambda: random_map_batch(303, 9, 2, -1.0, 1.0),
+        "level_10_batch_1": lambda: random_map_batch(304, 10, 1, -1.0, 1.0),
+        "count_map_ground_truth": lambda: _count_map_batch(305, 8, 3),
+        "negative_residual": lambda: _negative_residual_batch(306, 8, 2),
+    }
+
+    @staticmethod
+    def _fields(bd):
+        return {f: repr(v) for f, v in vars(bd).items()}
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_equal_to_the_formed_residual_path(self, case):
+        preds, gts = self.CASES[case]()
+        pred, gt = np.array(preds, dtype=np.float64), np.array(gts, dtype=np.float64)
+        level = _level_of(pred)
+        forms = [(pred, gt), ([DensityMap(level, p) for p in pred], [DensityMap(level, g) for g in gt])]
+        for n in range(level + 1):
+            want_total = self._fields(loss_value_and_gradient(pred, gt, n)[0])
+            want_pml = self._fields(_evaluate(pred, gt, n, False, True)[0])
+            for p, g in forms:
+                assert self._fields(total_loss(p, g, n)) == want_total, (case, n, type(p))
+                assert self._fields(pml_loss(p, g, n)) == want_pml, (case, n, type(p))
+
+
 def _peak_over_residual(batch, call) -> float:
     """``tracemalloc``'s peak of a warm call on the batch, over its 16 MiB residual."""
     call(*batch)
@@ -675,13 +728,12 @@ def _peak_over_residual(batch, call) -> float:
 
 
 class TestPeakMemory:
-    """The gradient path forms the (8, 512, 512) residual and little else of its size;
-    the read-only entry points never form it."""
+    """Only the gradient path forms the (8, 512, 512) residual, and little else of its
+    size; the read-only entry points, ``total_loss`` and ``pml_loss`` among them, form
+    it only where their finest level is the map level."""
 
     @pytest.mark.parametrize("name, call", [
         ("loss_value_and_gradient", lambda p, g: loss_value_and_gradient(p, g, 6)),
-        ("total_loss", lambda p, g: total_loss(p, g, 6)),
-        ("pml_loss", lambda p, g: pml_loss(p, g, 6)),
     ])
     def test_peak_is_at_most_a_quarter_above_the_residual(self, large_batch, name, call):
         ratio = _peak_over_residual(large_batch, call)
@@ -691,7 +743,7 @@ class TestPeakMemory:
     # near the map level the coarse gradient and the residual differences are full-size
     # too; the ratios the code has at n = 8 and 9, each held with 0.05 to spare
     NEAR_MAP_LEVEL = {
-        (8, "loss_value_and_gradient"): 2.421, (8, "total_loss"): 1.917, (8, "pml_loss"): 1.917,
+        (8, "loss_value_and_gradient"): 2.421, (8, "total_loss"): 0.917, (8, "pml_loss"): 0.917,
         (9, "loss_value_and_gradient"): 4.667, (9, "total_loss"): 3.667, (9, "pml_loss"): 3.667,
     }
 
@@ -703,6 +755,8 @@ class TestPeakMemory:
         assert ratio <= bound, f"{name}, n = {n}: peak {ratio:.3f}x the residual, over {bound:.3f}"
 
     @pytest.mark.parametrize("name, call", [
+        ("total_loss", lambda p, g: total_loss(p, g, 6)),
+        ("pml_loss", lambda p, g: pml_loss(p, g, 6)),
         ("log_likelihood", lambda p, g: log_likelihood(p, g, ResolutionSet.dense(6, 9))),
         ("special_case_likelihood", lambda p, g: special_case_likelihood(p, g, 6)),
         ("optimal_variances", lambda p, g: optimal_variances(p, g, ResolutionSet.dense(6, 9))),
