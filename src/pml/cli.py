@@ -163,7 +163,7 @@ def _cmd_train_demo(args) -> int:
 
 
 def _cell(run) -> str:
-    return f"n={run.n},reg={'on' if run.with_regularizer else 'off'}"
+    return f"n={run.n},reg={'on' if run.loss_kind == 'pml' else 'off'}"
 
 
 def _cmd_ablate(args) -> int:

@@ -104,13 +104,20 @@ def _parse_rows(path, rows: list[tuple[int, str]], cols: int, delimiter: str | N
     raise AssertionError("np.loadtxt rejected rows that it reads one at a time")
 
 
-def read_dmap(path) -> DensityMap:
-    # read line by line, so the whole file text is never held beside its lines;
-    # only a newline ends a line, as in a points CSV (text mode reads "\r\n" and
-    # "\r" as "\n"), while str.splitlines would also end one at \x0c, \x1c or
-    # U+2028, which split values within a row
+def _lines(path) -> list[str]:
+    r"""The lines of a UTF-8 file, past a byte-order mark and without their newlines.
+
+    Only ``\n``, ``\r\n`` and ``\r`` end a line (text mode reads each as ``\n``);
+    ``str.splitlines`` would also end one at \x0c, \x1c or U+2028, which separate
+    values within a row. The file is read line by line, so its whole text is never
+    held beside its lines.
+    """
     with open(path, encoding="utf-8-sig") as fh:
-        lines = [line[:-1] if line.endswith("\n") else line for line in fh]
+        return [line[:-1] if line.endswith("\n") else line for line in fh]
+
+
+def read_dmap(path) -> DensityMap:
+    lines = _lines(path)
     if not lines:
         raise ParseError(path, 1, "empty file, expected '<rows> <cols>' header")
     header = lines[0].split()
@@ -147,8 +154,7 @@ def write_points_csv(path, ann: PointAnnotations) -> None:
 
 def read_points_csv(path, scene_size: float) -> PointAnnotations:
     PointAnnotations(np.empty((0, 2)), scene_size)  # a bad size must not blame a point
-    with open(path, encoding="utf-8-sig") as fh:
-        lines = [line.strip() for line in fh.read().split("\n")]
+    lines = [line.strip() for line in _lines(path)]
     rows = [(lineno, line) for lineno, line in enumerate(lines, start=1)
             if line and not (lineno == 1 and line.lower().replace(" ", "") == "x,y")]
     points = _parse_rows(path, rows, 2, ",")

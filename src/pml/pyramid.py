@@ -45,6 +45,7 @@ sequence of maps; ``np.asarray(m)`` of a map is its data, without a copy.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -131,7 +132,12 @@ class ResolutionSet:
     levels: tuple[int, ...]
 
     def __post_init__(self):
-        levels = tuple(int(v) for v in self.levels)
+        given = tuple(self.levels)  # no copy of a tuple
+        try:  # Python and numpy integers pass, as plain ints; 2.5 or "2" does not
+            levels = tuple(map(operator.index, given))
+        except TypeError:
+            bad = next(v for v in given if not hasattr(type(v), "__index__"))
+            raise ValueError(f"levels must be integers, got {bad!r}") from None
         if not levels:
             raise ValueError("resolution set must not be empty")
         if any(v < 0 for v in levels):

@@ -36,6 +36,7 @@ next forward through it.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -48,6 +49,8 @@ from .rng import SplitMix64
 # Scenes per scoring forward. It is the default training batch, so a validation pass
 # reuses the training step's buffer set, and at 2 each buffer fits a 2 MB L2 cache.
 SCORING_BATCH = 2
+
+LOSS_KINDS = ("pml", "pml_noreg", "l2")
 
 
 @dataclass(frozen=True)
@@ -101,6 +104,13 @@ class BenchmarkConfig:
     val_every: int = 200
 
     def __post_init__(self):
+        for name in ("level", "channels", "n", "steps", "batch", "scenes_per_epoch",
+                     "val_count", "test_count", "val_every"):
+            value = getattr(self, name)
+            try:  # Python and numpy integers pass, as ints, so the manifest's JSON takes them
+                object.__setattr__(self, name, operator.index(value))
+            except TypeError:
+                raise ValueError(f"{name} must be an integer, got {value!r}") from None
         for name, low in (("steps", 1), ("channels", 1), ("batch", 1), ("scenes_per_epoch", 1),
                           ("test_count", 1), ("val_count", 0), ("val_every", 1)):
             if getattr(self, name) < low:
@@ -462,32 +472,29 @@ def train(
     cfg: BenchmarkConfig,
     *,
     loss_kind: str,
-    with_regularizer: bool,
     val: tuple[np.ndarray, np.ndarray],
 ) -> TrainResult:
-    """Run Adam on the chosen loss, one step per batch of ``batches``.
+    """Run Adam on the ``loss_kind`` loss, one step per batch of ``batches``.
 
-    ``cfg``, valid by construction, gives ``steps``, ``lr``, ``clip_norm``,
-    ``n`` and ``val_every``. ``batches`` yields each step's stacked
+    ``loss_kind`` is one of ``LOSS_KINDS``: "pml" trains the pml total over
+    levels 0..n plus the full-resolution L2 term, "pml_noreg" the same loss
+    without that term, and "l2" that term alone. ``cfg``, valid by
+    construction, gives ``steps``, ``lr``, ``clip_norm``, ``n`` and
+    ``val_every``. ``batches`` yields each step's stacked
     ``(observations, ground truths)``, as ``metrics.train_batches`` does; no
     batch is drawn after the last step, and batches that end before it raise
     ``ValueError``. A batch's level is read from its shape, and the pml loss
-    rejects an ``n`` above it. ``with_regularizer`` chooses whether the pml
-    loss adds the full-resolution L2 term; plain L2 is that term alone, so it
-    takes only True. Counting MAE/MSE on ``val``, an (observations, true
-    counts) pair, is evaluated every ``val_every`` steps and at the last step
-    unless it is empty. One ``Workspace`` serves every forward, backward and
+    rejects an ``n`` above it. Counting MAE/MSE on ``val``, an (observations,
+    true counts) pair, is evaluated every ``val_every`` steps and at the last
+    step unless it is empty. One ``Workspace`` serves every forward, backward and
     validation pass of the call and is dropped when it returns. A step whose
     loss is not finite (a non-finite prediction always makes it so) raises
     ``TrainingDiverged`` with that step's pml breakdown (None for plain L2).
     The loss guard is ``loss.DEFAULT_EPSILON``. The pml core takes each step's
     ``(pred, gt)`` and returns the gradient; plain L2 forms its own residual.
     """
-    if loss_kind not in ("pml", "l2"):
-        raise ValueError(f"loss_kind must be 'pml' or 'l2', got {loss_kind!r}")
-    if loss_kind == "l2" and not with_regularizer:
-        raise ValueError("loss_kind 'l2' is the full-resolution L2 term itself, "
-                         "so it takes only with_regularizer=True")
+    if loss_kind not in LOSS_KINDS:
+        raise ValueError(f"loss_kind must be one of {LOSS_KINDS}, got {loss_kind!r}")
     steps, val_every = cfg.steps, cfg.val_every
     val_obs, val_counts = val
 
@@ -499,13 +506,13 @@ def train(
     for step, (obs, gt) in zip(range(1, steps + 1), batches):
         pred, cache = model._forward_cache(obs, work)
         with np.errstate(over="ignore", invalid="ignore"):  # a non-finite loss raises below
-            if loss_kind == "pml":
-                bd, d = loss_mod._evaluate(pred, gt, cfg.n, with_regularizer, want_gradient=True)
-                loss_value = bd.total
-            else:
+            if loss_kind == "l2":
                 d = pred - gt
                 bd, loss_value = None, loss_mod._sq_norm(d)
                 d *= 2.0 / len(d)
+            else:
+                bd, d = loss_mod._evaluate(pred, gt, cfg.n, loss_kind == "pml", want_gradient=True)
+                loss_value = bd.total
         if not math.isfinite(loss_value):
             raise TrainingDiverged(step, loss_value, bd)
 

@@ -1,5 +1,8 @@
+import functools
+import hashlib
 import math
 import tracemalloc
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -77,6 +80,51 @@ def float64_dispatch() -> str:
         return "avx512"
     found = " ".join(k for k, on in __cpu_features__.items() if on)
     return f"non-libm kernels without AVX-512 ({numpy_versions()}, CPU features: {found})"
+
+
+def _digest(a: np.ndarray) -> str:
+    return hashlib.sha256(np.ascontiguousarray(a, dtype="<f8").tobytes()).hexdigest()[:16]
+
+
+class KernelKey(NamedTuple):
+    """The three kernels that move the bit pins, each named by what it computes here.
+
+    ``exp_log`` is ``float64_dispatch()``: scenes and the softplus. ``tanh`` digests
+    numpy's float64 ``tanh`` on a fixed vector: the hidden activation, whose kernel
+    changes with numpy's AVX2 dispatch. ``blas`` digests one fixed (6, 8192) by
+    (8192, 9) matmul, as long as the weight gradients' reductions over 8,192 pixels:
+    its bits name the core kernel that OpenBLAS picked at load time.
+    """
+
+    exp_log: str
+    tanh: str
+    blas: str
+
+    def __str__(self) -> str:
+        return (f"exp/log/log1p {self.exp_log}, tanh {self.tanh}, "
+                f"long-K matmul {self.blas}")
+
+
+@functools.cache
+def kernel_key() -> KernelKey:
+    """This process's ``KernelKey``; the kernels are chosen once, at load time."""
+    rng = SplitMix64(17)
+    a = rng.uniform_block(6 * 8192, -1.0, 1.0).reshape(6, 8192)
+    b = rng.uniform_block(9 * 8192, -1.0, 1.0).reshape(9, 8192)
+    return KernelKey(float64_dispatch(), _digest(np.tanh(np.linspace(-8.0, 8.0, 8193))),
+                     _digest(a @ b.T))
+
+
+def kernels() -> str:
+    """The kernel key and both numpy versions, for a bit pin's failure message."""
+    return f"kernels: {kernel_key()}; {numpy_versions()}"
+
+
+def pinned(table: dict, key):
+    """``table[key]``, where ``key`` is ``kernel_key()`` or the parts of it that move
+    the pins; a key with no pins fails with a message that names all three parts."""
+    assert key in table, f"no pins recorded for these {kernels()}"
+    return table[key]
 
 
 @pytest.fixture

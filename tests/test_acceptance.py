@@ -204,10 +204,10 @@ def test_criterion_8_training_benefit():
     print(f"\n  PML vs plain L2 test MAE -> {per_seed}")
 
     [sweep] = ablation_run(base_seed=7, n_values=[0, 1, 2, 3, 4, 5], repeats=1, cfg=cfg)
-    reg_mae = [r.metrics.mae for r in sweep if r.with_regularizer]
-    noreg_mae = [r.metrics.mae for r in sweep if not r.with_regularizer]
-    cells = {(r.n, r.with_regularizer) for r in sweep}
-    assert (4, True) in cells and (4, False) in cells
+    reg_mae = [r.metrics.mae for r in sweep if r.loss_kind == "pml"]
+    noreg_mae = [r.metrics.mae for r in sweep if r.loss_kind == "pml_noreg"]
+    cells = {(r.n, r.loss_kind) for r in sweep}
+    assert (4, "pml") in cells and (4, "pml_noreg") in cells
     mean_reg = float(np.mean(reg_mae))
     mean_noreg = float(np.mean(noreg_mae))
     print(f"  n-sweep mean MAE -> regularized {mean_reg:.2f}, unregularized {mean_noreg:.2f}")

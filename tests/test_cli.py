@@ -325,9 +325,9 @@ class TestAblateCommand:
         maes = {}
         for repeat in range(2):
             for n in (2, 1):
-                for reg, flag in ((True, "on"), (False, "off")):
-                    metrics = run_benchmark_cell(replace(cfg, n=n), derive_seed(3, repeat), "pml",
-                                                 with_regularizer=reg).metrics
+                for kind, flag in (("pml", "on"), ("pml_noreg", "off")):
+                    metrics = run_benchmark_cell(replace(cfg, n=n), derive_seed(3, repeat),
+                                                 kind).metrics
                     csv.append(f"n={n},reg={flag},{repeat},{metrics.mae:.17g},{metrics.mse:.17g}")
                     maes.setdefault(f"n={n},reg={flag}", []).append(metrics.mae)
         assert out.read_text() == "\n".join(csv) + "\n"

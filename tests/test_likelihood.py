@@ -105,6 +105,12 @@ class TestLogLikelihood:
         with pytest.raises(ValueError, match="non-empty"):
             log_likelihood([], [], ResolutionSet((0, 3)))
 
+    def test_non_integer_level_rejected(self):
+        # it once scored the set {0, 2, 3} without a word
+        preds, gts = random_map_batch(35, 3, 2)
+        with pytest.raises(ValueError, match="^levels must be integers, got 2.5$"):
+            log_likelihood(preds, gts, [0, 2.5, 3])
+
     def test_reports_are_pinned_through_the_strided_block_sums(self):
         # level 7, batch 3 pools through the strided block sums (7->5 by 4, 5->2 by 8,
         # 5->4 by 2); the digest pins every float of both reports

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import float64_dispatch, numpy_versions, traced_peak
+from conftest import kernel_key, kernels, pinned, traced_peak
 from pml import metrics, synth
 from pml.metrics import (
     _TEST,
@@ -113,8 +113,22 @@ class TestBenchmarkConfig:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             build(**changes)
 
+    # val_every=2.5 once validated at steps 5, 10 and so on
+    @pytest.mark.parametrize("build", [lambda **c: BenchmarkConfig(**c),
+                                       lambda **c: replace(BenchmarkConfig(), **c)],
+                             ids=["constructor", "replace"])
+    @pytest.mark.parametrize("name", ["level", "channels", "n", "steps", "batch",
+                                      "scenes_per_epoch", "val_count", "test_count", "val_every"])
+    @pytest.mark.parametrize("value", [2.5, 2.0, "2"])
+    def test_non_integer_count_rejected(self, build, name, value):
+        message = f"{name} must be an integer, got {value!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            build(**{name: value})
+
     def test_boundary_values_accepted(self):
-        cfg = BenchmarkConfig(lr=0.0, clip_norm=0.0, val_count=0, val_every=1, n=6)
+        cfg = BenchmarkConfig(lr=0.0, clip_norm=0.0, val_count=0, val_every=np.uint8(1),
+                              n=np.int64(6))
+        assert type(cfg.n) is type(cfg.val_every) is int  # the manifest's JSON takes them
         assert replace(cfg, n=0, steps=1, batch=1, scenes_per_epoch=1, test_count=1).n == 0
 
     def test_lives_in_synth_and_no_function_restates_a_default(self):
@@ -135,6 +149,10 @@ class TestStreams:
 
     def test_manifest_hash_depends_on_seed(self):
         assert stream_manifest_hash(TINY, 1) != stream_manifest_hash(TINY, 2)
+
+    def test_manifest_hash_takes_numpy_integers(self):
+        cfg = replace(TINY, level=np.int64(TINY.level), scenes_per_epoch=np.int32(4))
+        assert stream_manifest_hash(cfg, 1) == stream_manifest_hash(TINY, 1)
 
     def test_manifest_hash_stable(self):
         assert stream_manifest_hash(TINY, 1) == stream_manifest_hash(TINY, 1)
@@ -185,17 +203,15 @@ class TestAblation:
     def test_single_cell_matches_direct_run(self):
         [runs] = ablation_run(3, [1], repeats=1, cfg=TINY)  # TINY.n is 2
         assert len(runs) == 2
-        for run, reg in zip(runs, (True, False)):
-            direct = run_benchmark_cell(replace(TINY, n=1), derive_seed(3, 0), "pml",
-                                        with_regularizer=reg)
-            assert (run.loss_kind, run.n, run.base_seed) == ("pml", 1, derive_seed(3, 0))
-            assert run.with_regularizer == reg
+        for run, kind in zip(runs, ("pml", "pml_noreg")):
+            direct = run_benchmark_cell(replace(TINY, n=1), derive_seed(3, 0), kind)
+            assert (run.loss_kind, run.n, run.base_seed) == (kind, 1, derive_seed(3, 0))
             assert run.metrics.mae == direct.metrics.mae
             assert run.metrics.mse == direct.metrics.mse
 
     def test_reg_on_and_off_cells_present(self):
         [runs] = ablation_run(4, [2], repeats=1, cfg=TINY)
-        assert [(r.n, r.with_regularizer) for r in runs] == [(2, True), (2, False)]
+        assert [(r.n, r.loss_kind) for r in runs] == [(2, "pml"), (2, "pml_noreg")]
 
     def test_stream_hash_identical_across_cells(self):
         sweep = ablation_run(5, [1, 2], repeats=2, cfg=TINY)
@@ -254,35 +270,38 @@ class TestBenchmarkCell:
         assert np.array_equal(gts, [s.gt_map.data for s in scenes])
 
     # sha256 of trace_csv() and repr of the test (MAE, MSE) of a short seed-3001 cell, per
-    # float64 dispatch: training bits are part of the determinism contract, so a change
-    # here is declared. The forward's softplus follows numpy's exp/log1p kernels
+    # kernel key: training bits are part of the determinism contract, so a change here is
+    # declared. The scenes and the softplus follow numpy's exp/log/log1p kernels, the hidden
+    # activation its tanh kernel and the weight gradients OpenBLAS's core kernel
+    TANH, BLAS = "9b169a03e33887f3", "b3cffc281cfaea5d"
     SHORT_CELL_BITS = {
-        "avx512": {
+        ("avx512", TANH, BLAS): {
             "pml": ("cdf99c6ed21cb36a3746bc47c046e2f5da541604ca513c829b45c7d9d03be7b0",
                     "61.06167374890922", "61.189177838595946"),
             "l2": ("a84bd200d56b1826b300ba2af8eb273e1491c17d4f171a41f97cdb7b83746bb3",
                    "50.25522939498452", "50.325770667630636"),
+            "pml_noreg": ("c8965222d778220cb58b8648d456f727acf3b1d4752f67c2802ae0e4ef651a73",
+                          "48.03366597812837", "48.093799976000476"),
         },
-        "libm": {
+        ("libm", TANH, BLAS): {
             "pml": ("d26be1c13d628194859a1a7a7de7bcadf4881507a64463648828a14bd9b87e68",
                     "61.061673748909236", "61.18917783859596"),
             "l2": ("42893f1c162b64566296ff8258cad7ebb41909da6cc2fb45992248a6cfeac68c",
                    "50.25522939498452", "50.325770667630636"),
+            "pml_noreg": ("d70a4d02082f89b7483d4a4c7bd6b851b59e219188382899abec8bac24ce3e63",
+                          "48.03366597812842", "48.093799976000525"),
         },
     }
 
-    @pytest.mark.dispatch  # one trace digest and test MAE/MSE per dispatch
-    @pytest.mark.parametrize("loss_kind", ["pml", "l2"])
+    @pytest.mark.dispatch  # one trace digest and test MAE/MSE per kernel key
+    @pytest.mark.parametrize("loss_kind", ["pml", "l2", "pml_noreg"])
     def test_short_cell_bits_are_pinned(self, loss_kind):
-        dispatch = float64_dispatch()
-        assert dispatch in self.SHORT_CELL_BITS, (
-            f"no pinned training bits for numpy's {dispatch}; {numpy_versions()}")
+        want = pinned(self.SHORT_CELL_BITS, kernel_key())[loss_kind]
         cfg = BenchmarkConfig(steps=60, scenes_per_epoch=8, val_count=4, test_count=6, val_every=20)
         run = run_benchmark_cell(cfg, 3001, loss_kind)
         got = (hashlib.sha256(run.result.trace_csv().encode()).hexdigest(),
                repr(run.metrics.mae), repr(run.metrics.mse))
-        assert got == self.SHORT_CELL_BITS[dispatch][loss_kind], (
-            f"float64 dispatch: {dispatch}; {numpy_versions()}")
+        assert got == want, kernels()
 
 
 OBSERVATION_BYTES = 64 * 64 * 8  # one default-level observation or ground-truth map

@@ -351,6 +351,17 @@ class TestResolutionSet:
         with pytest.raises(ValueError):
             ResolutionSet(())
 
+    # int() once truncated 2.5 to 2 and read "2" as 2, so a set silently scored other levels
+    @pytest.mark.parametrize("levels,bad", [((0, 2.5, 6), "2.5"), (("2",), "'2'"),
+                                            ((0, np.float64(3.0)), "np.float64(3.0)")])
+    def test_non_integer_level_rejected(self, levels, bad):
+        with pytest.raises(ValueError, match=f"^levels must be integers, got {re.escape(bad)}$"):
+            ResolutionSet(levels)
+
+    def test_numpy_integers_become_ints(self):
+        levels = ResolutionSet((np.int64(0), np.uint8(2), 6)).levels
+        assert levels == (0, 2, 6) and all(type(v) is int for v in levels)
+
 
 class TestProperties:
     @given(square_maps(), st.data())

@@ -12,7 +12,7 @@ import pytest
 from packaging.requirements import Requirement
 from packaging.specifiers import SpecifierSet
 
-from conftest import PINNED_NUMPY, float64_dispatch, numpy_versions, traced_peak
+from conftest import PINNED_NUMPY, float64_dispatch, kernel_key, kernels, pinned, traced_peak
 from pml import loss as loss_mod
 from pml.loss import LossBreakdown, total_loss, loss_gradient
 from pml.metrics import BenchmarkConfig
@@ -179,17 +179,15 @@ class TestGenerateScene:
         (5, {"noise_std": 0.0}, "42f0bb3181092064350188e60b101fcd2260c89742f84225620ce5e2505f8822"),
     ])
     def test_benchmark_scene_bits_are_pinned(self, seed, changes, digest):
+        # tanh and BLAS never touch a scene, so its digests are keyed on exp/log alone
         digests = {"avx512": digest, "libm": self.LIBM_SCENE_DIGESTS[seed]}
-        dispatch = float64_dispatch()
-        assert dispatch in digests, (
-            f"no pinned scene digests for numpy's {dispatch}; {numpy_versions()}")
+        want = pinned(digests, kernel_key().exp_log)
         cfg = dataclasses.replace(BenchmarkConfig().scene_config(seed), **changes)
         scene = generate_scene(cfg)
         h = hashlib.sha256()
         for a in (scene.annotations.points, scene.observation, scene.gt_map.data):
             h.update(np.ascontiguousarray(a, dtype="<f8").tobytes())
-        assert h.hexdigest() == digests[dispatch], (
-            f"float64 dispatch: {dispatch}; {numpy_versions()}")
+        assert h.hexdigest() == want, kernels()
 
     @staticmethod
     def _offset_attempts(cfg):
@@ -455,8 +453,7 @@ class TestWorkspace:
         scenes = _small_scenes(30, 7)
         model = TinyModel.initialize(channels=3, seed=8)
         cfg = _cfg(channels=3, steps=9, lr=1e-2, n=2, val_every=2)
-        runs = [train(model, _cycled(scenes), cfg, loss_kind="pml", with_regularizer=True,
-                      val=_val(scenes[:5]))
+        runs = [train(model, _cycled(scenes), cfg, loss_kind="pml", val=_val(scenes[:5]))
                 for _ in range(2)]
         assert runs[0].trace_csv().encode() == runs[1].trace_csv().encode()
         assert np.array_equal(runs[0].model.params, runs[1].model.params)
@@ -507,7 +504,7 @@ class TestTrain:
         scenes = _small_scenes(0, 8)
         model = TinyModel.initialize(channels=2, seed=1)
         result = train(model, _cycled(scenes), _cfg(steps=6, lr=0.0, n=2, val_every=2),
-                       loss_kind="pml", with_regularizer=True, val=_val(scenes[:4]))
+                       loss_kind="pml", val=_val(scenes[:4]))
         assert np.array_equal(result.model.params, model.params)
         maes = [r.val_mae for r in result.rows if r.val_mae is not None]
         assert len(set(maes)) == 1
@@ -516,7 +513,7 @@ class TestTrain:
         scenes = _small_scenes(5, 8)
         model = TinyModel.initialize(channels=2, seed=2)
         a, b = (train(model, _cycled(scenes), _cfg(steps=10, n=2), loss_kind="pml",
-                      with_regularizer=True, val=NO_VAL) for _ in range(2))
+                      val=NO_VAL) for _ in range(2))
         assert np.array_equal(a.model.params, b.model.params)
         assert a.rows == b.rows
 
@@ -524,8 +521,7 @@ class TestTrain:
         scenes = _small_scenes(6, 4)
         model = TinyModel.initialize(channels=2, seed=2)
         before = model.params.copy()
-        train(model, _cycled(scenes), _cfg(steps=3), loss_kind="l2", with_regularizer=True,
-              val=NO_VAL)
+        train(model, _cycled(scenes), _cfg(steps=3), loss_kind="l2", val=NO_VAL)
         assert np.array_equal(model.params, before)
 
     @pytest.mark.parametrize("steps", [4, 5])
@@ -538,8 +534,7 @@ class TestTrain:
                 yield batch
 
         model = TinyModel.initialize(channels=2, seed=3)
-        result = train(model, batches(), _cfg(steps=steps), loss_kind="l2", with_regularizer=True,
-                       val=NO_VAL)
+        result = train(model, batches(), _cfg(steps=steps), loss_kind="l2", val=NO_VAL)
         assert drawn == list(range(1, steps + 1)) and len(result.rows) == steps
 
     @pytest.mark.parametrize("count", [0, 3])
@@ -556,15 +551,14 @@ class TestTrain:
         model = TinyModel.initialize(channels=2, seed=3)
         with pytest.raises(ValueError, match=f"^batches ran out after {count} of 5 steps$"):
             train(model, itertools.islice(_cycled(_small_scenes(50, 4)), count),
-                  _cfg(steps=5, val_every=1), loss_kind="l2", with_regularizer=True,
-                  val=_val(_small_scenes(60, 2)))
+                  _cfg(steps=5, val_every=1), loss_kind="l2", val=_val(_small_scenes(60, 2)))
         assert stepped == list(range(count))
 
     def test_predictions_stay_positive_during_training(self):
         scenes = _small_scenes(7, 8)
         model = TinyModel.initialize(channels=2, seed=4)
         result = train(model, _cycled(scenes), _cfg(steps=15, lr=1e-2, n=2), loss_kind="pml",
-                       with_regularizer=True, val=NO_VAL)
+                       val=NO_VAL)
         for s in scenes:
             assert np.all(result.model.forward(s.observation).data > 0.0)
 
@@ -576,8 +570,7 @@ class TestTrain:
         model = TinyModel.initialize(channels=2, seed=5)
         model.params[-1] = np.nan
         with pytest.raises(TrainingDiverged) as info:
-            train(model, _cycled(scenes), _cfg(steps=3, n=2), loss_kind=loss_kind,
-                  with_regularizer=True, val=NO_VAL)
+            train(model, _cycled(scenes), _cfg(steps=3, n=2), loss_kind=loss_kind, val=NO_VAL)
         assert info.value.step == 1 and math.isnan(info.value.loss_value)
         if loss_kind == "pml":
             assert isinstance(info.value.breakdown, LossBreakdown)
@@ -589,8 +582,7 @@ class TestTrain:
         scenes = _small_scenes(9, 4)
         model = TinyModel.initialize(channels=2, seed=6)
         with pytest.raises(ValueError, match="loss_kind"):
-            train(model, _cycled(scenes), _cfg(steps=1), loss_kind="huber", with_regularizer=True,
-                  val=NO_VAL)
+            train(model, _cycled(scenes), _cfg(steps=1), loss_kind="huber", val=NO_VAL)
 
     @pytest.mark.parametrize("batch", [0, -1])
     def test_batch_below_one_rejected_before_any_epoch(self, batch):
@@ -598,7 +590,7 @@ class TestTrain:
         model = TinyModel.initialize(channels=2, seed=8)
         with pytest.raises(ValueError, match=f"batch must be >= 1, got {batch}"):
             train(model, _unreachable("a batch was drawn"), _cfg(steps=2, batch=batch),
-                  loss_kind="l2", with_regularizer=True, val=NO_VAL)
+                  loss_kind="l2", val=NO_VAL)
 
     @pytest.mark.parametrize("loss_kind", ["pml", "l2"])
     @pytest.mark.parametrize("n,message", [(5, "n = 5 exceeds prediction level 4"),
@@ -607,7 +599,7 @@ class TestTrain:
         model = TinyModel.initialize(channels=2, seed=9)
         with pytest.raises(ValueError, match=message):
             train(model, _unreachable("n was not checked before the first batch"),
-                  _cfg(steps=1, n=n), loss_kind=loss_kind, with_regularizer=True, val=NO_VAL)
+                  _cfg(steps=1, n=n), loss_kind=loss_kind, val=NO_VAL)
 
     def test_batch_trains_at_its_own_level(self):
         # level-3 scenes train the same under cfg.level 4 as under 3, and the pml
@@ -616,19 +608,12 @@ class TestTrain:
                   for i in range(4)]
         model = TinyModel.initialize(channels=2, seed=9)
         runs = [train(model, _cycled(scenes), _cfg(level=level, steps=5, n=2, val_every=2),
-                      loss_kind="pml", with_regularizer=True, val=_val(scenes[:3]))
+                      loss_kind="pml", val=_val(scenes[:3]))
                 for level in (4, 3)]
         assert runs[0].rows == runs[1].rows and len(runs[0].rows) == 5
         assert np.array_equal(runs[0].model.params, runs[1].model.params)
         with pytest.raises(ValueError, match="^n = 4 exceeds prediction level 3$"):
-            train(model, _cycled(scenes), _cfg(steps=5, n=4), loss_kind="pml",
-                  with_regularizer=True, val=NO_VAL)
-
-    def test_l2_without_its_one_term_rejected(self):
-        with pytest.raises(ValueError, match="loss_kind 'l2'.*with_regularizer=True"):
-            train(TinyModel.initialize(channels=2, seed=0),
-                  _unreachable("the loss set-up was not checked before the first batch"),
-                  _cfg(steps=1), loss_kind="l2", with_regularizer=False, val=NO_VAL)
+            train(model, _cycled(scenes), _cfg(steps=5, n=4), loss_kind="pml", val=NO_VAL)
 
     @pytest.mark.parametrize("loss_kind", ["pml", "l2"])
     def test_divergence_raises_from_the_loss_check_with_its_loss(self, loss_kind, monkeypatch):
@@ -648,7 +633,7 @@ class TestTrain:
         model.params[-1] = np.inf
         with pytest.raises(TrainingDiverged) as info:
             train(model, _cycled(_small_scenes(8, 4)), _cfg(steps=3, n=2),
-                  loss_kind=loss_kind, with_regularizer=True, val=NO_VAL)
+                  loss_kind=loss_kind, val=NO_VAL)
         [loss_value] = computed
         assert not math.isfinite(loss_value) and info.value.step == 1
         assert str(info.value) == f"non-finite loss {loss_value} at step 1"
@@ -660,7 +645,7 @@ class TestTrain:
         scenes = _small_scenes(10, 4)
         model = TinyModel.initialize(channels=2, seed=7)
         result = train(model, _cycled(scenes), _cfg(steps=4, n=1, val_every=2),
-                       loss_kind="pml", with_regularizer=True, val=_val(scenes[:2]))
+                       loss_kind="pml", val=_val(scenes[:2]))
         lines = result.trace_csv().strip().splitlines()
         assert lines[0] == "step,loss,grad_norm,clipped,val_mae,val_mse"
         assert len(lines) == 5
