@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .pyramid import DensityMap, PointAnnotations
+from .pyramid import DensityMap, PointAnnotations, _is_power_of_two
 
 
 class ParseError(ValueError):
@@ -32,10 +32,6 @@ class ParseError(ValueError):
         super().__init__(f"{path}:{line}: {message}")
         self.path = str(path)
         self.line = line
-
-
-def _is_power_of_two(v: int) -> bool:
-    return v > 0 and (v & (v - 1)) == 0
 
 
 def write_dmap(path, m: DensityMap) -> None:

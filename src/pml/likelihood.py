@@ -55,7 +55,7 @@ from .loss import (
     l2_level,
     l_diff_pair,
 )
-from .pyramid import ResolutionSet
+from .pyramid import ResolutionSet, _checked_int
 from .rng import SplitMix64
 
 THEOREM_SLACK = 1e-9  # how far below the sparse set rounding may put the dense one
@@ -224,12 +224,11 @@ def verify_theorem(
     below ``n_k``, which joins the sparse set when its selector is below 0.5.
     The block equals that many ``uniform`` calls.
     """
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
+    trials, seed = _checked_int("trials", trials, 1), _checked_int("seed", seed)
+    level, n_k = _checked_int("level", level), _checked_int("n_k", n_k)
     if not 0 < n_k < level:
         raise ValueError(f"need 0 < n_k < level, got n_k={n_k}, level={level}")
-    if batch < 1:
-        raise ValueError(f"batch must be >= 1, got {batch}")
+    batch = _checked_int("batch", batch, 1)
     side = 1 << level
     cells = 2 * batch * side * side
     dense = ResolutionSet.dense(n_k, level)

@@ -64,7 +64,8 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .pyramid import _SLAB_CELLS, DensityMap, _pool_rows, _pool_sum, _replicate
+from .pyramid import (_SLAB_CELLS, DensityMap, _checked_int, _is_power_of_two, _pool_rows,
+                      _pool_sum, _replicate)
 
 # a (B, side, side) array, or a sequence of square 2^level x 2^level maps
 Batch = np.ndarray | Sequence[DensityMap | np.ndarray]
@@ -82,8 +83,7 @@ def alpha_coefficients(n: int) -> tuple[float, ...]:
     the per-n weighted log terms collapses the weighted average to
     ``log l2(0) + sum_j log l_diff(j)``.
     """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    n = _checked_int("n", n, 1)
     # tails[j] = sum_{k=j..n} alpha_k; tails[0] = 1 from the normalization row
     tails = [1.0] + [1.0 / (4.0 ** j - 4.0 ** (j - 1)) for j in range(1, n + 1)] + [0.0]
     return tuple(tails[j] - tails[j + 1] for j in range(n + 1))
@@ -120,7 +120,7 @@ def _level(m) -> int:
     """The level of a square map with a power-of-two side, read from its shape."""
     shape = np.shape(m)
     side = shape[-1] if shape else 0
-    if shape != (side, side) or side < 1 or side & (side - 1):
+    if shape != (side, side) or not _is_power_of_two(side):
         raise ValueError(f"a map must be square with a power-of-two side, got shape {shape}")
     return side.bit_length() - 1
 
@@ -259,11 +259,13 @@ def _batch_terms(preds: Batch, gts: Batch, levels: Sequence[int]):
 
 def l2_level(preds: Batch, gts: Batch, i: int) -> float:
     """Batch-mean squared error between sum-downsamples at level ``i``."""
+    i = _checked_int("i", i)
     return _sq_norm(_batch_terms(preds, gts, (i,))[0][i])
 
 
 def l_diff_pair(preds: Batch, gts: Batch, j1: int, j2: int) -> float:
     """Difference loss for an arbitrary level pair j1 < j2."""
+    j1, j2 = _checked_int("j1", j1), _checked_int("j2", j2)
     if not 0 <= j1 < j2:
         raise ValueError(f"need 0 <= coarse < fine, got ({j1}, {j2})")
     return _sq_norm(_batch_terms(preds, gts, (j1, j2))[1][(j1, j2)])
@@ -271,6 +273,7 @@ def l_diff_pair(preds: Batch, gts: Batch, j1: int, j2: int) -> float:
 
 def l_diff(preds: Batch, gts: Batch, j: int) -> float:
     """Difference loss for the consecutive pair (j-1, j)."""
+    j = _checked_int("j", j)
     if j < 1:
         raise ValueError(f"j must be >= 1 (level {j} has no coarser neighbour)")
     return l_diff_pair(preds, gts, j - 1, j)
@@ -296,12 +299,12 @@ def _sigma_from_terms(
     return sigma, guarded
 
 
-def _check_n(n: int, level: int) -> None:
-    """Reject a finest pml level ``n`` outside [0, level], the prediction level."""
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
+def _check_n(n: int, level: int) -> int:
+    """A finest pml level ``n`` as an int; one outside [0, level], the prediction level, raises."""
+    n = _checked_int("n", n, 0)
     if n > level:
         raise ValueError(f"n = {n} exceeds prediction level {level}")
+    return n
 
 
 def _evaluate(preds: Batch, gts: Batch, n, include_regularizer, want_gradient):
@@ -317,7 +320,7 @@ def _evaluate(preds: Batch, gts: Batch, n, include_regularizer, want_gradient):
     larger maps for 0 < n < L and never forms ``d``; the bits are the same.
     """
     level = _batch_level(preds, gts)
-    _check_n(n, level)
+    n = _check_n(n, level)
     t = level if want_gradient else n  # the finest level read: d itself for the gradient
     if include_regularizer:
         finest, regularizer = _pool_residual(preds, gts, level, t, norm=True)

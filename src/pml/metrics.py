@@ -40,7 +40,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .pyramid import DensityMap
+from .pyramid import DensityMap, _checked_int
 from .rng import SplitMix64, derive_seed
 from .synth import (SCORING_BATCH, BenchmarkConfig, TinyModel, TrainResult, Workspace,
                     count_errors, generate_scene, predict_counts, train)
@@ -170,6 +170,7 @@ def run_benchmark_cell(
     The test set is drawn and scored ``SCORING_BATCH`` scenes at a time through one
     ``Workspace``, so its memory does not grow with ``test_count``.
     """
+    base_seed = _checked_int("base_seed", base_seed)
     model = TinyModel.initialize(cfg.channels, seed=derive_seed(base_seed, _MODEL))
     val_obs, val_gts = _scene_stacks(cfg, _set_seeds(base_seed, _VAL, cfg.val_count))
     val = val_obs, val_gts.sum(axis=(1, 2))
@@ -213,8 +214,7 @@ def ablation_run(
     Repeat ``r`` trains every cell on base seed ``derive_seed(base_seed, r)``, so the
     cells of one repeat share the model init and the scene stream.
     """
-    if repeats < 1:
-        raise ValueError(f"repeats must be >= 1, got {repeats}")
+    repeats = _checked_int("repeats", repeats, 1)
     cfgs = [replace(cfg, n=n) for n in n_values]  # every n is checked before any training
     return [
         [run_benchmark_cell(cell_cfg, derive_seed(base_seed, repeat), kind)

@@ -52,6 +52,20 @@ from typing import Iterable, Iterator
 import numpy as np
 
 
+def _checked_int(name: str, value, low: int | None = None) -> int:
+    """``value``, a Python or numpy integer but not a bool, as an int not below ``low``."""
+    if isinstance(value, bool) or not hasattr(type(value), "__index__"):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    value = operator.index(value)
+    if low is not None and value < low:
+        raise ValueError(f"{name} must be >= {low}, got {value}")
+    return value
+
+
+def _is_power_of_two(v: int) -> bool:
+    return v > 0 and v & (v - 1) == 0
+
+
 @dataclass(frozen=True, eq=False)
 class DensityMap:
     """Square 2^level x 2^level grid of float64 densities.
@@ -64,8 +78,7 @@ class DensityMap:
     data: np.ndarray
 
     def __post_init__(self):
-        if self.level < 0:
-            raise ValueError(f"level must be >= 0, got {self.level}")
+        object.__setattr__(self, "level", _checked_int("level", self.level, 0))
         side = 1 << self.level
         arr = np.array(self.data, dtype=np.float64, copy=True)
         if arr.shape != (side, side):
@@ -132,12 +145,7 @@ class ResolutionSet:
     levels: tuple[int, ...]
 
     def __post_init__(self):
-        given = tuple(self.levels)  # no copy of a tuple
-        try:  # Python and numpy integers pass, as plain ints; 2.5 or "2" does not
-            levels = tuple(map(operator.index, given))
-        except TypeError:
-            bad = next(v for v in given if not hasattr(type(v), "__index__"))
-            raise ValueError(f"levels must be integers, got {bad!r}") from None
+        levels = tuple(_checked_int("levels", v) for v in self.levels)
         if not levels:
             raise ValueError("resolution set must not be empty")
         if any(v < 0 for v in levels):
@@ -155,8 +163,8 @@ class ResolutionSet:
     @classmethod
     def dense(cls, n: int, prediction_level: int) -> "ResolutionSet":
         """The set {0, 1, ..., n} plus the prediction level."""
-        if n < 0:
-            raise ValueError(f"n must be >= 0, got {n}")
+        n = _checked_int("n", n, 0)
+        prediction_level = _checked_int("prediction_level", prediction_level)
         if prediction_level <= n:
             raise ValueError(f"prediction level {prediction_level} must exceed n = {n}")
         return cls(tuple(range(n + 1)) + (prediction_level,))
@@ -180,8 +188,7 @@ def rasterize(ann: PointAnnotations, level: int) -> DensityMap:
     cell with the larger index. Floating-point boundary rounding is resolved
     by clamping indices into the grid.
     """
-    if level < 0:
-        raise ValueError(f"level must be >= 0, got {level}")
+    level = _checked_int("level", level, 0)
     side = 1 << level
     grid = np.zeros((side, side), dtype=np.float64)
     if len(ann):
@@ -269,6 +276,7 @@ def _replicate(data: np.ndarray, to_level: int) -> np.ndarray:
 
 def downsample_sum(m: DensityMap, target_level: int) -> DensityMap:
     """Coarsen by summing each block of 4^(level - target_level) cells."""
+    target_level = _checked_int("target_level", target_level)
     if target_level < 0 or target_level > m.level:
         raise ValueError(f"target level {target_level} not in [0, {m.level}]")
     return DensityMap(target_level, _pool_sum(m.data, target_level))
@@ -276,12 +284,13 @@ def downsample_sum(m: DensityMap, target_level: int) -> DensityMap:
 
 def downsample_avg(m: DensityMap, target_level: int) -> DensityMap:
     """Coarsen by block means: downsample_sum scaled by 4^(target - level)."""
-    scale = 4.0 ** (target_level - m.level)
-    return DensityMap(target_level, downsample_sum(m, target_level).data * scale)
+    coarse = downsample_sum(m, target_level)
+    return DensityMap(coarse.level, coarse.data * 4.0 ** (coarse.level - m.level))
 
 
 def upsample_replicate(m: DensityMap, target_level: int) -> DensityMap:
     """Refine by copying each cell's value into all of its descendant cells."""
+    target_level = _checked_int("target_level", target_level)
     if target_level < m.level:
         raise ValueError(f"target level {target_level} must be >= map level {m.level}")
     return DensityMap(target_level, _replicate(m.data, target_level))

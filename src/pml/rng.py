@@ -24,7 +24,7 @@ calls, but vectorized with numpy uint64 arithmetic. The counter offsets
 read-only table built at import, so a block of up to that many draws adds the
 counter to a slice of it; longer blocks compute their offsets. A negative
 count raises ``ValueError`` and leaves the stream where it was; a count of
-zero draws nothing.
+zero draws nothing. A seed, word or count that is not an integer raises too.
 
 ``gaussian_pair`` reads its two uniforms from a lookahead of ``_LOOKAHEAD``
 draws mixed at once the same way; the lookahead is keyed on the counter, so
@@ -37,6 +37,8 @@ from __future__ import annotations
 import math
 
 import numpy as np
+
+from .pyramid import _checked_int
 
 _MASK = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -80,7 +82,7 @@ def derive_seed(*words: int) -> int:
     """Fold integer words into a single 64-bit sub-stream seed."""
     z = 0
     for w in words:
-        z = _mix((z + _GAMMA + (int(w) & _MASK)) & _MASK)
+        z = _mix((z + _GAMMA + (_checked_int("word", w) & _MASK)) & _MASK)
     return z
 
 
@@ -88,7 +90,7 @@ class SplitMix64:
     """Stateful splitmix64 stream; the state is just the draw counter."""
 
     def __init__(self, seed: int):
-        self._state = int(seed) & _MASK
+        self._state = _checked_int("seed", seed) & _MASK
         # gaussian_pair's lookahead: uniforms of the draws after counter
         # ``_ahead_state``, the next one at index ``_ahead_next``
         self._ahead: list[float] = []
@@ -105,8 +107,7 @@ class SplitMix64:
 
     def uniform_block(self, count: int, low: float = 0.0, high: float = 1.0) -> np.ndarray:
         """``count`` uniforms, identical to that many ``uniform`` calls."""
-        if count < 0:
-            raise ValueError(f"count must be >= 0, got {count}")
+        count = _checked_int("count", count, 0)
         u = _uniforms(self._state, count)
         self._state = (self._state + count * _GAMMA) & _MASK
         u *= high - low
@@ -115,6 +116,7 @@ class SplitMix64:
 
     def randint(self, low: int, high: int) -> int:
         """Uniform integer in [low, high], both ends inclusive."""
+        low, high = _checked_int("low", low), _checked_int("high", high)
         if high < low:
             raise ValueError(f"empty integer range [{low}, {high}]")
         span = high - low + 1
@@ -145,8 +147,7 @@ class SplitMix64:
         they run the same numpy loops, and give the same bits, as the
         out-of-place form.
         """
-        if count < 0:
-            raise ValueError(f"count must be >= 0, got {count}")
+        count = _checked_int("count", count, 0)
         pairs = (count + 1) // 2
         u = self.uniform_block(2 * pairs).reshape(pairs, 2)
         r = u[:, 0] + _INV_2_53  # shift into (0, 1]

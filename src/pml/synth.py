@@ -36,14 +36,13 @@ next forward through it.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
 
 from . import loss as loss_mod
-from .pyramid import DensityMap, PointAnnotations, rasterize
+from .pyramid import DensityMap, PointAnnotations, _checked_int, rasterize
 from .rng import SplitMix64
 
 # Scenes per scoring forward. It is the default training batch, so a validation pass
@@ -72,13 +71,12 @@ class SceneConfig:
                 raise ValueError(f"{name} must be finite and > 0, got {getattr(self, name)}")
         if not 0.0 <= self.noise_std < math.inf:
             raise ValueError(f"noise_std must be finite and >= 0, got {self.noise_std}")
-        if self.num_clusters < 0:
-            raise ValueError(f"num_clusters must be >= 0, got {self.num_clusters}")
-        lo, hi = self.points_per_cluster
+        for name, low in (("seed", None), ("num_clusters", 0), ("obs_level", 0)):
+            object.__setattr__(self, name, _checked_int(name, getattr(self, name), low))
+        lo, hi = (_checked_int("points_per_cluster", v) for v in self.points_per_cluster)
         if not 0 <= lo <= hi:
             raise ValueError(f"invalid points_per_cluster range {self.points_per_cluster}")
-        if self.obs_level < 0:
-            raise ValueError(f"obs_level must be >= 0, got {self.obs_level}")
+        object.__setattr__(self, "points_per_cluster", (lo, hi))
 
 
 @dataclass(frozen=True)
@@ -104,17 +102,11 @@ class BenchmarkConfig:
     val_every: int = 200
 
     def __post_init__(self):
-        for name in ("level", "channels", "n", "steps", "batch", "scenes_per_epoch",
-                     "val_count", "test_count", "val_every"):
-            value = getattr(self, name)
-            try:  # Python and numpy integers pass, as ints, so the manifest's JSON takes them
-                object.__setattr__(self, name, operator.index(value))
-            except TypeError:
-                raise ValueError(f"{name} must be an integer, got {value!r}") from None
-        for name, low in (("steps", 1), ("channels", 1), ("batch", 1), ("scenes_per_epoch", 1),
-                          ("test_count", 1), ("val_count", 0), ("val_every", 1)):
-            if getattr(self, name) < low:
-                raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
+        # each count as an int, so the manifest's JSON takes a numpy integer too
+        for name, low in (("level", None), ("channels", 1), ("n", None), ("steps", 1),
+                          ("batch", 1), ("scenes_per_epoch", 1), ("val_count", 0),
+                          ("test_count", 1), ("val_every", 1)):
+            object.__setattr__(self, name, _checked_int(name, getattr(self, name), low))
         for name in ("lr", "clip_norm"):
             if not 0.0 <= getattr(self, name) < math.inf:  # NaN fails too
                 raise ValueError(f"{name} must be finite and >= 0, got {getattr(self, name)}")
@@ -289,6 +281,12 @@ class TinyModel:
     channels: int
     params: np.ndarray
 
+    def __post_init__(self):
+        self.channels = _checked_int("channels", self.channels, 1)
+        if np.size(self.params) != 19 * self.channels + 1:
+            raise ValueError(f"params has {np.size(self.params)} values; {self.channels} channels "
+                             f"need 19 * {self.channels} + 1 = {19 * self.channels + 1}")
+
     @classmethod
     def initialize(cls, channels: int, seed: int) -> "TinyModel":
         """Uniform fan-scaled weights, zero hidden bias, calibrated output bias.
@@ -299,6 +297,7 @@ class TinyModel:
         ``INIT_SCALE`` shrinks the fan-scaled weight range to keep the initial
         output spread small around that calibration.
         """
+        channels = _checked_int("channels", channels, 1)
         rng = SplitMix64(seed)
         a1 = cls.INIT_SCALE * math.sqrt(6.0 / (9 + 9 * channels))
         a2 = cls.INIT_SCALE * math.sqrt(6.0 / (9 * channels + 9))

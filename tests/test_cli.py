@@ -1,8 +1,10 @@
+import importlib
 import json
 import math
 import os
 import subprocess
 import sys
+import tomllib
 from dataclasses import replace
 from pathlib import Path
 
@@ -513,3 +515,19 @@ class TestUsageAndConfigEcho:
         monkeypatch.chdir(tmp_path)
         assert main(args) == 1
         assert capsys.readouterr().out.splitlines()[0].startswith(f"# pml {args[0]} ")
+
+
+def test_every_console_script_resolves_to_a_callable():
+    # CI runs from a checkout and never installs the package, so nothing else checks that
+    # the `pml` command README documents ([project.scripts]) names a function that exists
+    root = Path(__file__).resolve().parents[1]
+    scripts = tomllib.loads((root / "pyproject.toml").read_text())["project"]["scripts"]
+    resolved = {}
+    for name, target in scripts.items():
+        module, _, attrs = target.partition(":")
+        obj = importlib.import_module(module)
+        for attr in attrs.split("."):
+            obj = getattr(obj, attr)
+        assert callable(obj), f"script {name} = {target!r} is not callable"
+        resolved[name] = obj
+    assert resolved["pml"] is main

@@ -108,7 +108,7 @@ class TestLogLikelihood:
     def test_non_integer_level_rejected(self):
         # it once scored the set {0, 2, 3} without a word
         preds, gts = random_map_batch(35, 3, 2)
-        with pytest.raises(ValueError, match="^levels must be integers, got 2.5$"):
+        with pytest.raises(ValueError, match="^levels must be an integer, got 2.5$"):
             log_likelihood(preds, gts, [0, 2.5, 3])
 
     def test_reports_are_pinned_through_the_strided_block_sums(self):

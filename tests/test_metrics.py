@@ -119,7 +119,7 @@ class TestBenchmarkConfig:
                              ids=["constructor", "replace"])
     @pytest.mark.parametrize("name", ["level", "channels", "n", "steps", "batch",
                                       "scenes_per_epoch", "val_count", "test_count", "val_every"])
-    @pytest.mark.parametrize("value", [2.5, 2.0, "2"])
+    @pytest.mark.parametrize("value", [2.5, 2.0, "2", True, None])
     def test_non_integer_count_rejected(self, build, name, value):
         message = f"{name} must be an integer, got {value!r}"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):

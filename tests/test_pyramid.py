@@ -351,11 +351,13 @@ class TestResolutionSet:
         with pytest.raises(ValueError):
             ResolutionSet(())
 
-    # int() once truncated 2.5 to 2 and read "2" as 2, so a set silently scored other levels
+    # int() once truncated 2.5 to 2 and read "2" as 2, so a set silently scored other levels;
+    # True was taken as level 1
     @pytest.mark.parametrize("levels,bad", [((0, 2.5, 6), "2.5"), (("2",), "'2'"),
-                                            ((0, np.float64(3.0)), "np.float64(3.0)")])
+                                            ((0, np.float64(3.0)), "np.float64(3.0)"),
+                                            ((True, 6), "True"), ((0, np.True_), "np.True_")])
     def test_non_integer_level_rejected(self, levels, bad):
-        with pytest.raises(ValueError, match=f"^levels must be integers, got {re.escape(bad)}$"):
+        with pytest.raises(ValueError, match=f"^levels must be an integer, got {re.escape(bad)}$"):
             ResolutionSet(levels)
 
     def test_numpy_integers_become_ints(self):

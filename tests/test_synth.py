@@ -292,6 +292,25 @@ class TestTinyModel:
         err = np.max(np.abs(fd - analytic)) / max(np.max(np.abs(fd)), 1e-300)
         assert err < 1e-4
 
+    # TinyModel(3, np.zeros(10)) once built and failed on its first forward in a reshape
+    @pytest.mark.parametrize("channels,size,message", [
+        (3, 10, "params has 10 values; 3 channels need 19 * 3 + 1 = 58"),
+        (2, 58, "params has 58 values; 2 channels need 19 * 2 + 1 = 39"),
+        (0, 1, "channels must be >= 1, got 0"),
+        (2.0, 39, "channels must be an integer, got 2.0"),
+        (True, 20, "channels must be an integer, got True"),
+    ])
+    def test_inconsistent_model_rejected(self, channels, size, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            TinyModel(channels=channels, params=np.zeros(size))
+
+    def test_train_rejects_a_model_whose_params_no_longer_fit(self):
+        model = TinyModel.initialize(channels=2, seed=0)
+        model.params = model.params[:-1]
+        with pytest.raises(ValueError, match=r"^params has 38 values; 2 channels need "):
+            train(model, _unreachable("a batch was drawn"), _cfg(steps=1), loss_kind="pml",
+                  val=NO_VAL)
+
 
 def _reference_im2col(x):
     """Patch matrix (C*9, B*H*W) of a zero-padded (C, B, H, W) stack, row c*9 + k."""
