@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import re
 import sys
 from pathlib import Path
@@ -21,9 +20,9 @@ from . import dmapio
 from .likelihood import verify_theorem
 from .loss import fd_loss_gradient, loss_gradient, pml_loss, total_loss
 from .metrics import BenchmarkConfig, ablation_run, compare_pml_vs_l2, evaluate, run_benchmark_cell
-from .pyramid import build_pyramid, rasterize
+from .pyramid import _checked_real, build_pyramid, rasterize
 from .rng import SplitMix64
-from .synth import TrainingDiverged
+from .synth import LOSS_KINDS, TrainingDiverged
 
 
 class _UsageError(Exception):
@@ -79,12 +78,9 @@ def _number(text: str) -> float:
 
 def _tolerance(text: str) -> float:
     try:
-        value = dmapio.parse_float(text)
+        return _checked_real("tolerance", dmapio.parse_float(text))
     except ValueError:
-        value = math.nan
-    if not 0.0 <= value < math.inf:
-        raise argparse.ArgumentTypeError(f"tolerance must be finite and >= 0, got {text!r}")
-    return value
+        raise argparse.ArgumentTypeError(f"tolerance must be finite and >= 0, got {text!r}") from None
 
 
 def _cmd_rasterize(args) -> int:
@@ -257,7 +253,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("train-demo", help="train the synthetic benchmark once")
     p.add_argument("--seed", type=_integer, required=True)
     p.add_argument("--steps", type=_integer, required=True)
-    p.add_argument("--loss", choices=("pml", "l2"), required=True)
+    p.add_argument("--loss", choices=LOSS_KINDS, required=True)
     p.add_argument("--n", type=_integer, default=defaults.n)
     p.add_argument("--lr", type=_number, default=defaults.lr)
     p.add_argument("--clip", type=_number, default=defaults.clip_norm, help="0 turns clipping off")

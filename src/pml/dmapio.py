@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .pyramid import DensityMap, PointAnnotations, _is_power_of_two
+from .pyramid import DensityMap, PointAnnotations, _checked_real, _is_power_of_two
 
 
 class ParseError(ValueError):
@@ -149,7 +149,7 @@ def write_points_csv(path, ann: PointAnnotations) -> None:
 
 
 def read_points_csv(path, scene_size: float) -> PointAnnotations:
-    PointAnnotations(np.empty((0, 2)), scene_size)  # a bad size must not blame a point
+    scene_size = _checked_real("scene_size", scene_size, True)  # a bad size must not blame a point
     lines = [line.strip() for line in _lines(path)]
     rows = [(lineno, line) for lineno, line in enumerate(lines, start=1)
             if line and not (lineno == 1 and line.lower().replace(" ", "") == "x,y")]

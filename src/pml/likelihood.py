@@ -55,7 +55,7 @@ from .loss import (
     l2_level,
     l_diff_pair,
 )
-from .pyramid import ResolutionSet, _checked_int
+from .pyramid import ResolutionSet, _checked_int, _checked_real
 from .rng import SplitMix64
 
 THEOREM_SLACK = 1e-9  # how far below the sparse set rounding may put the dense one
@@ -143,18 +143,14 @@ def likelihood_with_variances(
     total = 0.0
     for j in range(1, len(subs)):
         a, b = subs[j - 1], subs[j]
-        s = float(sigma_sq[j])
-        if not s > 0.0:
-            raise ValueError(f"sigma_sq[{j}] must be > 0, got {s}")
+        s = _checked_real(f"sigma_sq[{j}]", sigma_sq[j], True)
         delta = 4.0 ** b - 4.0 ** a
         total += -0.5 * (
             l_diff_pair(preds, gts, a, b) / s
             + delta * math.log(2.0 * math.pi * s)
             + (b - a) * 4.0 ** a * math.log(4.0)
         )
-    s0 = float(sigma_sq[0])
-    if not s0 > 0.0:
-        raise ValueError(f"sigma_sq[0] must be > 0, got {s0}")
+    s0 = _checked_real("sigma_sq[0]", sigma_sq[0], True)
     total += -0.5 * (
         l2_level(preds, gts, subs[0]) / s0 + 4.0 ** subs[0] * math.log(2.0 * math.pi * s0)
     )

@@ -62,6 +62,19 @@ def _checked_int(name: str, value, low: int | None = None) -> int:
     return value
 
 
+def _checked_real(name: str, value, positive: bool = False) -> float:
+    """A non-bool Python or numpy int or float as a finite float >= 0, or > 0 if ``positive``."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    try:
+        value = float(value)
+    except OverflowError:  # an int past float's range
+        value = np.inf if value > 0 else -np.inf
+    if not (0.0 < value if positive else 0.0 <= value) or value == np.inf:  # NaN fails too
+        raise ValueError(f"{name} must be finite and {'>' if positive else '>='} 0, got {value}")
+    return value
+
+
 def _is_power_of_two(v: int) -> bool:
     return v > 0 and v & (v - 1) == 0
 
@@ -116,8 +129,7 @@ class PointAnnotations:
     scene_size: float
 
     def __post_init__(self):
-        if not (self.scene_size > 0.0) or not np.isfinite(self.scene_size):
-            raise ValueError(f"scene_size must be finite and > 0, got {self.scene_size}")
+        object.__setattr__(self, "scene_size", _checked_real("scene_size", self.scene_size, True))
         pts = np.array(self.points, dtype=np.float64, copy=True)
         if pts.size == 0:
             pts = pts.reshape(0, 2)
@@ -145,11 +157,9 @@ class ResolutionSet:
     levels: tuple[int, ...]
 
     def __post_init__(self):
-        levels = tuple(_checked_int("levels", v) for v in self.levels)
+        levels = tuple(_checked_int("levels", v, 0) for v in self.levels)
         if not levels:
             raise ValueError("resolution set must not be empty")
-        if any(v < 0 for v in levels):
-            raise ValueError(f"levels must be >= 0, got {levels}")
         if any(b <= a for a, b in zip(levels, levels[1:])):
             raise ValueError(f"levels must be strictly increasing, got {levels}")
         object.__setattr__(self, "levels", levels)

@@ -42,7 +42,7 @@ from typing import Iterable
 import numpy as np
 
 from . import loss as loss_mod
-from .pyramid import DensityMap, PointAnnotations, _checked_int, rasterize
+from .pyramid import DensityMap, PointAnnotations, _checked_int, _checked_real, rasterize
 from .rng import SplitMix64
 
 # Scenes per scoring forward. It is the default training batch, so a validation pass
@@ -66,13 +66,13 @@ class SceneConfig:
     obs_level: int = 6
 
     def __post_init__(self):
-        for name in ("scene_size", "cluster_spread", "blob_sigma"):
-            if not 0.0 < getattr(self, name) < math.inf:  # NaN fails too
-                raise ValueError(f"{name} must be finite and > 0, got {getattr(self, name)}")
-        if not 0.0 <= self.noise_std < math.inf:
-            raise ValueError(f"noise_std must be finite and >= 0, got {self.noise_std}")
+        for name, positive in (("scene_size", True), ("cluster_spread", True),
+                               ("blob_sigma", True), ("noise_std", False)):
+            object.__setattr__(self, name, _checked_real(name, getattr(self, name), positive))
         for name, low in (("seed", None), ("num_clusters", 0), ("obs_level", 0)):
             object.__setattr__(self, name, _checked_int(name, getattr(self, name), low))
+        if not isinstance(self.points_per_cluster, (tuple, list)) or len(self.points_per_cluster) != 2:
+            raise ValueError(f"points_per_cluster must be a pair, got {self.points_per_cluster!r}")
         lo, hi = (_checked_int("points_per_cluster", v) for v in self.points_per_cluster)
         if not 0 <= lo <= hi:
             raise ValueError(f"invalid points_per_cluster range {self.points_per_cluster}")
@@ -108,8 +108,7 @@ class BenchmarkConfig:
                           ("test_count", 1), ("val_every", 1)):
             object.__setattr__(self, name, _checked_int(name, getattr(self, name), low))
         for name in ("lr", "clip_norm"):
-            if not 0.0 <= getattr(self, name) < math.inf:  # NaN fails too
-                raise ValueError(f"{name} must be finite and >= 0, got {getattr(self, name)}")
+            object.__setattr__(self, name, _checked_real(name, getattr(self, name)))
         loss_mod._check_n(self.n, self.level)
 
     def scene_config(self, seed: int) -> SceneConfig:
@@ -299,10 +298,9 @@ class TinyModel:
         """
         channels = _checked_int("channels", channels, 1)
         rng = SplitMix64(seed)
-        a1 = cls.INIT_SCALE * math.sqrt(6.0 / (9 + 9 * channels))
-        a2 = cls.INIT_SCALE * math.sqrt(6.0 / (9 * channels + 9))
-        w1 = rng.uniform_block(9 * channels, -a1, a1)
-        w2 = rng.uniform_block(9 * channels, -a2, a2)
+        a = cls.INIT_SCALE * math.sqrt(6.0 / (9 + 9 * channels))  # both layers' fan-in + fan-out
+        w1 = rng.uniform_block(9 * channels, -a, a)
+        w2 = rng.uniform_block(9 * channels, -a, a)
         params = np.concatenate([w1, np.zeros(channels), w2, np.array([cls.OUTPUT_BIAS])])
         return cls(channels=channels, params=params)
 

@@ -273,6 +273,16 @@ class TestTrainDemoCommand:
         assert "lr=0.001" in echo and "clip=10.0" in echo and "n=4" in echo
 
 
+    def test_every_loss_kind_trains_as_its_benchmark_cell(self, tmp_path, capsys):
+        # --loss takes synth.LOSS_KINDS, so pml_noreg is no longer a usage error
+        assert main(["train-demo", "--help"]) == 0
+        assert "--loss {pml,pml_noreg,l2}" in capsys.readouterr().out
+        out = tmp_path / "t.csv"
+        assert main(["train-demo", "--seed", "1", "--steps", "3", "--loss", "pml_noreg",
+                     "--out", str(out)]) == 0
+        run = run_benchmark_cell(BenchmarkConfig(steps=3), 1, "pml_noreg")
+        assert out.read_text() == run.result.trace_csv()
+
     @pytest.mark.parametrize("loss", ["l2", "pml"])
     def test_n_above_the_map_level_is_input_error(self, tmp_path, capsys, loss):
         out = tmp_path / "t.csv"

@@ -1,24 +1,34 @@
-"""Every count, level and seed of the library is an integer: one rule checks them all.
+"""Every count, level and seed of the library is an integer, and every other setting a
+real number: one rule checks each kind.
 
 A Python or numpy integer passes, as an ``int``; 2.0, 2.5, "2", None and True raise
 ``ValueError`` naming the argument. Before the rule, these inputs were truncated
 (``derive_seed(2.5)`` and ``SplitMix64(2.5)`` seeded 2, so ``run_benchmark_cell(cfg, 2.5,
 "pml")`` trained seed 2's cell and recorded 2.5), taken as 1 (``True``), or failed later
 with a bare ``TypeError``.
+
+A Python or numpy integer or float passes as a real setting, as a ``float``; a bool, a
+string, None, a complex number, a ``Fraction`` and a ``Decimal`` raise ``ValueError``
+naming the setting. Before the rule, True was taken as 1, a string or None failed with a
+bare ``TypeError``, and ``likelihood_with_variances`` parsed a string variance.
 """
 
 import re
+from dataclasses import fields
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from pml.likelihood import verify_theorem
+from pml.dmapio import read_points_csv
+from pml.likelihood import likelihood_with_variances, verify_theorem
 from pml.loss import alpha_coefficients, l2_level, l_diff, l_diff_pair, total_loss
 from pml.metrics import BenchmarkConfig, ablation_run, run_benchmark_cell
 from pml.pyramid import (DensityMap, PointAnnotations, ResolutionSet, downsample_avg,
                          downsample_sum, rasterize, upsample_replicate)
 from pml.rng import SplitMix64, derive_seed
-from pml.synth import SceneConfig, TinyModel
+from pml.synth import SceneConfig, TinyModel, generate_scene
 
 CELL = BenchmarkConfig(level=3, channels=1, n=1, steps=1, batch=1, scenes_per_epoch=1,
                        val_count=0, test_count=1)
@@ -104,3 +114,67 @@ def test_numpy_integers_give_the_python_integers_results():
     assert a.randint(np.int8(0), np.int64(9)) == b.randint(0, 9)
     assert verify_theorem(np.int64(2), np.int64(3), np.int8(4), np.int8(2)).to_csv() == (
         verify_theorem(2, 3, 4, 2).to_csv())
+
+
+def _variances(sigma_sq):
+    return likelihood_with_variances(PREDS, GTS, (0, 1, 2), sigma_sq)
+
+
+# (setting name in the message, call with the value under test)
+REAL_SETTINGS = {
+    **{f"SceneConfig.{name}": (name, lambda v, name=name: SceneConfig(seed=0, **{name: v}))
+       for name in ("scene_size", "cluster_spread", "blob_sigma", "noise_std")},
+    **{f"BenchmarkConfig.{name}": (name, lambda v, name=name: BenchmarkConfig(**{name: v}))
+       for name in ("lr", "clip_norm")},
+    "PointAnnotations": ("scene_size", lambda v: PointAnnotations(np.empty((0, 2)), v)),
+    # the size is checked before the file is opened
+    "read_points_csv": ("scene_size", lambda v: read_points_csv("no-such-dir/points.csv", v)),
+    "likelihood_with_variances.0": ("sigma_sq[0]", lambda v: _variances({0: v, 1: 1.0})),
+    "likelihood_with_variances.1": ("sigma_sq[1]", lambda v: _variances({0: 1.0, 1: v})),
+}
+
+
+@pytest.mark.parametrize("value", ["0.5", None, True, 1 + 0j, Fraction(1, 2), Decimal("0.5"),
+                                   np.True_], ids=repr)
+@pytest.mark.parametrize("entry", REAL_SETTINGS)
+def test_non_real_setting_rejected(entry, value):
+    name, call = REAL_SETTINGS[entry]
+    message = f"{name} must be a number, got {value!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call(value)
+
+
+def test_integer_past_the_float_range_is_infinite():
+    with pytest.raises(ValueError, match=r"^scene_size must be finite and > 0, got inf$"):
+        SceneConfig(seed=0, scene_size=10**400)
+    with pytest.raises(ValueError, match=r"^lr must be finite and >= 0, got -inf$"):
+        BenchmarkConfig(lr=-10**400)
+
+
+def test_numpy_reals_are_stored_as_floats():
+    assert SceneConfig(seed=7, blob_sigma=np.float64(0.035)) == SceneConfig(seed=7)
+    a, b = (generate_scene(SceneConfig(seed=7, blob_sigma=v)) for v in (np.float64(0.035), 0.035))
+    assert a.observation.tobytes() == b.observation.tobytes()
+    assert a.gt_map.data.tobytes() == b.gt_map.data.tobytes()
+    assert BenchmarkConfig(lr=np.float64(1e-3)) == BenchmarkConfig()
+    # a float32 setting is widened exactly, to the float64 of the same value
+    scene = SceneConfig(seed=7, scene_size=np.int64(2), cluster_spread=np.float32(0.1),
+                        blob_sigma=np.uint8(1), noise_std=np.float16(0.5))
+    assert scene == SceneConfig(seed=7, scene_size=2.0, cluster_spread=float(np.float32(0.1)),
+                                blob_sigma=1.0, noise_std=0.5)
+    cfg = BenchmarkConfig(lr=np.float32(0.25), clip_norm=np.int8(0))
+    ann = PointAnnotations(np.empty((0, 2)), np.int16(3))
+    values = (scene.scene_size, scene.cluster_spread, scene.blob_sigma, scene.noise_std,
+              cfg.lr, cfg.clip_norm, ann.scene_size)
+    assert all(type(v) is float for v in values)
+    assert _variances({0: np.float32(0.5), 1: np.int64(2)}) == _variances({0: 0.5, 1: 2.0})
+
+
+@pytest.mark.parametrize("config, name", [(config, field.name)
+                                          for config in (SceneConfig, BenchmarkConfig)
+                                          for field in fields(config)])
+def test_every_config_field_rejects_none(config, name):
+    # a field added to either config has to come with its rule
+    base = {"seed": 0} if config is SceneConfig else {}
+    with pytest.raises(ValueError, match=f"^{name} must be "):
+        config(**{**base, name: None})

@@ -324,10 +324,12 @@ class TestVarianceStationarity:
             assert report.loglik == want
 
     @pytest.mark.parametrize("levels, sigma_sq, message", [
-        ((0, 3), {0: 0.0}, "sigma_sq[0] must be > 0, got 0.0"),
-        ((0, 1, 3), {0: 1.0, 1: 0.0}, "sigma_sq[1] must be > 0, got 0.0"),
-        ((0, 1, 3), {0: 1.0, 1: -1.0}, "sigma_sq[1] must be > 0, got -1.0"),
-        ((0, 1, 3), {0: 1.0, 1: math.nan}, "sigma_sq[1] must be > 0, got nan"),
+        ((0, 3), {0: 0.0}, "sigma_sq[0] must be finite and > 0, got 0.0"),
+        ((0, 1, 3), {0: 1.0, 1: 0.0}, "sigma_sq[1] must be finite and > 0, got 0.0"),
+        ((0, 1, 3), {0: 1.0, 1: -1.0}, "sigma_sq[1] must be finite and > 0, got -1.0"),
+        ((0, 1, 3), {0: 1.0, 1: math.nan}, "sigma_sq[1] must be finite and > 0, got nan"),
+        # an infinite variance once gave a log-likelihood of -inf
+        ((0, 1, 3), {0: math.inf, 1: 1.0}, "sigma_sq[0] must be finite and > 0, got inf"),
     ])
     def test_invalid_sigma_rejected(self, levels, sigma_sq, message):
         preds, gts = random_map_batch(40, 3, 2)
